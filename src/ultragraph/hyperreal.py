@@ -313,8 +313,8 @@ def _guard_divisor(divisor: SeqDescriptor, oracle: FilterOracle) -> None:
         if oracle.decide(zero, context="division zero-set") is Membership.IN:
             raise DivisionByZeroClass("divisor is the zero class")
         return
-    for n in range(divisor.n_max + 1):
-        if sq.value_at(divisor, n) == 0:
+    for n, value in enumerate(sq.samples(divisor, divisor.n_max)):
+        if value == 0:
             raise DivisionByZeroClass(
                 f"divisor vanishes at n={n}; its zero-set is not decidably negligible"
             )
@@ -322,7 +322,3 @@ def _guard_divisor(divisor: SeqDescriptor, oracle: FilterOracle) -> None:
 
 def hr_eq(x: Hyperreal, y: Hyperreal) -> bool:
     return x.eq(y)
-
-
-def hr_arith(x: Hyperreal, y: Hyperreal, op: str) -> Hyperreal:
-    return x._arith(y, op)

@@ -19,6 +19,12 @@ standard solutions, packaged as hyperreals:
   the hyperreal combination r*i - e so that Ohm's law holds as a class
   identity by construction, not merely within tolerance.
 
+Indices are solved in fixed-size blocks: per prototype graph, one stacked
+assembly, condition estimate and solve covers a block of indices, with
+every float equal to what a single solve gives. A failure still belongs to
+its index: it is raised, naming that index, only when that index is asked
+for, never because another index of its block failed.
+
 ``verify_laws`` re-reads values from the operating point's descriptors, so
 a perturbed operating point is honestly re-checked: it confirms Kirchhoff's
 current law at every node, Kirchhoff's voltage law around every fundamental
@@ -48,6 +54,8 @@ from .sequences import (
 from .ultrapower import GraphFamily
 
 _COND_LIMIT = 1e12
+# Indices per stacked nodal solve: bounds the (block, m, m) stack in memory.
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -94,59 +102,120 @@ def _components(nodes: list[str], branches: dict) -> dict[str, str]:
 
 def solve_standard(net: StandardNetwork, index: int | None = None) -> StandardSolution:
     """Nodal analysis; deterministic given the network (nodes sorted)."""
-    if not net.graph.branches:
-        raise EmptyNetwork("the network has no branches to solve", index=index)
-    for bid in sorted(net.data):
-        r = net.data[bid].resistance
-        if not (isinstance(r, (int, float)) and math.isfinite(r)) or r <= 0:
-            raise SolverFailure(
-                f"branch {bid} has nonpositive or nonfinite resistance {r!r}",
+    bids = sorted(net.data)
+    r = [net.data[bid].resistance for bid in bids]
+    e = [net.data[bid].emf for bid in bids]
+    if net.graph.branches:
+        failure = _invalid_branch(bids, r, e, index)
+        if failure is not None:
+            raise failure
+    (result,) = _solve_batch(net.graph, [r], [e], [index])
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _invalid_branch(bids: list[str], r: list, e: list, index) -> SolverFailure | None:
+    """The failure for the first branch, in ``bids`` order, with unusable data."""
+    for bid, rb, eb in zip(bids, r, e):
+        if not (isinstance(rb, (int, float)) and math.isfinite(rb)) or rb <= 0:
+            return SolverFailure(
+                f"branch {bid} has nonpositive or nonfinite resistance {rb!r}",
                 index=index,
             )
-        e = net.data[bid].emf
-        if not (isinstance(e, (int, float)) and math.isfinite(e)):
-            raise SolverFailure(f"branch {bid} has nonfinite source value {e!r}", index=index)
-    nodes = sorted(net.graph.nodes0)
-    roots = _components(nodes, net.graph.branches)
+        if not (isinstance(eb, (int, float)) and math.isfinite(eb)):
+            return SolverFailure(f"branch {bid} has nonfinite source value {eb!r}", index=index)
+    return None
+
+
+def _condition_numbers(matrices: np.ndarray) -> list:
+    """np.linalg.cond per matrix, or the LinAlgError that matrix alone raises."""
+    try:
+        return np.linalg.cond(matrices).tolist()
+    except np.linalg.LinAlgError:
+        # One failing matrix fails the whole stack; find it matrix by matrix.
+        found = []
+        for matrix in matrices:
+            try:
+                found.append(float(np.linalg.cond(matrix)))
+            except np.linalg.LinAlgError as exc:
+                found.append(exc)
+        return found
+
+
+def _solve_batch(graph: StandardGraph, r, e, indices: list) -> list:
+    """Nodal analysis of one graph under many sets of branch values at once.
+
+    Row j of ``r`` and ``e`` holds the resistances and EMFs of index
+    ``indices[j]``, in sorted branch-id order. Entry j of the result is
+    that index's ``StandardSolution``, or the exception solving it alone
+    raises; one index failing never fails another. Conductances are
+    accumulated branch by branch in sorted order, each update vectorised
+    across the block, so every float equals the one a single solve gives.
+    """
+    if not graph.branches:
+        return [EmptyNetwork("the network has no branches to solve", index=n) for n in indices]
+    bids = sorted(graph.branches)
+    r = np.asarray(r, dtype=float)
+    e = np.asarray(e, dtype=float)
+    results: list = [None] * len(indices)
+    usable = np.isfinite(r).all(axis=1) & (r > 0).all(axis=1) & np.isfinite(e).all(axis=1)
+    for j in np.flatnonzero(~usable).tolist():
+        results[j] = _invalid_branch(bids, r[j].tolist(), e[j].tolist(), indices[j])
+    valid = np.flatnonzero(usable)
+    nodes = sorted(graph.nodes0)
+    column = {w: k for k, w in enumerate(nodes)}
+    roots = _components(nodes, graph.branches)
     unknowns = [w for w in nodes if roots[w] != w]
     pos = {w: k for k, w in enumerate(unknowns)}
     m = len(unknowns)
-    matrix = np.zeros((m, m))
-    rhs = np.zeros(m)
-    for bid in sorted(net.graph.branches):
-        u, v = net.graph.branches[bid]
-        g = 1.0 / net.data[bid].resistance
-        e = net.data[bid].emf
-        for w, other, sign in ((u, v, -1.0), (v, u, 1.0)):
-            if w not in pos:
-                continue
-            k = pos[w]
-            matrix[k, k] += g
-            if other in pos:
-                matrix[k, pos[other]] -= g
-            rhs[k] += sign * e * g
-    potentials = {w: 0.0 for w in nodes}
-    if m:
-        condition = float(np.linalg.cond(matrix))
-        if not math.isfinite(condition) or condition > _COND_LIMIT:
-            raise NumericalFailure(
-                f"nodal matrix is ill-conditioned (condition {condition:.3e})",
-                condition=condition,
-                index=index,
+    tail = [column[graph.branches[bid][0]] for bid in bids]
+    head = [column[graph.branches[bid][1]] for bid in bids]
+    for start in range(0, len(valid), _BLOCK):
+        block = valid[start : start + _BLOCK].tolist()
+        rb, eb = r[block], e[block]
+        phi = np.zeros((len(block), len(nodes)))
+        solved = list(range(len(block)))
+        # numpy would warn where Python floats silently overflow to inf/nan.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if m:
+                matrix = np.zeros((len(block), m, m))
+                rhs = np.zeros((len(block), m))
+                for col, bid in enumerate(bids):
+                    u, v = graph.branches[bid]
+                    g = 1.0 / rb[:, col]
+                    for w, other, sign in ((u, v, -1.0), (v, u, 1.0)):
+                        if w not in pos:
+                            continue
+                        k = pos[w]
+                        matrix[:, k, k] += g
+                        if other in pos:
+                            matrix[:, k, pos[other]] -= g
+                        rhs[:, k] += sign * eb[:, col] * g
+                solved = []
+                for row, condition in enumerate(_condition_numbers(matrix)):
+                    if isinstance(condition, Exception):
+                        results[block[row]] = condition
+                    elif not math.isfinite(condition) or condition > _COND_LIMIT:
+                        results[block[row]] = NumericalFailure(
+                            f"nodal matrix is ill-conditioned (condition {condition:.3e})",
+                            condition=condition,
+                            index=indices[block[row]],
+                        )
+                    else:
+                        solved.append(row)
+                if solved:
+                    x = np.linalg.solve(matrix[solved], rhs[solved][..., None])[..., 0]
+                    phi[np.ix_(solved, [column[w] for w in unknowns])] = x
+            currents = (phi[:, tail] - phi[:, head] + eb) / rb
+            voltages = rb * currents - eb
+        for row in solved:
+            results[block[row]] = StandardSolution(
+                dict(zip(nodes, phi[row].tolist())),
+                dict(zip(bids, currents[row].tolist())),
+                dict(zip(bids, voltages[row].tolist())),
             )
-        phi = np.linalg.solve(matrix, rhs)
-        for w, k in pos.items():
-            potentials[w] = float(phi[k])
-    currents: dict[str, float] = {}
-    voltages: dict[str, float] = {}
-    for bid in sorted(net.graph.branches):
-        u, v = net.graph.branches[bid]
-        r = net.data[bid].resistance
-        e = net.data[bid].emf
-        i = (potentials[u] - potentials[v] + e) / r
-        currents[bid] = i
-        voltages[bid] = r * i - e
-    return StandardSolution(potentials, currents, voltages)
+    return results
 
 
 # -- nonstandard networks -------------------------------------------------------------
@@ -233,13 +302,45 @@ def operating_point(
     return op
 
 
+def _solve_at_indices(net: NsNetwork, indices) -> dict:
+    """Index -> the n-th network's StandardSolution, or what solving it raises.
+
+    Values are read as ``network_at`` reads them, branch by branch in
+    declaration order, and indices are solved in one batch per prototype.
+    """
+    declared = list(net.data)
+    seqs = [seq for bid in declared for seq in net.data[bid]]
+    order = [declared.index(bid) for bid in sorted(declared)]
+    results: dict = {}
+    groups: dict[int, tuple[StandardGraph, list, list]] = {}
+    for n in indices:
+        try:
+            values = [float(value_at(seq, n)) for seq in seqs]
+            graph = net.family.graph_at(n)
+        except Exception as exc:  # noqa: BLE001 - raised again when index n is asked for
+            results[n] = exc
+            continue
+        _, ns, rows = groups.setdefault(id(graph), (graph, [], []))
+        ns.append(n)
+        rows.append(values)
+    for graph, ns, rows in groups.values():
+        table = np.array(rows)
+        r, e = table[:, 0::2][:, order], table[:, 1::2][:, order]
+        results.update(zip(ns, _solve_batch(graph, r, e, ns)))
+    return results
+
+
 def _periodic_operating_point(net, oracle, shared_nodes) -> OperatingPoint:
     seqs = [net.family.assignment]
     for r, e in net.data.values():
         seqs.extend((r, e))
     head, period = structural_window(*seqs)
     window = head + period
-    solutions = [solve_standard(net.network_at(n), index=n) for n in range(window)]
+    found = _solve_at_indices(net, range(window))
+    solutions = [found[n] for n in range(window)]
+    for result in solutions:
+        if isinstance(result, Exception):
+            raise result
 
     def packaged(values: list[float]) -> Hyperreal:
         return Hyperreal(PeriodicSeq.make(values[:head], values[head:]), oracle)
@@ -264,12 +365,17 @@ def _generated_operating_point(net, oracle, shared_nodes, horizon) -> OperatingP
         for seq in (r, e):
             if isinstance(seq, GeneratedSeq):
                 n_max = min(n_max, seq.n_max)
-    cache: dict[int, StandardSolution] = {}
+    cache: dict = {}
 
     def solve_at(n: int) -> StandardSolution:
         if n not in cache:
-            cache[n] = solve_standard(net.network_at(n), index=n)
-        return cache[n]
+            start = n - n % _BLOCK
+            stop = max(n + 1, min(start + _BLOCK, n_max + 1))
+            cache.update(_solve_at_indices(net, range(start, stop)))
+        result = cache[n]
+        if isinstance(result, Exception):
+            raise result
+        return result
 
     ck = net.content_key()
     currents: dict[str, Hyperreal] = {}

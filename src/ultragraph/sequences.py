@@ -18,14 +18,21 @@ exhaustively up to the horizon and raises ``TraitViolated`` with a witness
 index when the samples contradict the declaration; beyond the horizon they
 are trusted. That trust boundary is explicit and reported, since properties
 like unboundedness are not decidable from finitely many samples.
+
+A generated rule is evaluated at most once per index: ``trait_check``,
+``values_window`` and ``samples`` read one window of values kept per rule
+(per ``fn``, so copies of a descriptor share it) for as long as the rule
+lives. Rules must therefore be deterministic. An evaluation that raises
+leaves its index unrecorded, so asking again raises again.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from math import lcm
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 from ._periodic import minimize, unrolled
 from .errors import BeyondHorizon, TraitViolated
@@ -114,8 +121,46 @@ def horizon(seq: SeqDescriptor) -> float:
     return math.inf if isinstance(seq, PeriodicSeq) else seq.n_max
 
 
+# fn -> [fn(0), fn(1), ...]: every value of a generated rule computed so far.
+_WINDOWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _window(fn) -> list:
+    try:
+        return _WINDOWS.setdefault(fn, [])
+    except TypeError:  # fn cannot be weakly referenced or hashed: keep nothing
+        return []
+
+
+def _values(seq: GeneratedSeq, upto: int) -> list:
+    """``seq.fn(n)`` for n = 0..upto, computing only indices not seen before."""
+    vals = _window(seq.fn)
+    for n in range(len(vals), upto + 1):
+        vals.append(seq.fn(n))
+    return vals[: upto + 1]
+
+
+def samples(seq: GeneratedSeq, upto: int) -> Iterator:
+    """Like ``_values``, lazily: a scan that stops early computes no further.
+
+    The horizon is the caller's to respect.
+    """
+    vals = _window(seq.fn)
+    for n in range(upto + 1):
+        if n == len(vals):
+            vals.append(seq.fn(n))
+        yield vals[n]
+
+
 def values_window(seq: SeqDescriptor, upto: int) -> list:
-    return [value_at(seq, n) for n in range(upto + 1)]
+    if isinstance(seq, PeriodicSeq):
+        return [value_at(seq, n) for n in range(upto + 1)]
+    vals = _values(seq, min(upto, seq.n_max))
+    if upto > seq.n_max:
+        raise BeyondHorizon(
+            f"generated sequence evaluated at n={seq.n_max + 1} beyond horizon {seq.n_max}"
+        )
+    return vals
 
 
 def structural_window(*seqs: SeqDescriptor) -> tuple[int, int]:
@@ -170,7 +215,7 @@ def trait_check(seq: SeqDescriptor, upto: int | None = None) -> TraitReport:
         vals = sorted({_fmt(v) for v in seq.pre + seq.cycle})
         return TraitReport(True, [f"finitely many values {{{', '.join(vals)}}}"])
     end = seq.n_max if upto is None else min(upto, seq.n_max)
-    vals = [seq.fn(n) for n in range(end + 1)]
+    vals = _values(seq, end)
     notes = []
     if MONOTONE in seq.traits:
         _check_monotone(vals)
@@ -239,11 +284,21 @@ def _check_limit(vals, limit):
     # Nonincreasing deviations alone also fit every limit below the true
     # one (the gap just stops shrinking), so insist on genuine decay: by
     # the horizon the deviation must have dropped to a quarter of its
-    # starting size.  Slowly converging sequences need a longer horizon.
+    # starting size, and it must still be shrinking over the second half
+    # of the window (a gap of order 1/n halves there; a gap settling on a
+    # nonzero floor does not).  Slowly converging sequences need a longer
+    # horizon.
     if devs and devs[-1] > 0.25 * devs[0] + 1e-12:
         raise TraitViolated(
             f"limit {limit} declared but |value - limit| only shrinks from "
             f"{devs[0]:.6g} to {devs[-1]:.6g} over the horizon",
+            witness=len(devs) - 1,
+        )
+    mid = len(devs) // 2
+    if devs and devs[-1] > 0.75 * devs[mid] + 1e-12:
+        raise TraitViolated(
+            f"limit {limit} declared but |value - limit| levels off near "
+            f"{devs[-1]:.6g} after n={mid}",
             witness=len(devs) - 1,
         )
 

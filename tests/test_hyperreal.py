@@ -142,6 +142,15 @@ def test_certify_spot_checks_before_attaching(orc):
         x.certify(limit=0.0, monotone=True)
 
 
+def test_certify_rejects_a_gap_that_levels_off(orc):
+    # |x| falls from 6 to about 1.0025: below a quarter of where it started,
+    # yet the limit is 1, not 0
+    x = Hyperreal(generated(lambda n: 1 + 5 / (n + 1), 2000), orc)
+    with pytest.raises(TraitViolated, match="levels off"):
+        x.certify(limit=0.0, monotone=True)
+    assert x.certify(limit=1.0, monotone=True).standard_part() == 1.0
+
+
 def test_describe_renders_class_and_standard_part(orc):
     x = Hyperreal.lift(5.0, orc)
     assert "finite" in x.describe() and "st=5.0" in x.describe()

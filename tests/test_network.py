@@ -1,7 +1,9 @@
 """Standard and nonstandard network solving, checked against the brute-force oracle."""
 
+import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,7 +23,8 @@ from ultragraph import (
     verify_laws,
 )
 from ultragraph.errors import EmptyNetwork, NumericalFailure, SolverFailure
-from ultragraph.sequences import named_generator, value_at
+from ultragraph.network import _BLOCK, _solve_batch
+from ultragraph.sequences import generated, named_generator, value_at
 
 from conftest import random_network
 from reference_solver import brute_force_solve, close
@@ -309,3 +312,165 @@ def test_operating_point_descriptors_are_reproducible():
     window = [value_at(first.currents["b2"].rep, n) for n in range(32)]
     again = [value_at(second.currents["b2"].rep, n) for n in range(32)]
     assert window == again
+
+
+# -- the batched nodal kernel ----------------------------------------------------------
+
+
+def loop_solve(net):
+    """Nodal analysis one network at a time, scalar assembly: the batch's reference."""
+    nodes = sorted(net.graph.nodes0)
+    parent = {w: w for w in nodes}
+
+    def find(w):
+        while parent[w] != w:
+            w = parent[w]
+        return w
+
+    for u, v in net.graph.branches.values():
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    unknowns = [w for w in nodes if find(w) != w]
+    pos = {w: k for k, w in enumerate(unknowns)}
+    matrix = np.zeros((len(unknowns), len(unknowns)))
+    rhs = np.zeros(len(unknowns))
+    for bid in sorted(net.graph.branches):
+        u, v = net.graph.branches[bid]
+        g = 1.0 / net.data[bid].resistance
+        e = net.data[bid].emf
+        for w, other, sign in ((u, v, -1.0), (v, u, 1.0)):
+            if w in pos:
+                matrix[pos[w], pos[w]] += g
+                if other in pos:
+                    matrix[pos[w], pos[other]] -= g
+                rhs[pos[w]] += sign * e * g
+    potentials = {w: 0.0 for w in nodes}
+    if unknowns:
+        assert float(np.linalg.cond(matrix)) <= 1e12
+        for w, x in zip(unknowns, np.linalg.solve(matrix, rhs)):
+            potentials[w] = float(x)
+    currents, voltages = {}, {}
+    for bid, (u, v) in sorted(net.graph.branches.items()):
+        r, e = net.data[bid].resistance, net.data[bid].emf
+        currents[bid] = (potentials[u] - potentials[v] + e) / r
+        voltages[bid] = r * currents[bid] - e
+    return potentials, currents, voltages
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 2 * _BLOCK + 3))
+def test_batch_matches_single_solves_bit_for_bit(seed, size):
+    rng = random.Random(seed)
+    plain, net = random_network(rng)
+    datas = [
+        {bid: Branch(rng.uniform(0.1, 10.0), rng.uniform(-5.0, 5.0)) for bid in plain}
+        for _ in range(size)
+    ]
+    bids = sorted(plain)
+    batch = _solve_batch(
+        net.graph,
+        [[d[bid].resistance for bid in bids] for d in datas],
+        [[d[bid].emf for bid in bids] for d in datas],
+        list(range(size)),
+    )
+    for n in sorted({0, size // 2, size - 1}):
+        single = solve_standard(StandardNetwork(net.graph, datas[n]), index=n)
+        got = batch[n]
+        assert (got.potentials, got.currents, got.voltages) == (
+            single.potentials,
+            single.currents,
+            single.voltages,
+        )
+        assert (got.potentials, got.currents, got.voltages) == loop_solve(
+            StandardNetwork(net.graph, datas[n])
+        )
+        bf_i, bf_v, bf_phi = brute_force_solve(
+            {bid: (u, v, datas[n][bid].resistance, datas[n][bid].emf) for bid, (u, v, _, _) in plain.items()}
+        )
+        assert all(close(got.currents[b], bf_i[b]) for b in plain)
+        assert all(close(got.voltages[b], bf_v[b]) for b in plain)
+        assert all(close(got.potentials[w], bf_phi[w]) for w in bf_phi)
+
+
+def test_a_matrix_numpy_cannot_decompose_fails_only_its_own_index():
+    # the self-loop's 1/1e-320 overflows to inf, and inf - inf on the diagonal
+    # leaves a NaN that makes the SVD behind np.linalg.cond fail
+    g = StandardGraph(
+        "looped", 0, nodes0=["a", "b"], branches={"b1": ("a", "b"), "b2": ("b", "b"), "b3": ("b", "a")}
+    )
+    datas = [
+        {"b1": Branch(1.0, 1.0), "b2": Branch(1e-320 if n == 3 else 1.0), "b3": Branch(2.0)}
+        for n in range(6)
+    ]
+    bids = ["b1", "b2", "b3"]
+    batch = _solve_batch(
+        g,
+        [[d[bid].resistance for bid in bids] for d in datas],
+        [[d[bid].emf for bid in bids] for d in datas],
+        list(range(6)),
+    )
+    assert isinstance(batch[3], np.linalg.LinAlgError)
+    with pytest.raises(np.linalg.LinAlgError):
+        solve_standard(StandardNetwork(g, datas[3]), index=3)
+    for n in (0, 1, 2, 4, 5):
+        assert batch[n] == solve_standard(StandardNetwork(g, datas[n]), index=n)
+
+
+def chain_network(r_b1):
+    """Triangle a-b-c: b1 = a-b with resistance r_b1 and a 2 V source, b2 1 ohm, b3 3 ohm."""
+    g = StandardGraph(
+        "chain", 0, nodes0=["a", "b", "c"], branches={"b1": ("a", "b"), "b2": ("b", "c"), "b3": ("c", "a")}
+    )
+    return NsNetwork(
+        "chain",
+        GraphFamily("chainfam", (g,)),
+        {
+            "b1": (r_b1, periodic((), (2.0,))),
+            "b2": (periodic((), (1.0,)), periodic((), (0.0,))),
+            "b3": (periodic((), (3.0,)), periodic((), (0.0,))),
+        },
+    )
+
+
+def spike(k, value):
+    """1 + n ohms everywhere except index k, where the rule gives ``value``."""
+
+    def rule(n):
+        if n != k:
+            return 1.0 + n
+        if isinstance(value, Exception):
+            raise value
+        return value
+
+    return generated(rule, 3 * _BLOCK, key=("spike", k, repr(value)))
+
+
+def failure_of(call):
+    with pytest.raises(Exception) as info:
+        call()
+    exc = info.value
+    return type(exc), str(exc), getattr(exc, "index", None), getattr(exc, "condition", None)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    k=st.integers(1, 2 * _BLOCK + 5),
+    value=st.sampled_from([0.0, -2.5, math.inf, 1e-15, "ohm", ValueError("no data here")]),
+)
+def test_a_failing_index_fails_alone_and_as_before(k, value):
+    net = chain_network(spike(k, value))
+    expected = failure_of(lambda: solve_standard(net.network_at(k), index=k))
+    op = operating_point(net, FilterOracle())
+    assert op.route == "generated"
+    current = op.currents["b2"].rep
+    for _ in range(2):  # a cached failure raises again, identically
+        assert failure_of(lambda: value_at(current, k)) == expected
+    for n in (k - 1, k + 1):
+        assert value_at(current, n) == solve_standard(net.network_at(n), index=n).currents["b2"]
+    assert verify_laws(op, check_upto=k).ok
+    # the periodic route raises the same for the first failing phase
+    if not isinstance(value, Exception):
+        phases = [1.0 + n for n in range(k)] + [value]
+        periodic_net = chain_network(periodic((), phases))
+        assert failure_of(lambda: operating_point(periodic_net, FilterOracle())) == expected

@@ -1,11 +1,15 @@
 """Sequence descriptors: values, canonical forms, agreement, traits."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ultragraph import (
+    FilterOracle,
     GeneratedSeq,
+    Hyperreal,
     PeriodicSeq,
     agreement_set,
     constant,
@@ -14,6 +18,7 @@ from ultragraph import (
     periodic,
     trait_check,
 )
+from ultragraph.cli import _advisory_class
 from ultragraph.errors import BeyondHorizon, TraitViolated
 from ultragraph.sequences import (
     MONOTONE,
@@ -166,6 +171,44 @@ def test_structural_window_covers_pre_and_lcm():
 
 def test_values_window():
     assert values_window(periodic([], [1, 2]), 4) == [1, 2, 1, 2, 1]
+    s = generated(lambda n: n * n, 10)
+    assert values_window(s, 4) == [0, 1, 4, 9, 16]
+    with pytest.raises(BeyondHorizon):
+        values_window(s, 11)
+    # a builtin cannot be weakly referenced, so its values are not kept
+    assert values_window(generated(abs, 3), 3) == [0, 1, 2, 3]
+
+
+def test_a_generated_rule_is_evaluated_once_per_index():
+    calls = Counter()
+
+    def rule(n):
+        calls[n] += 1
+        return 1.0 / (n + 2)
+
+    x = _advisory_class(Hyperreal(generated(rule, 300), FilterOracle()))
+    assert x.describe().endswith(":: infinitesimal, st=0.0")
+    assert set(calls) == set(range(301))
+    assert max(calls.values()) == 1
+
+
+def test_a_raising_rule_raises_again_and_keeps_nothing_for_that_index():
+    calls = Counter()
+
+    def rule(n):
+        calls[n] += 1
+        if n == 7:
+            raise ZeroDivisionError(f"no value at n={n}")
+        return 1.0 / (n + 2)
+
+    x = Hyperreal(generated(rule, 300), FilterOracle())
+    raised = []
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError) as info:
+            _advisory_class(x)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1] == (ZeroDivisionError, "no value at n=7")
+    assert calls == Counter({**dict.fromkeys(range(7), 1), 7: 2})
 
 
 def test_named_generator_registry():
