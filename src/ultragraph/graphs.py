@@ -195,6 +195,7 @@ class StandardGraph:
         if rank is OMEGA and not graded_omega and self.omega_tips is None:
             self.omega_tips = frozenset()
         self._layer_cache: dict[int, dict[str, StandardNode]] = {}
+        self._owner_cache: dict[int, tuple[dict[str, str], dict[str, str]]] = {}
 
     # -- layers ---------------------------------------------------------------
 
@@ -251,12 +252,6 @@ class StandardGraph:
 
     # -- extremities ----------------------------------------------------------------
 
-    def levels(self) -> list:
-        """Node levels this graph has, finite ones capped for schemes by callers."""
-        if isinstance(self.rank, int):
-            return list(range(1, self.rank + 1))
-        return []
-
     def _check_level(self, level) -> None:
         if level is OMEGA_ARROW:
             raise RankTooHigh("there are no omega-arrow nodes, hence no such level")
@@ -305,15 +300,16 @@ class StandardGraph:
         self._check_level(level)
         if level is OMEGA:
             return self._omega_owner(e)
+        tips, exceptional = self._owner_index(level)
         if e.kind == "tip":
             if e.ident in self.layer_tips(level - 1):
-                owner = self._tip_owner_index(level).get(e.ident)
+                owner = tips.get(e.ident)
                 if owner is not None:
                     return owner
             raise NotAnExtremity(
                 f"{e.describe()} is not an owned rank-{level - 1} tip of graph {self.name}"
             )
-        owner = self._exceptional_index(level).get(e.ident)
+        owner = exceptional.get(e.ident)
         if owner is None:
             raise NotAnExtremity(
                 f"{e.describe()} is not the exceptional element of any "
@@ -353,19 +349,23 @@ class StandardGraph:
         except (NotAnExtremity, RankTooHigh):
             return False
 
-    def _tip_owner_index(self, level: int) -> dict[str, str]:
-        index: dict[str, str] = {}
-        for node in self.layer_nodes(level).values():
-            for t in node.tips:
-                index.setdefault(t, node.ident)
+    def _owner_index(self, level: int) -> tuple[dict[str, str], dict[str, str]]:
+        """(tip -> owner, exceptional element -> owner) at a finite level;
+        built once per level, since graphs do not change after construction."""
+        index = self._owner_cache.get(level)
+        if index is None:
+            index = self._owner_cache[level] = self._build_owner_index(level)
         return index
 
-    def _exceptional_index(self, level: int) -> dict[str, str]:
-        return {
-            node.exceptional: node.ident
-            for node in self.layer_nodes(level).values()
-            if node.exceptional is not None
-        }
+    def _build_owner_index(self, level: int) -> tuple[dict[str, str], dict[str, str]]:
+        tips: dict[str, str] = {}
+        exceptional: dict[str, str] = {}
+        for node in self.layer_nodes(level).values():
+            for t in node.tips:
+                tips.setdefault(t, node.ident)
+            if node.exceptional is not None:
+                exceptional[node.exceptional] = node.ident
+        return tips, exceptional
 
     # -- equality (structural) -----------------------------------------------------
 

@@ -37,8 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .errors import EmptyNetwork, InvariantBreach, NumericalFailure, SolverFailure, Undecidable
 from .graphs import StandardGraph
 from .hyperreal import Hyperreal, hr_eq
@@ -130,6 +128,8 @@ def _invalid_branch(bids: list[str], r: list, e: list, index) -> SolverFailure |
 
 def _condition_numbers(matrices: np.ndarray) -> list:
     """np.linalg.cond per matrix, or the LinAlgError that matrix alone raises."""
+    import numpy as np
+
     try:
         return np.linalg.cond(matrices).tolist()
     except np.linalg.LinAlgError:
@@ -153,6 +153,8 @@ def _solve_batch(graph: StandardGraph, r, e, indices: list) -> list:
     accumulated branch by branch in sorted order, each update vectorised
     across the block, so every float equals the one a single solve gives.
     """
+    import numpy as np
+
     if not graph.branches:
         return [EmptyNetwork("the network has no branches to solve", index=n) for n in indices]
     bids = sorted(graph.branches)
@@ -308,6 +310,8 @@ def _solve_at_indices(net: NsNetwork, indices) -> dict:
     Values are read as ``network_at`` reads them, branch by branch in
     declaration order, and indices are solved in one batch per prototype.
     """
+    import numpy as np
+
     declared = list(net.data)
     seqs = [seq for bid in declared for seq in net.data[bid]]
     order = [declared.index(bid) for bid in sorted(declared)]

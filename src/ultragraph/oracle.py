@@ -17,7 +17,12 @@ residues modulo the lcm of all pin periods. Pinning is rejected with
 intersection property check (the intersection of all required-in sets must
 be infinite). The effective tower is re-derived deterministically as the
 smallest admissible integer, preferring integers that agree with the
-configured base residues.
+configured base residues. It is found by a first-hit scan: first over the
+integers that agree with the base residues, then, only if none of those
+is admissible, over every residue below the lcm. No list of admissible
+residues is kept, so memory does not grow with the lcm; the time of the
+scan does when the first hit lies far out. Base residues merge by
+the closed-form Chinese remainder theorem.
 
 Pins on sampled sets cannot constrain the tower; they are kept as literal
 overrides, matched by pointwise agreement up to the sampled horizon, and
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -78,12 +84,10 @@ def _crt_merge(mod_a: int, res_a: int, mod_b: int, res_b: int) -> tuple[int, int
             f"residue {res_a} (mod {mod_a}) conflicts with {res_b} (mod {mod_b})"
         )
     m = lcm(mod_a, mod_b)
-    # Step res_a through multiples of mod_a until it also fits res_b.
-    step = mod_a
-    r = res_a
-    while r % mod_b != res_b % mod_b:
-        r += step
-    return m, r % m
+    # res_a + k * mod_a fits res_b exactly when (mod_a / g) * k is
+    # (res_b - res_a) / g modulo mod_b / g, where mod_a / g is invertible.
+    k = (res_b - res_a) // g * pow(mod_a // g, -1, mod_b // g) % (mod_b // g)
+    return m, (res_a + k * mod_a) % m
 
 
 class FilterOracle:
@@ -139,29 +143,26 @@ class FilterOracle:
             raise
 
     def _refresh(self) -> None:
-        """Recompute the admissible residues and the selected tower."""
+        """Recompute the selected tower: the first admissible integer that
+        agrees with the base residues, else the first admissible one."""
         modulus = self._base_mod
         for pin in self._exact_pins:
             period = len(pin.target.cycle) if pin.target.kind == PERIODIC else 1
             modulus = lcm(modulus, period)
-        allowed = []
-        for r in range(modulus):
-            ok = True
-            for pin in self._exact_pins:
-                inside = pin.target.class_inside(r, modulus)
-                if inside != (pin.verdict is Membership.IN):
-                    ok = False
-                    break
-            if ok:
-                allowed.append(r)
-        if not allowed:
+        wanted = [(pin.target, pin.verdict is Membership.IN) for pin in self._exact_pins]
+
+        def admissible(r: int) -> bool:
+            return all(target.class_inside(r, modulus) == inside for target, inside in wanted)
+
+        candidates = chain(range(self._base_res, modulus, self._base_mod), range(modulus))
+        selected = next(filter(admissible, candidates), None)
+        if selected is None:
             raise InconsistentPin(
                 "pins leave no admissible residue class; the required sets "
                 "have a finite intersection"
             )
-        preferred = [r for r in allowed if r % self._base_mod == self._base_res]
         self._modulus = modulus
-        self._selected = min(preferred) if preferred else min(allowed)
+        self._selected = selected
 
     def _check_sampled_fip(self) -> None:
         """Windowed finite-intersection check once sampled pins participate."""

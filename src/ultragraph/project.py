@@ -425,11 +425,6 @@ class Project:
         )
         return ns_extremity(family, spec.level, rep, label=name)
 
-    # -- rendering ------------------------------------------------------------
-
-    def serialize(self) -> str:
-        return serialize(self)
-
 
 def _resolve_ref(ref, graph: StandardGraph, level, qname: str) -> Extremity:
     kind, ident = ref

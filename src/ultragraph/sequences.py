@@ -31,7 +31,9 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
+from itertools import islice
 from math import lcm
+from operator import eq
 from typing import Any, Callable, Iterable, Iterator
 
 from ._periodic import minimize, unrolled
@@ -180,6 +182,35 @@ def pointwise(seqs: Iterable[PeriodicSeq], fn) -> PeriodicSeq:
     return PeriodicSeq.make(values[:head], values[head:])
 
 
+class _Unrolled:
+    """The values of a periodic descriptor from index 0 on, unrolled by whole
+    cycles and extended only when a longer prefix is asked for."""
+
+    __slots__ = ("cycle", "head", "period", "values")
+
+    def __init__(self, seq: PeriodicSeq):
+        self.cycle = seq.cycle
+        self.head = len(seq.pre)
+        self.period = len(seq.cycle)
+        self.values = list(seq.pre)
+
+    def prefix(self, length: int) -> list:
+        """At least the first ``length`` values (possibly more)."""
+        short = length - len(self.values)
+        if short > 0:
+            self.values.extend(self.cycle * -(-short // self.period))
+        return self.values
+
+
+def _agreement_pattern(a: _Unrolled, b: _Unrolled) -> tuple[int, tuple]:
+    """(head, bits) of where two periodic descriptors agree over their
+    structural window: ``bits[n]`` is ``a(n) == b(n)`` for n below head + the
+    lcm of the two cycle lengths, head being the longer preperiod."""
+    head = max(a.head, b.head)
+    width = head + lcm(a.period, b.period)
+    return head, tuple(islice(map(eq, a.prefix(width), b.prefix(width)), width))
+
+
 def agreement_set(a: SeqDescriptor, b: SeqDescriptor) -> IndexSet:
     """The set of indices where the two sequences take equal values.
 
@@ -190,8 +221,7 @@ def agreement_set(a: SeqDescriptor, b: SeqDescriptor) -> IndexSet:
     if a == b:
         return IndexSet.naturals()
     if isinstance(a, PeriodicSeq) and isinstance(b, PeriodicSeq):
-        head, period = structural_window(a, b)
-        bits = [value_at(a, n) == value_at(b, n) for n in range(head + period)]
+        head, bits = _agreement_pattern(_Unrolled(a), _Unrolled(b))
         return IndexSet.eventually_periodic(bits[:head], bits[head:])
     upto = int(min(horizon(a), horizon(b)))
     return IndexSet.sampled(lambda n: value_at(a, n) == value_at(b, n), upto)

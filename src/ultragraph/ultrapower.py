@@ -45,6 +45,8 @@ from .sequences import (
     UNBOUNDED,
     GeneratedSeq,
     PeriodicSeq,
+    _agreement_pattern,
+    _Unrolled,
     agreement_set,
     generated,
     horizon,
@@ -355,12 +357,16 @@ def _select_periodic_rank(ext: NsExtremity, oracle: FilterOracle) -> int:
 # -- shorting and node building --------------------------------------------------------
 
 
-def ns_shorted(a: NsExtremity, b: NsExtremity, oracle: FilterOracle) -> bool:
-    """Whether one nonstandard node contains both extremities."""
+def _require_same_level(a: NsExtremity, b: NsExtremity) -> None:
     if a.level is not b.level and a.level != b.level:
         raise RankTooHigh(
             f"cannot short across levels {rank_str(a.level)} and {rank_str(b.level)}"
         )
+
+
+def ns_shorted(a: NsExtremity, b: NsExtremity, oracle: FilterOracle) -> bool:
+    """Whether one nonstandard node contains both extremities."""
+    _require_same_level(a, b)
     agree = agreement_set(a.owner_rep, b.owner_rep)
     verdict = oracle.decide(
         agree, context=f"shorting {a.label} with {b.label}"
@@ -401,10 +407,20 @@ def build_ns_nodes(
     audit_upto: int = 64,
     require_tip: bool = True,
 ) -> NsLayer:
-    """Partition the extremities into nonstandard nodes by decided shorting."""
+    """Partition the extremities into nonstandard nodes by decided shorting.
+
+    Each pair is decided as ``ns_shorted`` decides it. Periodic owner
+    sequences are unrolled once per extremity, and each distinct agreement
+    pattern is turned into its index set once per call.
+    """
     exts = list(extremities)
     classes = [classify(e, oracle) for e in exts]
     n = len(exts)
+    owners = [
+        _Unrolled(e.owner_rep) if isinstance(e.owner_rep, PeriodicSeq) else None
+        for e in exts
+    ]
+    agreements: dict[tuple[int, tuple], IndexSet] = {}
     decided: dict[tuple[int, int], bool] = {}
     parent = list(range(n))
 
@@ -415,8 +431,21 @@ def build_ns_nodes(
         return i
 
     for i in range(n):
+        a = exts[i]
         for j in range(i + 1, n):
-            same = ns_shorted(exts[i], exts[j], oracle)
+            b = exts[j]
+            _require_same_level(a, b)
+            if owners[i] is not None and owners[j] is not None:
+                pattern = _agreement_pattern(owners[i], owners[j])
+                agree = agreements.get(pattern)
+                if agree is None:
+                    head, bits = pattern
+                    agree = IndexSet.eventually_periodic(bits[:head], bits[head:])
+                    agreements[pattern] = agree
+            else:
+                agree = agreement_set(a.owner_rep, b.owner_rep)
+            verdict = oracle.decide(agree, context=f"shorting {a.label} with {b.label}")
+            same = verdict is Membership.IN
             decided[(i, j)] = same
             if same:
                 parent[find(i)] = find(j)
@@ -525,17 +554,6 @@ class NsGraph:
             if key == level or key is level:
                 return value
         raise RankTooHigh(f"no level {rank_str(level)} in nonstandard graph {self.name}")
-
-    def truncated(self, mu: int) -> "NsGraph":
-        kept = {k: v for k, v in self.layers.items() if isinstance(k, int) and k <= mu}
-        return NsGraph(
-            f"{self.name}|{mu}",
-            self.family,
-            self.zero_classes,
-            self.branch_classes,
-            kept,
-            list(self.notes),
-        )
 
 
 def build_ns_graph(

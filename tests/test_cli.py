@@ -120,3 +120,29 @@ def test_solve_respects_the_tolerance_flag():
     assert strict.returncode == 0
     assert "VIOLATED" in strict.stdout
     assert "laws:" in strict.stdout and "all hold" not in strict.stdout
+
+
+def test_build_and_classify_do_not_import_numpy():
+    # Only solving needs numpy; the exact commands must not pay its import.
+    script = (
+        "import contextlib, io, sys\n"
+        "from pathlib import Path\n"
+        "from ultragraph import cli\n"
+        "for path in sorted(Path('projects').glob('*.ug')):\n"
+        "    for command in ('build', 'classify'):\n"
+        "        with contextlib.redirect_stdout(io.StringIO()):\n"
+        "            cli.main([command, str(path)])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+    solved = subprocess.run(
+        [sys.executable, "-c", script.replace("('build', 'classify')", "('solve',)")],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+    )
+    assert solved.stdout == "True\n"

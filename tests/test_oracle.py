@@ -1,11 +1,17 @@
 """Filter oracle: ultrafilter laws, pins, partition selection, audit."""
 
+import re
+import time
+from math import gcd, lcm
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from ultragraph import FilterOracle, IndexSet, Membership
-from ultragraph.errors import InconsistentPin, NotAPartition, Undecidable
+from ultragraph.errors import IncompatibleTower, InconsistentPin, NotAPartition, Undecidable
+from ultragraph.indexsets import PERIODIC
+from ultragraph.oracle import Pin, _crt_merge
 
 ep_sets = st.builds(
     IndexSet.eventually_periodic,
@@ -166,3 +172,97 @@ def test_partition_chooses_exactly_one_part(bits):
     verdicts = [orc.decide(p) for p in parts]
     assert verdicts.count(IN) == 1
     assert verdicts.index(IN) == first
+
+
+# -- tower construction against the stepping and full-scan references --------
+
+
+def stepping_crt_merge(mod_a, res_a, mod_b, res_b):
+    """The former ``_crt_merge``: step res_a by mod_a until it fits res_b."""
+    g = gcd(mod_a, mod_b)
+    if (res_a - res_b) % g != 0:
+        raise IncompatibleTower(
+            f"residue {res_a} (mod {mod_a}) conflicts with {res_b} (mod {mod_b})"
+        )
+    m = lcm(mod_a, mod_b)
+    r = res_a
+    while r % mod_b != res_b % mod_b:
+        r += mod_a
+    return m, r % m
+
+
+def full_scan_selection(base_mod, base_res, pins):
+    """The former ``_refresh``: list every admissible residue below the lcm,
+    then take the least one agreeing with the base residues, else the least."""
+    modulus = base_mod
+    for pin in pins:
+        period = len(pin.target.cycle) if pin.target.kind == PERIODIC else 1
+        modulus = lcm(modulus, period)
+    allowed = [
+        r
+        for r in range(modulus)
+        if all(
+            pin.target.class_inside(r, modulus) == (pin.verdict is IN) for pin in pins
+        )
+    ]
+    if not allowed:
+        raise InconsistentPin(
+            "pins leave no admissible residue class; the required sets "
+            "have a finite intersection"
+        )
+    preferred = [r for r in allowed if r % base_mod == base_res]
+    return modulus, min(preferred) if preferred else min(allowed)
+
+
+@given(
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=39),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=0, max_value=39),
+)
+def test_closed_form_crt_matches_stepping(mod_a, res_a, mod_b, res_b):
+    res_a, res_b = res_a % mod_a, res_b % mod_b
+    try:
+        expected = stepping_crt_merge(mod_a, res_a, mod_b, res_b)
+    except IncompatibleTower as exc:
+        with pytest.raises(IncompatibleTower, match=re.escape(str(exc))):
+            _crt_merge(mod_a, res_a, mod_b, res_b)
+    else:
+        assert _crt_merge(mod_a, res_a, mod_b, res_b) == expected
+
+
+def test_tower_of_two_large_primes_builds_at_once():
+    start = time.perf_counter()
+    orc = FilterOracle([(999999937, 5), (999999929, 7)])
+    assert time.perf_counter() - start < 0.5
+    assert orc.selected_residue(999999937) == 5
+    assert orc.selected_residue(999999929) == 7
+
+
+small_ep_sets = st.builds(
+    IndexSet.eventually_periodic,
+    st.lists(st.booleans(), max_size=3),
+    st.lists(st.booleans(), min_size=1, max_size=6),
+)
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=6), max_size=3),
+    st.integers(min_value=0, max_value=59),
+    st.lists(st.tuples(small_ep_sets, st.sampled_from([IN, OUT])), max_size=4),
+)
+def test_first_hit_selection_matches_full_scan(moduli, c, pins):
+    orc = FilterOracle([(m, c % m) for m in moduli])
+    assert (orc._modulus, orc._selected) == full_scan_selection(
+        orc._base_mod, orc._base_res, ()
+    )
+    for target, verdict in pins:
+        tried = orc._exact_pins + (Pin(target, verdict),)
+        try:
+            expected = full_scan_selection(orc._base_mod, orc._base_res, tried)
+        except InconsistentPin as exc:
+            with pytest.raises(InconsistentPin, match=re.escape(str(exc))):
+                orc.pin(target, verdict)
+            continue
+        orc = orc.pin(target, verdict)
+        assert (orc._modulus, orc._selected) == expected

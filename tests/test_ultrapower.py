@@ -1,8 +1,12 @@
 """Ultrapower construction: classes, classification, ns nodes and graphs."""
 
 import itertools
+import re
+from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ultragraph import (
     OMEGA,
@@ -12,6 +16,9 @@ from ultragraph import (
     Hypernatural,
     IndexSet,
     Membership,
+    NsExtremity,
+    StandardGraph,
+    StandardNode,
     build_ns_graph,
     build_ns_nodes,
     classify,
@@ -24,7 +31,7 @@ from ultragraph import (
     truncate,
 )
 from ultragraph.errors import InvariantBreach, Undecidable
-from ultragraph.sequences import value_at
+from ultragraph.sequences import generated, value_at
 
 from conftest import (
     alternating_3graphs,
@@ -373,3 +380,151 @@ def test_generated_assignment_makes_shorting_undecidable(oracle):
     # a pin covering the sampled window restores decidability
     pinned = oracle.pin(IndexSet.residue_class(2, 0), Membership.IN)
     assert ns_shorted(e, f, pinned)
+
+
+# -- shorting by unrolled owner patterns against the pairwise loop -----------------
+
+
+def pairwise_partition(exts, oracle):
+    """What ``build_ns_nodes`` decides, the former way: classify every
+    extremity, then one ``ns_shorted`` call per pair, merged by union-find."""
+    for e in exts:
+        classify(e, oracle)
+    parent = list(range(len(exts)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(len(exts)), 2):
+        if ns_shorted(exts[i], exts[j], oracle):
+            parent[find(i)] = find(j)
+    groups = {}
+    for i, e in enumerate(exts):
+        groups.setdefault(find(i), []).append(e.label)
+    return sorted(tuple(sorted(g)) for g in groups.values())
+
+
+def tip_family(tips, groupings, assignment):
+    """Rank-1 prototypes over one set of 0-tips, the k-th grouping them into
+    1-nodes by ``groupings[k]`` (node x{g} owns the tips in group g)."""
+    protos = []
+    for k, groups in enumerate(groupings):
+        nodes = [
+            StandardNode.make(f"x{g}", 1, [t for t, h in zip(tips, groups) if h == g])
+            for g in sorted(set(groups))
+        ]
+        protos.append(
+            StandardGraph(
+                f"P{k}", 1, nodes0=["a", "b"], branches={"b1": ("a", "b")},
+                tips={0: tips}, nodes=nodes,
+            )
+        )
+    return GraphFamily("rand", tuple(protos), assignment)
+
+
+def keyed_extremity(family, label):
+    # Periodic in kind, but with an opaque owner rule: only its key says that
+    # two such extremities share every owner.
+    return NsExtremity(
+        family,
+        1,
+        periodic((), (Extremity("tip", "t0", 0),)),
+        generated(lambda n: "x0", 64, key=("keyed-owner",), label="x0"),
+        IndexSet.naturals(),
+        periodic((), (0,)),
+        label,
+    )
+
+
+@st.composite
+def tip_universes(draw):
+    tips = [f"t{k}" for k in range(draw(st.integers(2, 6)))]
+    groupings = draw(
+        st.lists(
+            st.lists(st.integers(0, 3), min_size=len(tips), max_size=len(tips)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    proto = st.integers(0, len(groupings) - 1)
+    assignment = periodic(
+        draw(st.lists(proto, max_size=2)), draw(st.lists(proto, min_size=1, max_size=4))
+    )
+    family = tip_family(tips, groupings, assignment)
+    tip = st.sampled_from([Extremity("tip", t, 0) for t in tips])
+    exts = [constant_extremity(family, 1, Extremity("tip", t, 0)) for t in tips]
+    for q in range(draw(st.integers(0, 3))):
+        rep = periodic(
+            draw(st.lists(tip, max_size=2)), draw(st.lists(tip, min_size=1, max_size=3))
+        )
+        exts.append(ns_extremity(family, 1, rep, label=f"q{q}"))
+    exts = draw(st.permutations(exts))
+    if draw(st.booleans()):
+        # Two keyed extremities first: their pair is decided through
+        # ``agreement_set``, and the next pair, against a periodic owner,
+        # is undecidable.
+        exts = [keyed_extremity(family, "k0"), keyed_extremity(family, "k1"), *exts]
+    return family, exts
+
+
+@given(
+    tip_universes(),
+    st.integers(1, 12),
+    st.integers(0, 11),
+    st.lists(st.tuples(st.integers(2, 4), st.integers(0, 3)), max_size=1),
+)
+def test_build_matches_pairwise_shorting(universe, modulus, residue, pins):
+    family, exts = universe
+
+    def oracle(audit):
+        orc = FilterOracle([(modulus, residue % modulus)], audit=audit)
+        for m, r in pins:
+            orc = orc.pin(IndexSet.residue_class(m, r), Membership.IN)
+        return orc
+
+    audit_new, audit_old = [], []
+    try:
+        layer = build_ns_nodes(family, 1, exts, oracle(audit_new))
+    except Undecidable as exc:
+        with pytest.raises(Undecidable, match=re.escape(str(exc))):
+            pairwise_partition(exts, oracle(audit_old))
+    else:
+        got = sorted(tuple(m.label for m in node.members) for node in layer.nodes)
+        assert got == pairwise_partition(exts, oracle(audit_old))
+    assert audit_new == audit_old
+
+
+def test_shorting_canonicalizes_each_pattern_once_and_owners_are_indexed_once(monkeypatch):
+    tips = [f"t{k}" for k in range(24)]
+    groupings = [[k // 2 for k in range(24)], [k // 3 for k in range(24)], [k % 5 for k in range(24)]]
+    family = tip_family(tips, groupings, periodic((1,), (0, 2, 1, 2, 0, 0)))
+
+    indexed = Counter()
+    build_index = StandardGraph._build_owner_index
+
+    def counting_build_index(self, level):
+        indexed[(id(self), level)] += 1
+        return build_index(self, level)
+
+    monkeypatch.setattr(StandardGraph, "_build_owner_index", counting_build_index)
+    exts = [constant_extremity(family, 1, Extremity("tip", t, 0)) for t in tips]
+    exts.append(ns_extremity(family, 1, periodic((), tuple(Extremity("tip", t, 0) for t in tips[:5]))))
+    assert indexed and max(indexed.values()) == 1
+
+    canonicalized = []
+    canonical = IndexSet.eventually_periodic
+
+    def counting_canonical(pre, cycle):
+        canonicalized.append((tuple(pre), tuple(cycle)))
+        return canonical(pre, cycle)
+
+    monkeypatch.setattr(IndexSet, "eventually_periodic", staticmethod(counting_canonical))
+    audit = []
+    layer = build_ns_nodes(family, 1, exts, FilterOracle(audit=audit))
+    pairs = len(exts) * (len(exts) - 1) // 2
+    assert sum(e.context.startswith("shorting ") for e in audit) == pairs
+    assert len(canonicalized) == len(set(canonicalized))
+    assert len(canonicalized) < pairs // 10
+    assert layer.nodes
