@@ -19,8 +19,8 @@ Magnitude classification and standard parts never extrapolate numerically:
 
 from __future__ import annotations
 
+import operator
 from enum import Enum
-from math import lcm
 from typing import Any
 
 from . import sequences as sq
@@ -43,12 +43,7 @@ def _div(a, b):
     return a / b if b != 0 else 0.0
 
 
-_OPS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": _div,
-}
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div}
 
 
 class Hyperreal:
@@ -284,8 +279,9 @@ def _combine(a: SeqDescriptor, b: SeqDescriptor, op: str) -> SeqDescriptor:
     if ka is not None and kb is not None:
         key = ({"+": "add", "-": "sub", "*": "mul", "/": "div"}[op], ka, kb)
         label = f"({_short(a)} {op} {_short(b)})"
+    read_a, read_b = sq.reader(a), sq.reader(b)
     return sq.generated(
-        lambda n: fn(sq.value_at(a, n), sq.value_at(b, n)),
+        lambda n: fn(read_a(n), read_b(n)),
         n_max,
         key=key,
         label=label,
@@ -300,9 +296,8 @@ def _short(seq: SeqDescriptor) -> str:
 
 def _relation_set(a: SeqDescriptor, b: SeqDescriptor, rel) -> IndexSet:
     if isinstance(a, PeriodicSeq) and isinstance(b, PeriodicSeq):
-        head, period = sq.structural_window(a, b)
-        bits = [rel(sq.value_at(a, n), sq.value_at(b, n)) for n in range(head + period)]
-        return IndexSet.eventually_periodic(bits[:head], bits[head:])
+        bits = sq.pointwise((a, b), rel)
+        return IndexSet.eventually_periodic(bits.pre, bits.cycle)
     upto = int(min(sq.horizon(a), sq.horizon(b)))
     return IndexSet.sampled(lambda n: rel(sq.value_at(a, n), sq.value_at(b, n)), upto)
 

@@ -36,7 +36,7 @@ SAMPLED = "sampled"
 
 
 class IndexSet:
-    __slots__ = ("kind", "members", "pre", "cycle", "fn", "horizon")
+    __slots__ = ("kind", "members", "pre", "cycle", "fn", "horizon", "_text")
 
     def __init__(self, kind, members=frozenset(), pre=(), cycle=(), fn=None, horizon=0):
         # Use the factory functions below instead of calling this directly;
@@ -47,6 +47,7 @@ class IndexSet:
         self.cycle = cycle
         self.fn = fn
         self.horizon = horizon
+        self._text = None  # describe(), rendered on first use
 
     # -- factories ---------------------------------------------------------
 
@@ -234,6 +235,14 @@ class IndexSet:
         return hash((self.kind, id(self.fn), self.horizon))
 
     def describe(self) -> str:
+        # Index sets are never changed after the factories build them, so
+        # the text is rendered once: the oracle audit describes the same
+        # few sets over and over.
+        if self._text is None:
+            self._text = self._render()
+        return self._text
+
+    def _render(self) -> str:
         if self.kind == FINITE:
             return "finite={%s}" % ",".join(str(n) for n in sorted(self.members))
         if self.kind == COFINITE:

@@ -28,14 +28,25 @@ for, never because another index of its block failed.
 ``verify_laws`` re-reads values from the operating point's descriptors, so
 a perturbed operating point is honestly re-checked: it confirms Kirchhoff's
 current law at every node, Kirchhoff's voltage law around every fundamental
-loop of a spanning tree, Ohm's law per branch, and Tellegen's theorem,
-index by index, with residuals normalized by the magnitude of the data.
+loop of a spanning tree, Ohm's law per branch, and Tellegen's theorem, with
+residuals normalized by the magnitude of the data. The laws are checked by
+columns. Each descriptor is read once over the checked indices: the joint
+structural window by whole cycles on the periodic route, the first
+``check_upto`` indices one at a time on the generated route. Indices are
+grouped by prototype, and each residual column is formed from the same
+operands in the same order as a per-index check, so every float equals
+the per-index one. Only the worst residual of each law subject is kept,
+with its first index as witness. A NaN residual, which an infinite value
+also gives once normalized (inf/inf), is worse than any number: its law is
+VIOLATED at the first index where it occurs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add, mul, neg, sub, truediv
 
 from .errors import EmptyNetwork, InvariantBreach, NumericalFailure, SolverFailure, Undecidable
 from .graphs import StandardGraph
@@ -44,10 +55,12 @@ from .oracle import FilterOracle
 from .sequences import (
     GeneratedSeq,
     PeriodicSeq,
+    _Unrolled,
     form_key,
     generated,
     structural_window,
     value_at,
+    values_window,
 )
 from .ultrapower import GraphFamily
 
@@ -304,33 +317,73 @@ def operating_point(
     return op
 
 
-def _solve_at_indices(net: NsNetwork, indices) -> dict:
+def _read_cells(seq, indices: range, failed: dict, convert) -> list:
+    """``convert(value_at(seq, n))`` for each n of ``indices``.
+
+    A periodic descriptor is sliced from its unrolled cycle; a generated
+    one is evaluated index by index, skipping indices already in
+    ``failed``. A cell whose read or conversion raises holds 0.0, and its
+    exception goes into ``failed`` unless an earlier datum failed there.
+    """
+    if isinstance(seq, PeriodicSeq):
+        raw = _Unrolled(seq).span(indices.start, indices.stop)
+    else:
+        raw = []
+        for n in indices:
+            value = 0.0
+            if n not in failed:
+                try:
+                    value = value_at(seq, n)
+                except Exception as exc:  # noqa: BLE001 - raised again when index n is asked for
+                    failed[n] = exc
+            raw.append(value)
+    if not failed:
+        try:
+            return list(map(convert, raw))
+        except Exception:  # noqa: BLE001 - found cell by cell below
+            pass
+    cells = []
+    for n, value in zip(indices, raw):
+        if n not in failed:
+            try:
+                cells.append(convert(value))
+                continue
+            except Exception as exc:  # noqa: BLE001 - raised again when index n is asked for
+                failed[n] = exc
+        cells.append(0.0)
+    return cells
+
+
+def _solve_at_indices(net: NsNetwork, indices: range) -> dict:
     """Index -> the n-th network's StandardSolution, or what solving it raises.
 
-    Values are read as ``network_at`` reads them, branch by branch in
-    declaration order, and indices are solved in one batch per prototype.
+    Each datum is read once for the whole range as a column, in declaration
+    order, and then the prototype assignment; an index fails with the
+    exception of its first failing read, as ``network_at`` would raise it.
+    Indices are solved in one batch per prototype.
     """
     import numpy as np
 
     declared = list(net.data)
-    seqs = [seq for bid in declared for seq in net.data[bid]]
+    failed: dict = {}
+    columns = [
+        _read_cells(seq, indices, failed, float) for bid in declared for seq in net.data[bid]
+    ]
+    graphs = _read_cells(net.family.assignment, indices, failed, net.family.prototypes.__getitem__)
     order = [declared.index(bid) for bid in sorted(declared)]
-    results: dict = {}
     groups: dict[int, tuple[StandardGraph, list, list]] = {}
-    for n in indices:
-        try:
-            values = [float(value_at(seq, n)) for seq in seqs]
-            graph = net.family.graph_at(n)
-        except Exception as exc:  # noqa: BLE001 - raised again when index n is asked for
-            results[n] = exc
-            continue
-        _, ns, rows = groups.setdefault(id(graph), (graph, [], []))
-        ns.append(n)
-        rows.append(values)
-    for graph, ns, rows in groups.values():
-        table = np.array(rows)
-        r, e = table[:, 0::2][:, order], table[:, 1::2][:, order]
-        results.update(zip(ns, _solve_batch(graph, r, e, ns)))
+    for row, (n, graph) in enumerate(zip(indices, graphs)):
+        if n not in failed:
+            _, ns, rows = groups.setdefault(id(graph), (graph, [], []))
+            ns.append(n)
+            rows.append(row)
+    results: dict = dict(failed)
+    if groups:
+        table = np.array(columns, dtype=float).reshape(len(columns), len(indices)).T
+        for graph, ns, rows in groups.values():
+            block = table[rows]
+            r, e = block[:, 0::2][:, order], block[:, 1::2][:, order]
+            results.update(zip(ns, _solve_batch(graph, r, e, ns)))
     return results
 
 
@@ -479,28 +532,99 @@ def _spanning_tree(graph: StandardGraph):
     return tree, chords
 
 
-def _tree_potentials(graph: StandardGraph, tree, voltages_at) -> dict[str, float]:
-    """Potentials implied by the branch voltages along the spanning tree."""
-    phi: dict[str, float] = {}
+def _potential_steps(graph: StandardGraph, tree) -> list[tuple]:
+    """The order in which the branch voltages along the spanning tree fix
+    the potentials: ``(y, None, None, None)`` pins component root y to 0.0,
+    ``(y, x, bid, forward)`` sets phi[y] = phi[x] - drop, the drop being
+    v(bid) when the tree branch runs x -> y and -v(bid) otherwise. The
+    order depends on the graph alone, never on the data."""
+    known: set[str] = set()
+    steps: list[tuple] = []
     for root in sorted(graph.nodes0):
-        if root in phi:
+        if root in known:
             continue
-        phi[root] = 0.0
+        known.add(root)
+        steps.append((root, None, None, None))
         changed = True
         while changed:
             changed = False
             for bid in tree:
                 u, v = graph.branches[bid]
-                drop = voltages_at(bid)
-                for x, y, d in ((u, v, drop), (v, u, -drop)):
-                    if x in phi and y not in phi:
-                        phi[y] = phi[x] - d
+                for x, y, forward in ((u, v, True), (v, u, False)):
+                    if x in known and y not in known:
+                        known.add(y)
+                        steps.append((y, x, bid, forward))
                         changed = True
-    return phi
+    return steps
+
+
+def _law_residuals(graph: StandardGraph, bids: list, width: int, i, v, r, e):
+    """Yield (law, subject, residual column, divisor column) for one
+    prototype, the columns running over that prototype's indices.
+
+    Each residual is formed from the same operands in the same order as a
+    per-index check would, so every float matches one: flows accumulate
+    in ``graph.branches`` order, the scale is ``max([1.0] + |i| + |v| +
+    |e|)`` in declaration order, and the power is a ``sum`` from 0.
+    """
+    i, v, r, e = (dict(zip(bids, cols)) for cols in (i, v, r, e))
+    magnitudes = [map(abs, col) for part in (i, v, e) for col in part.values()]
+    scale = list(map(max, zip([1.0] * width, *magnitudes)))
+    divisor = list(map(max, repeat(1.0), scale))
+    flow = {w: [0.0] * width for w in graph.nodes0}
+    for bid, (a, b) in graph.branches.items():
+        flow[a] = list(map(add, flow[a], i[bid]))
+        flow[b] = list(map(sub, flow[b], i[bid]))
+    for w in sorted(graph.nodes0):
+        yield "KCL", f"node {w}", flow[w], divisor
+    del flow
+    tree, chords = _spanning_tree(graph)
+    phi: dict[str, list] = {}
+    for y, x, bid, forward in _potential_steps(graph, tree):
+        if x is None:
+            phi[y] = [0.0] * width
+        else:
+            phi[y] = list(map(sub, phi[x], v[bid] if forward else map(neg, v[bid])))
+    for bid in chords:
+        a, b = graph.branches[bid]
+        yield "KVL", f"loop of {bid}", map(sub, v[bid], map(sub, phi[a], phi[b])), divisor
+    del phi
+    for bid in sorted(bids):
+        ohm = map(sub, map(mul, r[bid], i[bid]), e[bid])
+        yield "Ohm", f"branch {bid}", map(sub, v[bid], ohm), divisor
+    products = [map(mul, v[bid], i[bid]) for bid in bids]
+    power = list(map(sum, zip(*products))) if products else [0] * width
+    yield "Tellegen", "total power", power, list(map(max, repeat(1.0), map(mul, scale, scale)))
+
+
+def _worst(values: list) -> tuple[float, int]:
+    """(worst value, its first position) of nonnegative residuals; a NaN
+    is worse than any number."""
+    total = sum(values)
+    if total != total:  # some value is NaN: nonnegative terms never give inf - inf
+        at = next(k for k, x in enumerate(values) if x != x)
+        return values[at], at
+    top = max(values)
+    return top, values.index(top)
+
+
+def _rank(entry: tuple[float, int]) -> tuple:
+    """Orders (value, index) entries so that the worst one is the largest:
+    a NaN first, then the larger value, then the earlier index."""
+    value, n = entry
+    nan = value != value
+    return nan, 0.0 if nan else value, -n
 
 
 def verify_laws(op: OperatingPoint, tol: float = 1e-9, check_upto: int = 64) -> LawReport:
     net = op.network
+    bids = list(net.data)
+    sources = (
+        [op.currents[bid].rep for bid in bids],
+        [op.voltages[bid].rep for bid in bids],
+        [net.data[bid][0] for bid in bids],
+        [net.data[bid][1] for bid in bids],
+    )
     if op.route == "periodic":
         seqs = [net.family.assignment]
         for h in list(op.currents.values()) + list(op.voltages.values()):
@@ -509,47 +633,36 @@ def verify_laws(op: OperatingPoint, tol: float = 1e-9, check_upto: int = 64) -> 
             seqs.extend((r, e))
         head, period = structural_window(*seqs)
         indices = range(head + period)
+        last = len(indices) - 1
+        protos = values_window(net.family.assignment, last)
+        columns = [[values_window(seq, last) for seq in part] for part in sources]
     else:
+        # At most check_upto indices, read in the order a per-index check
+        # reads them, so the first failing read is the one that escapes.
         indices = range(min(check_upto, int(op.horizon)))
+        protos = []
+        columns = [[[] for _ in bids] for _ in sources]
+        for n in indices:
+            net.family.graph_at(n)
+            protos.append(value_at(net.family.assignment, n))
+            for part, cols in zip(sources, columns):
+                for seq, col in zip(part, cols):
+                    col.append(value_at(seq, n))
+    positions: dict = {}
+    for k, proto in enumerate(protos):
+        positions.setdefault(proto, []).append(k)
     worst: dict[tuple[str, str], tuple[float, int]] = {}
-
-    def record(law: str, subject: str, residual: float, scale: float, n: int) -> None:
-        value = abs(residual) / max(1.0, scale)
-        key = (law, subject)
-        if key not in worst or value > worst[key][0]:
-            worst[key] = (value, n)
-
-    trees: dict[int, tuple] = {}
-    for n in indices:
-        graph = net.family.graph_at(n)
-        proto = value_at(net.family.assignment, n)
-        if proto not in trees:
-            trees[proto] = _spanning_tree(graph)
-        tree, chords = trees[proto]
-        i_at = {bid: value_at(op.currents[bid].rep, n) for bid in net.data}
-        v_at = {bid: value_at(op.voltages[bid].rep, n) for bid in net.data}
-        r_at = {bid: value_at(net.data[bid][0], n) for bid in net.data}
-        e_at = {bid: value_at(net.data[bid][1], n) for bid in net.data}
-        scale = max(
-            [1.0]
-            + [abs(x) for x in i_at.values()]
-            + [abs(x) for x in v_at.values()]
-            + [abs(x) for x in e_at.values()]
-        )
-        flow = {w: 0.0 for w in graph.nodes0}
-        for bid, (u, v) in graph.branches.items():
-            flow[u] += i_at[bid]
-            flow[v] -= i_at[bid]
-        for w in sorted(graph.nodes0):
-            record("KCL", f"node {w}", flow[w], scale, n)
-        phi = _tree_potentials(graph, tree, lambda bid: v_at[bid])
-        for bid in chords:
-            u, v = graph.branches[bid]
-            record("KVL", f"loop of {bid}", v_at[bid] - (phi[u] - phi[v]), scale, n)
-        for bid in sorted(net.data):
-            record("Ohm", f"branch {bid}", v_at[bid] - (r_at[bid] * i_at[bid] - e_at[bid]), scale, n)
-        power = sum(v_at[bid] * i_at[bid] for bid in net.data)
-        record("Tellegen", "total power", power, scale * scale, n)
+    for proto, at in positions.items():
+        if len(at) == len(indices):
+            group = columns
+        else:
+            group = [[[col[k] for k in at] for col in cols] for cols in columns]
+        graph = net.family.prototypes[proto]
+        for law, subject, residuals, divisor in _law_residuals(graph, bids, len(at), *group):
+            value, k = _worst(list(map(truediv, map(abs, residuals), divisor)))
+            entry = (value, indices[at[k]])
+            key = (law, subject)
+            worst[key] = max(worst.get(key, entry), entry, key=_rank)
     checks: list[LawCheck] = []
     notes: list[str] = []
     for (law, subject), (value, witness) in sorted(worst.items()):

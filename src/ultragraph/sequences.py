@@ -24,6 +24,18 @@ A generated rule is evaluated at most once per index: ``trait_check``,
 (per ``fn``, so copies of a descriptor share it) for as long as the rule
 lives. Rules must therefore be deterministic. An evaluation that raises
 leaves its index unrecorded, so asking again raises again.
+
+A periodic descriptor is read by whole cycles: ``values_window``,
+``pointwise`` and ``agreement_set`` unroll it once (``_Unrolled``) and
+slice the columns they need, never going through ``value_at`` index by
+index.
+
+``reader(seq)`` binds ``n -> value_at(seq, n)`` once, for code that
+evaluates one descriptor at many indices. It is defined for n >= 0 only
+and does not check the sign: a periodic reader indexes its preperiod or
+cycle directly (a constant one returns its value), and a generated reader
+calls ``fn`` behind its own horizon check, raising ``BeyondHorizon`` past
+``n_max`` as ``value_at`` does.
 """
 
 from __future__ import annotations
@@ -119,6 +131,27 @@ def value_at(seq: SeqDescriptor, n: int):
     return seq.fn(n)
 
 
+def reader(seq: SeqDescriptor) -> Callable[[int], Any]:
+    """``n -> value_at(seq, n)`` for n >= 0, bound once (module docstring)."""
+    if isinstance(seq, PeriodicSeq):
+        pre, cycle = seq.pre, seq.cycle
+        head, period = len(pre), len(cycle)
+        if not head and period == 1:
+            (value,) = cycle
+            return lambda n: value
+        if not head:
+            return lambda n: cycle[n % period]
+        return lambda n: pre[n] if n < head else cycle[(n - head) % period]
+    fn, n_max = seq.fn, seq.n_max
+
+    def read(n: int):
+        if n > n_max:
+            raise BeyondHorizon(f"generated sequence evaluated at n={n} beyond horizon {n_max}")
+        return fn(n)
+
+    return read
+
+
 def horizon(seq: SeqDescriptor) -> float:
     return math.inf if isinstance(seq, PeriodicSeq) else seq.n_max
 
@@ -156,7 +189,7 @@ def samples(seq: GeneratedSeq, upto: int) -> Iterator:
 
 def values_window(seq: SeqDescriptor, upto: int) -> list:
     if isinstance(seq, PeriodicSeq):
-        return [value_at(seq, n) for n in range(upto + 1)]
+        return _Unrolled(seq).span(0, upto + 1)
     vals = _values(seq, min(upto, seq.n_max))
     if upto > seq.n_max:
         raise BeyondHorizon(
@@ -175,10 +208,16 @@ def structural_window(*seqs: SeqDescriptor) -> tuple[int, int]:
 
 
 def pointwise(seqs: Iterable[PeriodicSeq], fn) -> PeriodicSeq:
-    """Apply fn to aligned values of periodic descriptors; result is periodic."""
+    """Apply fn to aligned values of periodic descriptors; result is periodic.
+
+    Each descriptor is unrolled once into a column over the joint
+    structural window, and fn is called at n = 0, 1, ... in that order.
+    """
     seqs = list(seqs)
     head, period = structural_window(*seqs)
-    values = [fn(*(value_at(s, n) for s in seqs)) for n in range(head + period)]
+    width = head + period
+    columns = [_Unrolled(s).prefix(width) for s in seqs]
+    values = list(islice(map(fn, *columns), width))
     return PeriodicSeq.make(values[:head], values[head:])
 
 
@@ -200,6 +239,15 @@ class _Unrolled:
         if short > 0:
             self.values.extend(self.cycle * -(-short // self.period))
         return self.values
+
+    def span(self, start: int, stop: int) -> list:
+        """The values at indices start .. stop - 1. A start past the
+        preperiod is first moved back by whole cycles, so only about
+        head + period + (stop - start) values are ever unrolled."""
+        if start > self.head:
+            shift = (start - self.head) // self.period * self.period
+            start, stop = start - shift, stop - shift
+        return self.prefix(stop)[start:max(start, stop)]
 
 
 def _agreement_pattern(a: _Unrolled, b: _Unrolled) -> tuple[int, tuple]:

@@ -28,6 +28,7 @@ prototypes or queries were malformed rather than a fault of the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import eq
 
 from .errors import InvariantBreach, NotAnExtremity, RankTooHigh, Undecidable
 from .graphs import (
@@ -52,6 +53,7 @@ from .sequences import (
     horizon,
     pointwise,
     value_at,
+    values_window,
 )
 from .hyperreal import Hypernatural
 
@@ -524,12 +526,11 @@ def _audit_pointwise(nodes: list[NsNode], upto: int, notes: list[str]) -> None:
             continue
         for a, b in _pairs(node.members):
             window = int(min(upto, horizon(a.owner_rep), horizon(b.owner_rep)))
-            hits = sum(
-                1
-                for n in range(window)
-                if value_at(a.owner_rep, n) == value_at(b.owner_rep, n)
-            )
-            if hits == 0 and window > 0:
+            if window <= 0:
+                continue
+            owners_a = values_window(a.owner_rep, window - 1)
+            owners_b = values_window(b.owner_rep, window - 1)
+            if not any(map(eq, owners_a, owners_b)):
                 notes.append(
                     f"{a.label} and {b.label} share no owner in the first "
                     f"{window} indices; their identification rests on the "

@@ -25,17 +25,20 @@ from ultragraph import (
     periodic,
 )
 from ultragraph.errors import (
+    BeyondHorizon,
     DivisionByZeroClass,
     NoCertificate,
     TraitViolated,
     Undecidable,
 )
-from ultragraph.sequences import MONOTONE, UNBOUNDED
+from ultragraph.hyperreal import _relation_set
+from ultragraph.sequences import MONOTONE, UNBOUNDED, structural_window, value_at
 
 fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
 )
 frac_cycles = st.lists(fractions, min_size=1, max_size=5)
+small_ints_cycle = st.lists(st.integers(-3, 3), min_size=1, max_size=6)
 
 
 def hyper(pre, cycle, orc):
@@ -245,3 +248,54 @@ def test_uncertified_hypernatural_is_undecidable(orc):
 def test_hypernatural_rejects_negative_entries(orc):
     with pytest.raises(ValueError):
         Hypernatural(constant(-2), orc)
+
+
+# -- operand readers and relation sets by columns ---------------------------------------
+
+
+@given(
+    xs=st.lists(st.integers(-3, 3), max_size=3),
+    ys=small_ints_cycle,
+    us=st.lists(st.integers(-3, 3), max_size=3),
+    vs=small_ints_cycle,
+)
+def test_relation_sets_match_per_index_evaluation(xs, ys, us, vs):
+    a, b = periodic(xs, ys), periodic(us, vs)
+    head, period = structural_window(a, b)
+    bits = [value_at(a, n) < value_at(b, n) for n in range(head + period)]
+    want = IndexSet.eventually_periodic(bits[:head], bits[head:])
+    assert _relation_set(a, b, lambda x, y: x < y) == want
+
+
+def test_relation_set_stops_where_its_relation_raises():
+    a, b = periodic([1], [2, 3]), periodic([], [5, 7, 11])
+    calls = []
+
+    def rel(x, y):
+        calls.append((x, y))
+        if len(calls) == 4:
+            raise ArithmeticError("refused")
+        return x < y
+
+    with pytest.raises(ArithmeticError):
+        _relation_set(a, b, rel)
+    assert calls == [(value_at(a, n), value_at(b, n)) for n in range(4)]
+
+
+def test_combined_numbers_keep_their_horizons(orc):
+    short = Hyperreal(generated(lambda n: n + 1.0, 10), orc)
+    long = Hyperreal(generated(lambda n: 2.0 * n, 20), orc)
+    cyc = Hyperreal(periodic([7.0], [1.0, 2.0]), orc)
+    for combined in (short + cyc, cyc * short, short - long, (short + long) * cyc):
+        assert combined.rep.n_max == 10
+        with pytest.raises(BeyondHorizon):
+            value_at(combined.rep, 11)
+        with pytest.raises(ValueError):
+            value_at(combined.rep, -1)
+    # the combined rule itself still refuses to read an operand past its horizon
+    with pytest.raises(BeyondHorizon, match="beyond horizon 10"):
+        (short + long).rep.fn(15)
+    sums = short + cyc
+    assert [value_at(sums.rep, n) for n in range(11)] == [
+        value_at(short.rep, n) + value_at(cyc.rep, n) for n in range(11)
+    ]

@@ -134,3 +134,17 @@ def test_describe_round_trips_by_eye(a):
     # describe() is for reports; it should at least be stable and non-empty
     assert a.describe() == a.describe()
     assert a.describe()
+
+
+def test_describe_is_rendered_once_per_set():
+    sets = [
+        IndexSet.finite([3, 1]),
+        IndexSet.cofinite([2]),
+        IndexSet.eventually_periodic([1, 0, 0], [0, 1]),
+        IndexSet.residue_class(3, 1),
+        IndexSet.sampled(lambda n: n % 2 == 0, 10),
+    ]
+    texts = ["finite={1,3}", "cofinite={2}", "pre=[1,0,0] cycle=[0,1]", "cycle=[0,1,0]", "sampled(horizon=10)"]
+    for s, text in zip(sets, texts):
+        first = s.describe()
+        assert first == text and s.describe() is first

@@ -23,8 +23,15 @@ from ultragraph import (
     verify_laws,
 )
 from ultragraph.errors import EmptyNetwork, NumericalFailure, SolverFailure
-from ultragraph.network import _BLOCK, _solve_batch
-from ultragraph.sequences import generated, named_generator, value_at
+from ultragraph.network import _BLOCK, _solve_at_indices, _solve_batch, _spanning_tree
+from ultragraph.sequences import (
+    PeriodicSeq,
+    generated,
+    named_generator,
+    structural_window,
+    value_at,
+    values_window,
+)
 
 from conftest import random_network
 from reference_solver import brute_force_solve, close
@@ -166,6 +173,15 @@ def test_branchless_network_is_rejected():
     g = StandardGraph("bare", 0, nodes0=["a"], branches={})
     with pytest.raises(EmptyNetwork):
         solve_standard(StandardNetwork(g, {}))
+
+
+def test_branchless_nonstandard_network_is_rejected_per_index():
+    g = StandardGraph("bare", 0, nodes0=["a"], branches={})
+    net = NsNetwork("none", GraphFamily("barefam", (g,)), {})
+    with pytest.raises(EmptyNetwork, match=r"at index n=0"):
+        operating_point(net, FilterOracle())
+    found = _solve_at_indices(net, range(3, 5))
+    assert [(n, type(x), x.index) for n, x in found.items()] == [(3, EmptyNetwork, 3), (4, EmptyNetwork, 4)]
 
 
 def test_wildly_mismatched_conductances_fail_loudly():
@@ -474,3 +490,321 @@ def test_a_failing_index_fails_alone_and_as_before(k, value):
         phases = [1.0 + n for n in range(k)] + [value]
         periodic_net = chain_network(periodic((), phases))
         assert failure_of(lambda: operating_point(periodic_net, FilterOracle())) == expected
+
+
+# -- law checks by columns -----------------------------------------------------------------
+
+
+def reference_law_worst(op, check_upto=64):
+    """The per-index law check that ``verify_laws`` replaced, kept as its
+    reference: (law, subject) -> (worst normalized residual, first index)."""
+    net = op.network
+    if op.route == "periodic":
+        seqs = [net.family.assignment]
+        for h in list(op.currents.values()) + list(op.voltages.values()):
+            seqs.append(h.rep)
+        for r, e in net.data.values():
+            seqs.extend((r, e))
+        head, period = structural_window(*seqs)
+        indices = range(head + period)
+    else:
+        indices = range(min(check_upto, int(op.horizon)))
+    worst = {}
+
+    def record(law, subject, residual, scale, n):
+        value = abs(residual) / max(1.0, scale)
+        key = (law, subject)
+        if key not in worst or value > worst[key][0]:
+            worst[key] = (value, n)
+
+    def tree_potentials(graph, tree, voltages_at):
+        phi = {}
+        for root in sorted(graph.nodes0):
+            if root in phi:
+                continue
+            phi[root] = 0.0
+            changed = True
+            while changed:
+                changed = False
+                for bid in tree:
+                    u, v = graph.branches[bid]
+                    drop = voltages_at(bid)
+                    for x, y, d in ((u, v, drop), (v, u, -drop)):
+                        if x in phi and y not in phi:
+                            phi[y] = phi[x] - d
+                            changed = True
+        return phi
+
+    trees = {}
+    for n in indices:
+        graph = net.family.graph_at(n)
+        proto = value_at(net.family.assignment, n)
+        if proto not in trees:
+            trees[proto] = _spanning_tree(graph)
+        tree, chords = trees[proto]
+        i_at = {bid: value_at(op.currents[bid].rep, n) for bid in net.data}
+        v_at = {bid: value_at(op.voltages[bid].rep, n) for bid in net.data}
+        r_at = {bid: value_at(net.data[bid][0], n) for bid in net.data}
+        e_at = {bid: value_at(net.data[bid][1], n) for bid in net.data}
+        scale = max(
+            [1.0]
+            + [abs(x) for x in i_at.values()]
+            + [abs(x) for x in v_at.values()]
+            + [abs(x) for x in e_at.values()]
+        )
+        flow = {w: 0.0 for w in graph.nodes0}
+        for bid, (u, v) in graph.branches.items():
+            flow[u] += i_at[bid]
+            flow[v] -= i_at[bid]
+        for w in sorted(graph.nodes0):
+            record("KCL", f"node {w}", flow[w], scale, n)
+        phi = tree_potentials(graph, tree, lambda bid: v_at[bid])
+        for bid in chords:
+            u, v = graph.branches[bid]
+            record("KVL", f"loop of {bid}", v_at[bid] - (phi[u] - phi[v]), scale, n)
+        for bid in sorted(net.data):
+            record("Ohm", f"branch {bid}", v_at[bid] - (r_at[bid] * i_at[bid] - e_at[bid]), scale, n)
+        power = sum(v_at[bid] * i_at[bid] for bid in net.data)
+        record("Tellegen", "total power", power, scale * scale, n)
+    return worst
+
+
+def checks_by_subject(report):
+    return {(c.law, c.subject): (c.worst.hex(), c.witness, c.ok) for c in report.checks}
+
+
+def random_periodic_network(rng, n_protos):
+    """Prototypes on one branch-id set with their own nodes and endpoints
+    (disconnected ones and self-loops included), under a periodic
+    assignment, with periodic data of short cycles and preperiods."""
+    bids = [f"b{k}" for k in range(rng.randint(1, 7))]
+    protos = []
+    for p in range(n_protos):
+        nodes = [f"n{k}" for k in range(rng.randint(2, 5))]
+        branches = {}
+        for bid in bids:
+            u = rng.choice(nodes)
+            v = u if rng.random() < 0.1 else rng.choice(nodes)
+            branches[bid] = (u, v)
+        protos.append(StandardGraph(f"p{p}", 0, nodes0=nodes, branches=branches))
+
+    def cycle(values):
+        return periodic(
+            [values() for _ in range(rng.randint(0, 2))],
+            [values() for _ in range(rng.randint(1, 4))],
+        )
+
+    assignment = cycle(lambda: rng.randrange(n_protos))
+    data = {
+        bid: (
+            cycle(lambda: rng.uniform(0.2, 5.0)),
+            cycle(lambda: rng.uniform(-3.0, 3.0) if rng.random() < 0.6 else 0.0),
+        )
+        for bid in bids
+    }
+    return NsNetwork("rand", GraphFamily("randfam", tuple(protos), assignment), data)
+
+
+def perturbed(h, rng, width, nudges):
+    """The periodic number ``h`` with ``nudges`` random phases of its first
+    ``width`` values moved by a finite amount (or set to ``nudges`` values
+    when that is a list of (phase, value) pairs)."""
+    values = values_window(h.rep, width - 1)
+    if isinstance(nudges, list):
+        for k, value in nudges:
+            values[k] = value
+    else:
+        for _ in range(nudges):
+            values[rng.randrange(width)] += rng.choice([1e-12, 1e-6, 0.5, -3.0, 1e3])
+    head = len(h.rep.pre)
+    return Hyperreal(PeriodicSeq.make(values[:head], values[head:]), h.oracle)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_protos=st.integers(1, 3), nudges=st.integers(0, 3))
+def test_column_law_checks_match_the_per_index_loop(seed, n_protos, nudges):
+    rng = random.Random(seed)
+    net = random_periodic_network(rng, n_protos)
+    try:
+        op = operating_point(net, FilterOracle())
+    except NumericalFailure:
+        return  # a random prototype can be singular; nothing to check then
+    assert op.route == "periodic"
+    head, period = structural_window(net.family.assignment, *(s for d in net.data.values() for s in d))
+    width = head + period
+    for part in (op.currents, op.voltages):
+        for bid in list(part):
+            if rng.random() < 0.5:
+                part[bid] = perturbed(part[bid], rng, width, nudges)
+    report = verify_laws(op)
+    reference = reference_law_worst(op)
+    assert checks_by_subject(report) == {
+        key: (value.hex(), n, value <= 1e-9) for key, (value, n) in reference.items()
+    }
+    assert report.ok == all(value <= 1e-9 for value, _ in reference.values())
+
+
+def test_column_law_checks_match_on_the_generated_route():
+    op = operating_point(divider_network(), FilterOracle())
+    op.currents["b2"] = op.currents["b2"] + Hyperreal(
+        generated(lambda n: 1e-6 * (n % 5), 512), op.oracle
+    )
+    report = verify_laws(op, check_upto=40)
+    assert checks_by_subject(report) == {
+        key: (value.hex(), n, value <= 1e-9)
+        for key, (value, n) in reference_law_worst(op, check_upto=40).items()
+    }
+    assert not report.ok
+
+
+def alternating_op():
+    """The two-phase loop of ``test_alternating_family_solves_per_phase``."""
+    g = StandardGraph(
+        "alt0", 0, nodes0=["a", "b"], branches={"b1": ("a", "b"), "b2": ("b", "a")}
+    )
+    net = NsNetwork(
+        "alt",
+        GraphFamily("altfam", (g,)),
+        {
+            "b1": (periodic((), (1.0,)), periodic((), (3.0,))),
+            "b2": (periodic((), (2.0, 0.5)), periodic((), (0.0,))),
+        },
+    )
+    return operating_point(net, FilterOracle())
+
+
+@pytest.mark.parametrize("route", ["periodic", "generated"])
+@pytest.mark.parametrize("phase", [0, 1])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_nan_residual_violates_its_law_at_its_first_index(route, phase, bad):
+    if route == "periodic":
+        op = alternating_op()
+        op.currents["b1"] = perturbed(op.currents["b1"], None, 2, [(phase, bad)])
+    else:
+        op = operating_point(divider_network(), FilterOracle())
+        op.currents["b1"] = op.currents["b1"] + Hyperreal(
+            generated(lambda n: bad if n in (phase, phase + 2) else 0.0, 512), op.oracle
+        )
+    report = verify_laws(op, check_upto=8)
+    checks = {(c.law, c.subject): c for c in report.checks}
+    assert not report.ok
+    # an infinite current gives inf/inf = NaN once normalized by the scale
+    for key in (("KCL", "node a"), ("KCL", "node b"), ("Ohm", "branch b1"), ("Tellegen", "total power")):
+        check = checks[key]
+        assert math.isnan(check.worst) and check.witness == phase and not check.ok
+        assert "VIOLATED (worst residual nan at n=%d" % phase in check.render()
+    assert checks[("Ohm", "branch b2")].ok and checks[("KVL", "loop of b2")].ok
+
+
+def test_periodic_law_checks_make_no_single_value_reads(monkeypatch):
+    import ultragraph.network as network_module
+    import ultragraph.sequences as sequences_module
+    import ultragraph.ultrapower as ultrapower_module
+
+    g0 = StandardGraph("g0", 0, nodes0=["a", "b"], branches={"b1": ("a", "b"), "b2": ("b", "a")})
+    g1 = StandardGraph("g1", 0, nodes0=["a", "c"], branches={"b1": ("a", "c"), "b2": ("a", "c")})
+    net = NsNetwork(
+        "two",
+        GraphFamily("twofam", (g0, g1), periodic((1,), (0, 1, 1))),
+        {
+            "b1": (periodic((), (1.0, 2.0)), periodic((0.5,), (3.0,))),
+            "b2": (periodic((), (2.0, 0.5, 4.0)), periodic((), (0.0, 1.0))),
+        },
+    )
+    op = operating_point(net, FilterOracle())
+    calls = []
+    original = sequences_module.value_at
+
+    def counting(seq, n):
+        calls.append(n)
+        return original(seq, n)
+
+    for module in (network_module, sequences_module, ultrapower_module):
+        monkeypatch.setattr(module, "value_at", counting)
+    report = verify_laws(op)
+    assert report.ok and calls == []
+
+
+# -- column reads for nodal solves -----------------------------------------------------
+
+
+def row_major_solve(net, indices):
+    """The row-major reader ``_solve_at_indices`` replaced, kept as its reference."""
+    declared = list(net.data)
+    seqs = [seq for bid in declared for seq in net.data[bid]]
+    order = [declared.index(bid) for bid in sorted(declared)]
+    results = {}
+    groups = {}
+    for n in indices:
+        try:
+            values = [float(value_at(seq, n)) for seq in seqs]
+            graph = net.family.graph_at(n)
+        except Exception as exc:
+            results[n] = exc
+            continue
+        _, ns, rows = groups.setdefault(id(graph), (graph, [], []))
+        ns.append(n)
+        rows.append(values)
+    for graph, ns, rows in groups.values():
+        table = np.array(rows)
+        r, e = table[:, 0::2][:, order], table[:, 1::2][:, order]
+        results.update(zip(ns, _solve_batch(graph, r, e, ns)))
+    return results
+
+
+def outcome(result):
+    if isinstance(result, Exception):
+        return type(result), str(result), getattr(result, "index", None)
+    return result
+
+
+FAULTS = [None, "ohm", ValueError("no data here"), KeyError("gone"), math.inf, -1.0]
+
+
+def faulty(fault, k, base, periodic_form):
+    """``base + n`` at every index but k, where the datum is ``fault`` (a
+    value, or an exception its rule raises; None for no fault). Written as
+    a cycle of k + 2 values after one preperiod value when asked and the
+    fault is a value, else as a generated rule."""
+    if periodic_form and not isinstance(fault, Exception):
+        values = [base + n for n in range(k + 3)]
+        if fault is not None:
+            values[k] = fault
+        return periodic(values[:1], values[1:])
+
+    def rule(n):
+        if n != k or fault is None:
+            return base + n
+        if isinstance(fault, Exception):
+            raise fault
+        return fault
+
+    return generated(rule, 4 * _BLOCK, key=("faulty", base, k, repr(fault)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.integers(1, 2 * _BLOCK + 5),
+    faults=st.tuples(st.sampled_from(FAULTS), st.sampled_from(FAULTS), st.sampled_from(FAULTS)),
+    forms=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+    start=st.integers(0, 2 * _BLOCK),
+)
+def test_column_reads_fail_each_index_as_the_row_major_reader(k, faults, forms, start):
+    g0 = StandardGraph(
+        "tri", 0, nodes0=["a", "b", "c"], branches={"b1": ("a", "b"), "b2": ("b", "c"), "b3": ("c", "a")}
+    )
+    g1 = StandardGraph(
+        "par", 0, nodes0=["a", "b", "c"], branches={"b1": ("a", "b"), "b2": ("a", "b"), "b3": ("b", "c")}
+    )
+    net = NsNetwork(
+        "faults",
+        GraphFamily("faultfam", (g0, g1), periodic((1,), (0, 0, 1))),
+        {
+            "b3": (faulty(faults[0], k, 1.0, forms[0]), periodic((), (2.0, -1.0))),
+            "b1": (faulty(faults[1], k, 2.0, forms[1]), faulty(faults[2], k, 0.5, forms[2])),
+            "b2": (periodic((3.0,), (1.5,)), periodic((), (0.0,))),
+        },
+    )
+    for indices in (range(start, start + _BLOCK), range(max(0, k - 3), k + 4)):
+        got, expected = _solve_at_indices(net, indices), row_major_solve(net, indices)
+        assert {n: outcome(x) for n, x in got.items()} == {n: outcome(x) for n, x in expected.items()}

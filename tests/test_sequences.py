@@ -23,10 +23,12 @@ from ultragraph.errors import BeyondHorizon, TraitViolated
 from ultragraph.sequences import (
     MONOTONE,
     UNBOUNDED,
+    _Unrolled,
     agreement_set as agree,
     form_key,
     horizon,
     pointwise,
+    reader,
     structural_window,
     value_at,
     values_window,
@@ -237,3 +239,63 @@ def test_form_key_distinguishes_forms():
     assert form_key(periodic([], [1]))[0] == "ep"
     assert form_key(named_generator("mod", (2,), 8)) == ("mod", 2)
     assert form_key(generated(lambda n: n, 8)) is None
+
+
+# -- column reads by whole cycles ------------------------------------------------------
+
+
+def per_index_pointwise(seqs, fn):
+    """The per-index ``pointwise`` that columns replaced, kept as its reference."""
+    head, period = structural_window(*seqs)
+    values = [fn(*(value_at(s, n) for s in seqs)) for n in range(head + period)]
+    return PeriodicSeq.make(values[:head], values[head:])
+
+
+@given(
+    parts=st.lists(st.tuples(small_pres, small_cycles), min_size=1, max_size=3),
+    raise_at=st.one_of(st.none(), st.integers(0, 30)),
+)
+def test_pointwise_by_columns_matches_per_index_evaluation(parts, raise_at):
+    seqs = [periodic(pre, cycle) for pre, cycle in parts]
+
+    def traced(calls):
+        def fn(*args):
+            if len(calls) == raise_at:
+                raise ArithmeticError(f"fn refuses call {len(calls)}")
+            calls.append(args)
+            return sum(args) * len(calls) % 5
+
+        return fn
+
+    got_calls, want_calls = [], []
+    try:
+        got = pointwise(seqs, traced(got_calls))
+    except ArithmeticError as exc:
+        got = str(exc)
+    try:
+        want = per_index_pointwise(seqs, traced(want_calls))
+    except ArithmeticError as exc:
+        want = str(exc)
+    # same result, or the same refusal after the same calls in the same order
+    assert got == want and got_calls == want_calls
+
+
+@given(pre=small_pres, cycle=small_cycles, start=st.integers(0, 40), length=st.integers(-2, 40))
+def test_values_window_and_span_match_value_at(pre, cycle, start, length):
+    seq = periodic(pre, cycle)
+    assert values_window(seq, length) == [value_at(seq, n) for n in range(length + 1)]
+    assert _Unrolled(seq).span(start, start + length) == [
+        value_at(seq, n) for n in range(start, start + length)
+    ]
+
+
+@given(pre=small_pres, cycle=small_cycles)
+def test_a_reader_reads_as_value_at(pre, cycle):
+    for seq in (periodic(pre, cycle), constant(cycle[0]), periodic([], cycle)):
+        read = reader(seq)
+        assert [read(n) for n in range(40)] == [value_at(seq, n) for n in range(40)]
+    rule = generated(lambda n: n * n, 12)
+    read = reader(rule)
+    assert [read(n) for n in range(13)] == [n * n for n in range(13)]
+    with pytest.raises(BeyondHorizon, match="n=13 beyond horizon 12"):
+        read(13)

@@ -3,9 +3,10 @@
 import itertools
 import re
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultragraph import (
@@ -31,7 +32,8 @@ from ultragraph import (
     truncate,
 )
 from ultragraph.errors import InvariantBreach, Undecidable
-from ultragraph.sequences import generated, value_at
+from ultragraph.sequences import generated, horizon, value_at
+from ultragraph.ultrapower import _audit_pointwise, _pairs
 
 from conftest import (
     alternating_3graphs,
@@ -528,3 +530,51 @@ def test_shorting_canonicalizes_each_pattern_once_and_owners_are_indexed_once(mo
     assert len(canonicalized) == len(set(canonicalized))
     assert len(canonicalized) < pairs // 10
     assert layer.nodes
+
+
+def reference_audit_pointwise(nodes, upto, notes):
+    """The per-index owner comparison ``_audit_pointwise`` replaced, kept as its reference."""
+    for node in nodes:
+        if len(node.members) < 2:
+            continue
+        for a, b in _pairs(node.members):
+            window = int(min(upto, horizon(a.owner_rep), horizon(b.owner_rep)))
+            hits = sum(
+                1 for n in range(window) if value_at(a.owner_rep, n) == value_at(b.owner_rep, n)
+            )
+            if hits == 0 and window > 0:
+                notes.append(
+                    f"{a.label} and {b.label} share no owner in the first "
+                    f"{window} indices; their identification rests on the "
+                    "selected tail"
+                )
+
+
+owner_cycles = st.lists(st.sampled_from("xyz"), min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    owners=st.lists(
+        st.one_of(
+            st.tuples(st.just("periodic"), st.lists(st.sampled_from("xyz"), max_size=3), owner_cycles),
+            st.tuples(st.just("generated"), st.integers(1, 4), st.integers(0, 70)),
+        ),
+        min_size=1,
+        max_size=4,
+    ),
+    upto=st.integers(0, 70),
+)
+def test_owner_audit_by_windows_matches_per_index_reads(owners, upto):
+    members = []
+    for k, (form, a, b) in enumerate(owners):
+        if form == "periodic":
+            rep = periodic(a, b)
+        else:
+            rep = generated(lambda n, p=a: "wxyz"[n % p], max(b, 1))
+        members.append(SimpleNamespace(owner_rep=rep, label=f"e{k}"))
+    nodes = [SimpleNamespace(members=members), SimpleNamespace(members=members[:1])]
+    got, want = [], []
+    _audit_pointwise(nodes, upto, got)
+    reference_audit_pointwise(nodes, upto, want)
+    assert got == want
