@@ -8,6 +8,7 @@ compare equal structurally.
 
 from __future__ import annotations
 
+from math import isqrt
 from typing import Sequence
 
 
@@ -20,16 +21,29 @@ def minimize(pre: Sequence, cycle: Sequence) -> tuple[tuple, tuple]:
     if not cycle:
         raise ValueError("cycle must be nonempty")
     p = len(cycle)
-    cyc = list(cycle)
-    for d in range(1, p + 1):
-        if p % d == 0 and list(cycle) == list(cycle[:d]) * (p // d):
-            cyc = list(cycle[:d])
-            break
+    d = next(d for d in _divisors(p) if d == p or _shift_invariant(cycle, d))
+    cyc = list(cycle[:d])
     head = list(pre)
     while head and head[-1] == cyc[-1]:
         head.pop()
         cyc.insert(0, cyc.pop())
     return tuple(head), tuple(cyc)
+
+
+def _divisors(p: int) -> list[int]:
+    """The divisors of p in increasing order."""
+    small = [d for d in range(1, isqrt(p) + 1) if p % d == 0]
+    return sorted({*small, *(p // d for d in small)})
+
+
+def _shift_invariant(cycle: Sequence, d: int) -> bool:
+    """Whether the cycle equals itself shifted by d, so d is a period.
+
+    ``cycle[d]`` is tested first, by identity and then ``==`` as sequence
+    ``==`` tests elements, which rules most shifts out without a slice.
+    """
+    first = cycle[0]
+    return (cycle[d] is first or cycle[d] == first) and cycle[d:] == cycle[: len(cycle) - d]
 
 
 def unrolled(pre: Sequence, cycle: Sequence, n: int):

@@ -280,12 +280,28 @@ def _combine(a: SeqDescriptor, b: SeqDescriptor, op: str) -> SeqDescriptor:
         key = ({"+": "add", "-": "sub", "*": "mul", "/": "div"}[op], ka, kb)
         label = f"({_short(a)} {op} {_short(b)})"
     read_a, read_b = sq.reader(a), sq.reader(b)
-    return sq.generated(
-        lambda n: fn(read_a(n), read_b(n)),
-        n_max,
-        key=key,
-        label=label,
-    )
+
+    def rule(n: int):
+        return fn(read_a(n), read_b(n))
+
+    def fill(start: int, stop: int) -> list:
+        # b is read only as far as a goes. Where either span stops short,
+        # rule(n) raises, a's exception first when both fail there.
+        col_a = sq.span(a, start, min(stop, n_max + 1))
+        col_b = sq.span(b, start, start + len(col_a))
+        try:
+            return list(map(fn, col_a, col_b))
+        except Exception:  # noqa: BLE001 - keep the values before the failing index
+            values = []
+            for x, y in zip(col_a, col_b):
+                try:
+                    values.append(fn(x, y))
+                except Exception:  # noqa: BLE001 - rule(n) raises it again
+                    break
+            return values
+
+    rule.fill = fill
+    return sq.generated(rule, n_max, key=key, label=label)
 
 
 def _short(seq: SeqDescriptor) -> str:

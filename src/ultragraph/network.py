@@ -11,13 +11,15 @@ and EMF sequences to the branches of a graph family whose prototypes all
 share one branch-identifier set. Its operating point is the sequence of
 standard solutions, packaged as hyperreals:
 
-* all data eventually periodic — the solver runs once per phase of the
-  joint structural window and the results are exact eventually periodic
-  descriptors;
+* all data and the prototype assignment eventually periodic — the solver
+  runs once per phase of the joint structural window and the results are
+  exact eventually periodic descriptors;
 * otherwise — currents and potentials become generated sequences that
-  solve the n-th network on demand, and each branch voltage is formed as
-  the hyperreal combination r*i - e so that Ohm's law holds as a class
-  identity by construction, not merely within tolerance.
+  solve the n-th network on demand, up to the shortest horizon of the
+  data and the assignment, and whose windows are filled from whole
+  solved blocks; each branch voltage is formed as the hyperreal
+  combination r*i - e so that Ohm's law holds as a class identity by
+  construction, not merely within tolerance.
 
 Indices are solved in fixed-size blocks: per prototype graph, one stacked
 assembly, condition estimate and solve covers a block of indices, with
@@ -46,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import add, mul, neg, sub, truediv
+from operator import add, attrgetter, itemgetter, mul, neg, sub, truediv
 
 from .errors import EmptyNetwork, InvariantBreach, NumericalFailure, SolverFailure, Undecidable
 from .graphs import StandardGraph
@@ -280,7 +282,7 @@ class NsNetwork:
         )
 
     def all_periodic(self) -> bool:
-        return all(
+        return isinstance(self.family.assignment, PeriodicSeq) and all(
             isinstance(r, PeriodicSeq) and isinstance(e, PeriodicSeq)
             for r, e in self.data.values()
         )
@@ -416,23 +418,58 @@ def _periodic_operating_point(net, oracle, shared_nodes) -> OperatingPoint:
     )
 
 
+def _solution_rule(solve_at, solved, part: str, name: str):
+    """The rule ``n -> solve_at(n).<part>[name]``, with a ``fill`` (see
+    ``sequences``) that reads ``solved(start, stop)``, the cached block
+    results, and stops at the first index whose result is an exception."""
+    get_part, get_name = attrgetter(part), itemgetter(name)
+
+    def rule(n: int):
+        return get_name(get_part(solve_at(n)))
+
+    def fill(start: int, stop: int) -> list:
+        results = solved(start, stop)
+        try:
+            return list(map(get_name, map(get_part, results)))
+        except AttributeError:  # an exception where a solution should be
+            cut = next(k for k, x in enumerate(results) if isinstance(x, Exception))
+            return list(map(get_name, map(get_part, results[:cut])))
+
+    rule.fill = fill
+    return rule
+
+
 def _generated_operating_point(net, oracle, shared_nodes, horizon) -> OperatingPoint:
-    n_max = horizon
+    seqs = [net.family.assignment]
     for r, e in net.data.values():
-        for seq in (r, e):
-            if isinstance(seq, GeneratedSeq):
-                n_max = min(n_max, seq.n_max)
+        seqs.extend((r, e))
+    n_max = horizon
+    for seq in seqs:
+        if isinstance(seq, GeneratedSeq):
+            n_max = min(n_max, seq.n_max)
     cache: dict = {}
+
+    def solve_block(n: int) -> None:
+        start = n - n % _BLOCK
+        stop = max(n + 1, min(start + _BLOCK, n_max + 1))
+        cache.update(_solve_at_indices(net, range(start, stop)))
 
     def solve_at(n: int) -> StandardSolution:
         if n not in cache:
-            start = n - n % _BLOCK
-            stop = max(n + 1, min(start + _BLOCK, n_max + 1))
-            cache.update(_solve_at_indices(net, range(start, stop)))
+            solve_block(n)
         result = cache[n]
         if isinstance(result, Exception):
             raise result
         return result
+
+    def solved(start: int, stop: int) -> list:
+        """solve_at's results, solutions or exceptions, for the indices of
+        start .. stop - 1 within the horizon: each block is solved once."""
+        stop = min(stop, n_max + 1)
+        for first in range(start - start % _BLOCK, stop, _BLOCK):
+            if first not in cache:
+                solve_block(first)
+        return list(map(cache.__getitem__, range(start, stop)))
 
     ck = net.content_key()
     currents: dict[str, Hyperreal] = {}
@@ -440,7 +477,7 @@ def _generated_operating_point(net, oracle, shared_nodes, horizon) -> OperatingP
     for bid in sorted(net.data):
         key = ("ns-current", ck, bid) if ck is not None else None
         rep = generated(
-            lambda n, b=bid: solve_at(n).currents[b],
+            _solution_rule(solve_at, solved, "currents", bid),
             n_max,
             key=key,
             label=f"i({bid})",
@@ -455,7 +492,7 @@ def _generated_operating_point(net, oracle, shared_nodes, horizon) -> OperatingP
         key = ("ns-potential", ck, w) if ck is not None else None
         potentials[w] = Hyperreal(
             generated(
-                lambda n, x=w: solve_at(n).potentials[x],
+                _solution_rule(solve_at, solved, "potentials", w),
                 n_max,
                 key=key,
                 label=f"phi({w})",

@@ -25,6 +25,19 @@ A generated rule is evaluated at most once per index: ``trait_check``,
 lives. Rules must therefore be deterministic. An evaluation that raises
 leaves its index unrecorded, so asking again raises again.
 
+A rule may also carry a ``fill(start, stop)`` attribute that computes a
+block of its window at once. The contract: return ``fn(n)`` for n =
+start, start + 1, ..., stopping before the first index whose evaluation
+raises; never raise, and never read past the rule's horizon. A window is
+grown through ``fill`` when the rule has one, and otherwise by calling
+``fn(n)`` index by index. After a short fill the next index is evaluated
+by ``fn`` itself, which raises the real exception, so a raising index is
+still never recorded. ``fn`` stays the rule: ``value_at`` and ``reader``
+call it per index, and rules without ``fill`` (``affine``, ``mod``, user
+callables) are read that way throughout. ``span`` is the read a ``fill``
+makes of another descriptor: its values over a range, cut short where a
+generated one raises.
+
 A periodic descriptor is read by whole cycles: ``values_window``,
 ``pointwise`` and ``agreement_set`` unroll it once (``_Unrolled``) and
 slice the columns they need, never going through ``value_at`` index by
@@ -43,9 +56,9 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import compress, count, islice, repeat
 from math import lcm
-from operator import eq
+from operator import eq, ge, gt, le, lt, sub
 from typing import Any, Callable, Iterable, Iterator
 
 from ._periodic import minimize, unrolled
@@ -69,9 +82,9 @@ class PeriodicSeq:
         return PeriodicSeq(head, cyc)
 
     def describe(self) -> str:
-        cyc = "cycle=[%s]" % ",".join(_fmt(v) for v in self.cycle)
+        cyc = "cycle=[%s]" % _render(self.cycle)
         if self.pre:
-            return "pre=[%s] %s" % (",".join(_fmt(v) for v in self.pre), cyc)
+            return "pre=[%s] %s" % (_render(self.pre), cyc)
         return cyc
 
 
@@ -167,12 +180,35 @@ def _window(fn) -> list:
         return []
 
 
+def _extend(fn, vals: list, stop: int) -> list:
+    """Grow ``vals``, the window of rule ``fn``, to ``stop`` values: through
+    ``fn.fill`` when the rule has one, then ``fn(n)`` index by index, which
+    raises where the rule does (module docstring)."""
+    fill = getattr(fn, "fill", None)
+    if fill is not None and len(vals) < stop:
+        vals += fill(len(vals), stop)
+    for n in range(len(vals), stop):
+        vals.append(fn(n))
+    return vals
+
+
 def _values(seq: GeneratedSeq, upto: int) -> list:
     """``seq.fn(n)`` for n = 0..upto, computing only indices not seen before."""
+    return _extend(seq.fn, _window(seq.fn), upto + 1)[: upto + 1]
+
+
+def span(seq: SeqDescriptor, start: int, stop: int) -> list:
+    """The values of ``seq`` at start .. stop - 1; for a generated
+    descriptor only those before the first index that raises or lies past
+    its horizon. Never raises: this is how a ``fill`` reads its operands."""
+    if isinstance(seq, PeriodicSeq):
+        return _Unrolled(seq).span(start, stop)
     vals = _window(seq.fn)
-    for n in range(len(vals), upto + 1):
-        vals.append(seq.fn(n))
-    return vals[: upto + 1]
+    try:
+        _extend(seq.fn, vals, min(stop, seq.n_max + 1))
+    except Exception:  # noqa: BLE001 - the window holds every value before it
+        pass
+    return vals[start:stop]
 
 
 def samples(seq: GeneratedSeq, upto: int) -> Iterator:
@@ -311,11 +347,12 @@ def trait_check(seq: SeqDescriptor, upto: int | None = None) -> TraitReport:
 
 
 def _check_monotone(vals):
-    up = all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
-    down = all(vals[i] >= vals[i + 1] for i in range(len(vals) - 1))
+    nxt = vals[1:]
+    up = all(map(le, vals, nxt))
+    down = all(map(ge, vals, nxt))
     if not (up or down):
-        rises = next(i for i in range(len(vals) - 1) if vals[i] < vals[i + 1])
-        falls = next(i for i in range(len(vals) - 1) if vals[i] > vals[i + 1])
+        rises = next(compress(count(), map(lt, vals, nxt)))
+        falls = next(compress(count(), map(gt, vals, nxt)))
         n = max(min(rises, falls), 1)
         raise TraitViolated(
             f"monotone declared but values change direction near n={n}", witness=n
@@ -326,8 +363,8 @@ def _check_unbounded(vals):
     # The running max of |values| must still be growing in the second half
     # of the window; a genuinely unbounded sequence keeps setting records.
     mid = len(vals) // 2
-    early = max(abs(v) for v in vals[: mid + 1])
-    late = max(abs(v) for v in vals)
+    early = max(map(abs, vals[: mid + 1]))
+    late = max(map(abs, vals))
     if not late > early:
         raise TraitViolated(
             f"unbounded declared but |values| set no new record after n={mid}",
@@ -352,13 +389,13 @@ def _check_injective(vals):
 
 
 def _check_limit(vals, limit):
-    devs = [abs(v - limit) for v in vals]
-    for i in range(len(devs) - 1):
-        if devs[i + 1] > devs[i]:
-            raise TraitViolated(
-                f"limit {limit} declared but |value - limit| grows at n={i + 1}",
-                witness=i + 1,
-            )
+    devs = list(map(abs, map(sub, vals, repeat(limit))))
+    grows = next(compress(count(1), map(gt, devs[1:], devs)), None)
+    if grows is not None:
+        raise TraitViolated(
+            f"limit {limit} declared but |value - limit| grows at n={grows}",
+            witness=grows,
+        )
     # Nonincreasing deviations alone also fit every limit below the true
     # one (the gap just stops shrinking), so insist on genuine decay: by
     # the horizon the deviation must have dropped to a quarter of its
@@ -449,3 +486,12 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def _render(values: tuple) -> str:
+    """``",".join(map(_fmt, values))``; plain floats are rendered by one
+    C-level map. Float subclasses such as ``numpy.float64`` take ``_fmt``,
+    whose ``repr`` may differ from ``float.__repr__``."""
+    if set(map(type, values)) == {float}:
+        return ",".join(map(float.__repr__, values))
+    return ",".join(map(_fmt, values))

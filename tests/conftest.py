@@ -130,3 +130,11 @@ def random_network(rng: random.Random, max_branches=12):
         graph, {bid: Branch(r, e) for bid, (_, _, r, e) in plain.items()}
     )
     return plain, net
+
+
+def outcome(call):
+    """The value a call returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001 - compared as data
+        return type(exc), str(exc)

@@ -115,6 +115,38 @@ def test_solver_failures_carry_the_index():
     assert "at index n=2" in proc.stderr
 
 
+GENERATED_ASSIGNMENT = """
+graph loop rank=0 {
+  nodes0 a b
+  branch b1 a b
+  branch b2 b a
+}
+
+family loopfam {
+  prototypes loop
+  assignment gen=mod(1) nmax=100
+}
+
+network series on loopfam {
+  r b1 = cycle=[1.0]
+  e b1 = cycle=[3.0]
+  r b2 = pre=[4.0] cycle=[2.0, 5.0]
+}
+"""
+
+
+@pytest.mark.parametrize("command", ["solve", "report"])
+def test_a_generated_assignment_over_periodic_data_is_solved(tmp_path, command):
+    project = tmp_path / "assigned.ug"
+    project.write_text(GENERATED_ASSIGNMENT)
+    proc = run_cli(command, str(project))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "route: generated" in proc.stdout
+    assert "branch b1: i = ⟨gen=i(b1) nmax=100⟩" in proc.stdout
+    assert "laws: all hold" in proc.stdout
+
+
 def test_solve_respects_the_tolerance_flag():
     strict = run_cli("solve", "projects/divider.ug", "--tol", "1e-30")
     assert strict.returncode == 0

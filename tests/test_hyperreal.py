@@ -31,8 +31,10 @@ from ultragraph.errors import (
     TraitViolated,
     Undecidable,
 )
-from ultragraph.hyperreal import _relation_set
-from ultragraph.sequences import MONOTONE, UNBOUNDED, structural_window, value_at
+from ultragraph.hyperreal import _combine, _relation_set
+from ultragraph.sequences import MONOTONE, UNBOUNDED, structural_window, value_at, values_window
+
+from conftest import outcome
 
 fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -299,3 +301,65 @@ def test_combined_numbers_keep_their_horizons(orc):
     assert [value_at(sums.rep, n) for n in range(11)] == [
         value_at(short.rep, n) + value_at(cyc.rep, n) for n in range(11)
     ]
+
+
+# -- combined rules filled from their operands' windows ---------------------------------------
+
+
+def operand(kind, name, n_max, raise_at, huge_at):
+    """A periodic descriptor, or a rule read index by index ("plain") or with
+    a ``fill`` ("filled") that raises at ``raise_at`` and gives an int too
+    large for a float at ``huge_at``."""
+    if kind == "periodic":
+        return periodic([7.0], [1.0, 2.0, -3.0])
+
+    def value(n):
+        if n == raise_at:
+            raise LookupError(f"{name}: no value at n={n}")
+        return 10**400 if n == huge_at else 0.5 * n - 3.0
+
+    def rule(n):
+        return value(n)
+
+    if kind == "filled":
+
+        def fill(start, stop):
+            values = []
+            for n in range(start, stop):
+                if n == raise_at:
+                    break
+                values.append(value(n))
+            return values
+
+        rule.fill = fill
+    return generated(rule, n_max)
+
+
+def per_index_window(seq, upto):
+    """``values_window`` computed with ``value_at``, one index at a time."""
+    return [value_at(seq, n) for n in range(upto + 1)]
+
+
+maybe_index = st.one_of(st.none(), st.integers(0, 18))
+
+
+@given(
+    kinds=st.tuples(*[st.sampled_from(["periodic", "plain", "filled"])] * 2),
+    raise_at=st.tuples(maybe_index, maybe_index),
+    huge_at=maybe_index,
+    op=st.sampled_from("+-*/"),
+    nested=st.booleans(),
+    uptos=st.lists(st.integers(0, 20), min_size=1, max_size=3),
+)
+def test_a_combined_window_reads_as_the_rule_index_by_index(kinds, raise_at, huge_at, op, nested, uptos):
+    if kinds == ("periodic", "periodic"):
+        kinds = ("periodic", "filled")
+    a = operand(kinds[0], "a", 18, raise_at[0], huge_at)
+    b = operand(kinds[1], "b", 15, raise_at[1], None)
+    combined = _combine(a, b, op)
+    if nested:
+        combined = _combine(periodic([], [2.0, 0.5]), combined, "*")
+    for upto in uptos:
+        # same values, or the same exception (a's first where both fail) at the same index
+        got = outcome(lambda: values_window(combined, upto))
+        assert got == outcome(lambda: per_index_window(combined, upto))

@@ -22,7 +22,9 @@ from ultragraph import (
     solve_standard,
     verify_laws,
 )
-from ultragraph.errors import EmptyNetwork, NumericalFailure, SolverFailure
+from ultragraph import network
+from ultragraph.cli import _advisory_class
+from ultragraph.errors import BeyondHorizon, EmptyNetwork, NumericalFailure, SolverFailure
 from ultragraph.network import _BLOCK, _solve_at_indices, _solve_batch, _spanning_tree
 from ultragraph.sequences import (
     PeriodicSeq,
@@ -808,3 +810,77 @@ def test_column_reads_fail_each_index_as_the_row_major_reader(k, faults, forms, 
     for indices in (range(start, start + _BLOCK), range(max(0, k - 3), k + 4)):
         got, expected = _solve_at_indices(net, indices), row_major_solve(net, indices)
         assert {n: outcome(x) for n, x in got.items()} == {n: outcome(x) for n, x in expected.items()}
+
+
+# -- generated windows filled from solved blocks -----------------------------------------
+
+
+def read_outcome(read):
+    """Each value as float.hex, or what the read raises, as ``failure_of`` gives it."""
+    try:
+        return [value.hex() for value in read()]
+    except Exception:  # noqa: BLE001 - compared as data
+        return failure_of(read)
+
+
+@pytest.mark.parametrize(
+    "k", [300, _BLOCK, 2 * _BLOCK - 1, 10**6], ids=["mid-block", "block-start", "block-end", "healthy"]
+)
+def test_generated_windows_match_per_index_solves_bit_for_bit(k):
+    net = chain_network(spike(k, 0.0))
+    filled, single = (operating_point(net, FilterOracle()) for _ in range(2))
+    for part in ("currents", "voltages", "potentials"):
+        for name, number in getattr(filled, part).items():
+            rep, ref = number.rep, getattr(single, part)[name].rep
+            # windows grown from index 0, then from inside and across blocks
+            for upto in (10, min(k, 500) - 1, min(k, 500), 3 * _BLOCK):
+                assert read_outcome(lambda: values_window(rep, upto)) == read_outcome(
+                    lambda: [value_at(ref, n) for n in range(upto + 1)]
+                )
+
+
+def test_advisory_labels_solve_each_block_once_and_call_no_rule_per_index(monkeypatch):
+    solved, rule_calls = [], []
+    solve_at_indices, solution_rule = network._solve_at_indices, network._solution_rule
+
+    def counted_solve(net, indices):
+        solved.append(indices)
+        return solve_at_indices(net, indices)
+
+    def counted_rule(*args):
+        rule = solution_rule(*args)
+
+        def counted(n):
+            rule_calls.append(n)
+            return rule(n)
+
+        counted.fill = rule.fill
+        return counted
+
+    monkeypatch.setattr(network, "_solve_at_indices", counted_solve)
+    monkeypatch.setattr(network, "_solution_rule", counted_rule)
+    op = operating_point(chain_network(named_generator("affine", (1, 1), 700)), FilterOracle())
+    labels = [*op.currents.values(), *op.voltages.values(), *op.potentials.values()]
+    assert [_advisory_class(h).describe() for h in labels]
+    assert rule_calls == []
+    assert solved == [range(0, _BLOCK), range(_BLOCK, 2 * _BLOCK), range(2 * _BLOCK, 701)]
+
+
+def test_a_generated_assignment_is_solved_within_its_horizon():
+    g = StandardGraph(
+        "loop0", 0, nodes0=["a", "b"], branches={"b1": ("a", "b"), "b2": ("b", "a")}
+    )
+    data = {
+        "b1": (periodic((), (1.0,)), periodic((), (3.0,))),
+        "b2": (periodic((4.0,), (2.0, 5.0)), periodic((), (0.0,))),
+    }
+    gen = NsNetwork("series", GraphFamily("f", (g,), named_generator("mod", (1,), 100)), data)
+    fixed = NsNetwork("series", GraphFamily("f", (g,), periodic((), (0,))), data)
+    op, ref = operating_point(gen, FilterOracle()), operating_point(fixed, FilterOracle())
+    assert (op.route, op.horizon, ref.route) == ("generated", 100, "periodic")
+    for bid in data:
+        got = values_window(op.currents[bid].rep, 100)
+        assert [v.hex() for v in got] == [v.hex() for v in values_window(ref.currents[bid].rep, 100)]
+    with pytest.raises(BeyondHorizon, match="n=101 beyond horizon 100"):
+        value_at(op.currents["b1"].rep, 101)
+    assert verify_laws(op).ok

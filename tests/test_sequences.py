@@ -1,7 +1,9 @@
 """Sequence descriptors: values, canonical forms, agreement, traits."""
 
+import math
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,20 +21,29 @@ from ultragraph import (
     trait_check,
 )
 from ultragraph.cli import _advisory_class
+from ultragraph._periodic import minimize
 from ultragraph.errors import BeyondHorizon, TraitViolated
 from ultragraph.sequences import (
     MONOTONE,
     UNBOUNDED,
+    _check_limit,
+    _check_monotone,
+    _check_unbounded,
+    _fmt,
     _Unrolled,
+    _values,
     agreement_set as agree,
     form_key,
     horizon,
     pointwise,
     reader,
+    span,
     structural_window,
     value_at,
     values_window,
 )
+
+from conftest import outcome
 
 small_cycles = st.lists(st.integers(-3, 3), min_size=1, max_size=6)
 small_pres = st.lists(st.integers(-3, 3), max_size=4)
@@ -299,3 +310,219 @@ def test_a_reader_reads_as_value_at(pre, cycle):
     assert [read(n) for n in range(13)] == [n * n for n in range(13)]
     with pytest.raises(BeyondHorizon, match="n=13 beyond horizon 12"):
         read(13)
+
+
+# -- windows grown through a rule's fill ------------------------------------------------
+
+
+def rule_pair(raise_at):
+    """The same rule twice: read index by index, and with a ``fill`` that
+    follows the contract. Returns (plain, filled, indices the fill read)."""
+
+    def value(n):
+        if n == raise_at:
+            raise LookupError(f"no value at n={n}")
+        return (-1) ** n * 2.0 / (n + 1)
+
+    def plain(n):
+        return value(n)
+
+    def filled(n):
+        return value(n)
+
+    fill_reads = []
+
+    def fill(start, stop):
+        values = []
+        for n in range(start, stop):
+            if n == raise_at:
+                break
+            fill_reads.append(n)
+            values.append(value(n))
+        return values
+
+    filled.fill = fill
+    return plain, filled, fill_reads
+
+
+@given(
+    n_max=st.integers(1, 40),
+    raise_at=st.one_of(st.none(), st.integers(0, 45)),
+    reads=st.lists(st.tuples(st.integers(0, 45), st.integers(0, 50)), min_size=1, max_size=5),
+)
+def test_a_filled_window_reads_as_the_rule_index_by_index(n_max, raise_at, reads):
+    plain, filled, fill_reads = rule_pair(raise_at)
+    per_index, blocky = generated(plain, n_max), generated(filled, n_max)
+    for start, stop in reads:
+        upto = min(start, n_max)
+        for call in (
+            lambda s: _values(s, upto),
+            lambda s: values_window(s, start),
+            lambda s: span(s, start, stop),
+        ):
+            # same values, or the same exception naming the same index
+            assert outcome(lambda: call(blocky)) == outcome(lambda: call(per_index))
+    want = []
+    for n in range(n_max + 1):
+        try:
+            want.append(plain(n))
+        except LookupError:
+            break
+    for start, stop in reads:
+        assert span(blocky, start, stop) == want[start:stop]
+    # the fill was never asked for an index past the horizon or one that raises
+    assert all(n <= n_max and n != raise_at for n in fill_reads)
+    assert len(fill_reads) == len(set(fill_reads))
+
+
+def test_a_short_fill_leaves_the_raising_index_to_the_rule():
+    calls = Counter()
+
+    def rule(n):
+        calls[n] += 1
+        if n == 5:
+            raise ZeroDivisionError("no value at n=5")
+        return float(n)
+
+    rule.fill = lambda start, stop: [float(n) for n in range(start, min(stop, 5))]
+    seq = generated(rule, 20)
+    for _ in range(2):
+        with pytest.raises(ZeroDivisionError, match="n=5"):
+            values_window(seq, 20)
+    # the rule itself was called only at the raising index, once per read
+    assert calls == Counter({5: 2})
+    assert span(seq, 3, 9) == [3.0, 4.0]
+
+
+# -- trait checks and canonical forms against the per-value code they replaced ------------
+
+
+def reference_minimize(pre, cycle):
+    if not cycle:
+        raise ValueError("cycle must be nonempty")
+    p = len(cycle)
+    cyc = list(cycle)
+    for d in range(1, p + 1):
+        if p % d == 0 and list(cycle) == list(cycle[:d]) * (p // d):
+            cyc = list(cycle[:d])
+            break
+    head = list(pre)
+    while head and head[-1] == cyc[-1]:
+        head.pop()
+        cyc.insert(0, cyc.pop())
+    return tuple(head), tuple(cyc)
+
+
+def reference_check_monotone(vals):
+    up = all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
+    down = all(vals[i] >= vals[i + 1] for i in range(len(vals) - 1))
+    if not (up or down):
+        rises = next(i for i in range(len(vals) - 1) if vals[i] < vals[i + 1])
+        falls = next(i for i in range(len(vals) - 1) if vals[i] > vals[i + 1])
+        n = max(min(rises, falls), 1)
+        raise TraitViolated(
+            f"monotone declared but values change direction near n={n}", witness=n
+        )
+
+
+def reference_check_unbounded(vals):
+    mid = len(vals) // 2
+    early = max(abs(v) for v in vals[: mid + 1])
+    late = max(abs(v) for v in vals)
+    if not late > early:
+        raise TraitViolated(
+            f"unbounded declared but |values| set no new record after n={mid}",
+            witness=len(vals) - 1,
+        )
+
+
+def reference_check_limit(vals, limit):
+    devs = [abs(v - limit) for v in vals]
+    for i in range(len(devs) - 1):
+        if devs[i + 1] > devs[i]:
+            raise TraitViolated(
+                f"limit {limit} declared but |value - limit| grows at n={i + 1}",
+                witness=i + 1,
+            )
+    if devs and devs[-1] > 0.25 * devs[0] + 1e-12:
+        raise TraitViolated(
+            f"limit {limit} declared but |value - limit| only shrinks from "
+            f"{devs[0]:.6g} to {devs[-1]:.6g} over the horizon",
+            witness=len(devs) - 1,
+        )
+    mid = len(devs) // 2
+    if devs and devs[-1] > 0.75 * devs[mid] + 1e-12:
+        raise TraitViolated(
+            f"limit {limit} declared but |value - limit| levels off near "
+            f"{devs[-1]:.6g} after n={mid}",
+            witness=len(devs) - 1,
+        )
+
+
+def check_outcome(check, *args):
+    """None, or the type, text and witness of what the check raises."""
+    try:
+        check(*args)
+    except Exception as exc:  # noqa: BLE001 - compared as data
+        return type(exc), str(exc), getattr(exc, "witness", None)
+    return None
+
+
+NAN_A, NAN_B = float("nan"), float("nan")  # distinct objects, equal to nothing
+# identity-sensitive, infinite, and mixed 1 / 1.0 / True values
+odd_values = st.sampled_from(
+    [NAN_A, NAN_B, math.inf, -math.inf, 1, 1.0, True, 0, 0.0, False, -0.0, 2.5, -3]
+)
+odd_lists = st.lists(odd_values, max_size=12)
+monotone_ish = st.lists(st.floats(-4, 4, allow_nan=False), max_size=12).map(sorted)
+
+
+@given(st.one_of(odd_lists, monotone_ish, monotone_ish.map(lambda v: v[::-1])))
+def test_monotone_and_unbounded_checks_match_the_per_value_code(vals):
+    assert check_outcome(_check_monotone, vals) == check_outcome(reference_check_monotone, vals)
+    assert check_outcome(_check_unbounded, vals) == check_outcome(reference_check_unbounded, vals)
+
+
+@given(
+    vals=st.one_of(odd_lists, monotone_ish.map(lambda v: v[::-1])),
+    limit=st.one_of(odd_values, st.floats(-4, 4)),
+)
+def test_the_limit_check_matches_the_per_value_code(vals, limit):
+    assert check_outcome(_check_limit, vals, limit) == check_outcome(
+        reference_check_limit, vals, limit
+    )
+
+
+def same_objects(got, want):
+    return len(got) == len(want) and all(x is y for x, y in zip(got, want))
+
+
+@given(
+    pre=st.lists(odd_values, max_size=4),
+    base=st.lists(odd_values, min_size=1, max_size=4),
+    reps=st.integers(1, 6),
+    change=st.one_of(st.none(), st.tuples(st.integers(0, 23), odd_values)),
+)
+def test_minimize_matches_the_per_divisor_lists(pre, base, reps, change):
+    cycle = base * reps
+    if change is not None:
+        k, value = change
+        cycle[k % len(cycle)] = value
+    for form in (tuple, list):
+        got, want = minimize(form(pre), form(cycle)), reference_minimize(form(pre), form(cycle))
+        assert same_objects(got[0], want[0]) and same_objects(got[1], want[1])
+
+
+@given(
+    st.lists(
+        st.sampled_from([0.1, -2.0, 1e300, math.inf, NAN_A, 3, True, "ohm", np.float64(0.1), np.float64(2.0)]),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_rendered_cycles_match_fmt_per_value(values):
+    seq = PeriodicSeq((), tuple(values))
+    assert seq.describe() == "cycle=[%s]" % ",".join(_fmt(v) for v in values)
+    assert PeriodicSeq(tuple(values), (0.5,)).describe().startswith(
+        "pre=[%s] " % ",".join(_fmt(v) for v in values)
+    )
