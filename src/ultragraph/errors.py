@@ -80,7 +80,11 @@ class EmptyNetwork(SolverFailure):
 
 
 class NumericalFailure(SolverFailure):
-    """The nodal system is ill-conditioned beyond the configured limit."""
+    """The nodal system is ill-conditioned beyond the configured limit.
+
+    ``condition`` is the SVD estimate ``np.linalg.cond``; only matrices
+    that the certificate in ``network`` cannot accept get one.
+    """
 
     def __init__(self, message: str, condition: float, index: int | None = None):
         super().__init__(f"{message} (condition estimate {condition:.3e})", index)

@@ -104,7 +104,6 @@ class StandardNode:
         return StandardNode(ident, rank, frozenset(tips), exceptional)
 
 
-_TIP_RE = re.compile(r"^t(\d+)_(\d+)$")
 _NODE_RE = re.compile(r"^x(\d+)_(\d+)$")
 _OTIP_RE = re.compile(r"^T_(\d+)$")
 _ONODE_RE = re.compile(r"^W_(\d+)$")
@@ -135,12 +134,6 @@ class TowerScheme:
         m = _NODE_RE.match(ident)
         if m and int(m.group(2)) < self.width and int(m.group(1)) >= 1:
             return int(m.group(1))
-        return None
-
-    def tip_owner(self, ident: str) -> str | None:
-        m = _TIP_RE.match(ident)
-        if m and int(m.group(2)) < self.width:
-            return f"x{int(m.group(1)) + 1}_{m.group(2)}"
         return None
 
     def graded_omega_node(self, j: int) -> StandardNode:
@@ -198,9 +191,6 @@ class StandardGraph:
         self._owner_cache: dict[int, tuple[dict[str, str], dict[str, str]]] = {}
 
     # -- layers ---------------------------------------------------------------
-
-    def finite_rank(self) -> int | None:
-        return self.rank if isinstance(self.rank, int) else None
 
     def layer_nodes(self, rank: int) -> dict[str, StandardNode]:
         if rank < 1:
@@ -341,13 +331,6 @@ class StandardGraph:
         raise NotAnExtremity(
             f"{e.describe()} is not an omega extremity of graph {self.name}"
         )
-
-    def is_extremity(self, e: Extremity, level) -> bool:
-        try:
-            self.owner_of(e, level)
-            return True
-        except (NotAnExtremity, RankTooHigh):
-            return False
 
     def _owner_index(self, level: int) -> tuple[dict[str, str], dict[str, str]]:
         """(tip -> owner, exceptional element -> owner) at a finite level;

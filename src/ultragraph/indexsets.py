@@ -120,14 +120,6 @@ class IndexSet:
     def exact(self) -> bool:
         return self.kind != SAMPLED
 
-    def is_infinite(self) -> bool | None:
-        """True/False for exact sets, None (unknown) for sampled ones."""
-        if self.kind == FINITE:
-            return False
-        if self.kind in (COFINITE, PERIODIC):
-            return True
-        return None
-
     def is_empty(self) -> bool:
         return self.kind == FINITE and not self.members
 

@@ -22,10 +22,34 @@ standard solutions, packaged as hyperreals:
   construction, not merely within tolerance.
 
 Indices are solved in fixed-size blocks: per prototype graph, one stacked
-assembly, condition estimate and solve covers a block of indices, with
-every float equal to what a single solve gives. A failure still belongs to
-its index: it is raised, naming that index, only when that index is asked
-for, never because another index of its block failed.
+assembly, condition gate and solve covers a block of indices, with every
+float equal to what a single solve gives. A solved range comes back as
+columns, one list of values over the range per node and per branch, plus
+the failures of the indices that have no solution; the periodic route
+packages the columns as they are, and the generated route slices its
+cached blocks. ``solve_standard`` alone builds a ``StandardSolution``,
+from its single row. A failure still belongs to its index: it is raised,
+naming that index, only when that index is asked for, never because
+another index of its block failed.
+
+The condition gate rejects a nodal matrix whose 2-norm condition number
+exceeds ``_COND_LIMIT``. A well-conditioned nodal matrix passes without an
+SVD, by a certificate. A finite, exactly symmetric matrix A with no
+positive off-diagonal entry (a Z-matrix) is a nonsingular M-matrix once
+some x > 0 has Ax > 0 (Berman & Plemmons, *Nonnegative Matrices in the
+Mathematical Sciences*). Then A^-1 >= 0 entrywise, so |A^-1|_inf <=
+|x|_inf / min(Ax), and for symmetric A the 2-norm condition is at most the
+inf-norm one. The certificate takes x = solve(A, 1), a call apart from the
+main solve, and asks for x finite and positive, fl(Ax) >= 1/2 in every
+entry, and m eps |A|_inf |x|_inf <= 1/4: the rounding of fl(Ax) is then
+below 1/4 (Higham, *Accuracy and Stability of Numerical Algorithms*), so
+min(Ax) >= 1/4. With 4 |A|_inf |x|_inf <= _COND_LIMIT / 100 the condition
+is at most 1e10, 100 times below the limit: a margin far wider than the
+rounding of the SVD estimate, which would pass the gate as well. Every
+other matrix, and the whole stack when the certificate's stacked solve
+raises ``LinAlgError``, is judged by ``np.linalg.cond`` as before, so
+every decision and every ``NumericalFailure`` is the one the SVD alone
+gives.
 
 ``verify_laws`` re-reads values from the operating point's descriptors, so
 a perturbed operating point is honestly re-checked: it confirms Kirchhoff's
@@ -48,7 +72,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import add, attrgetter, itemgetter, mul, neg, sub, truediv
+from operator import add, mul, neg, sub, truediv
 
 from .errors import EmptyNetwork, InvariantBreach, NumericalFailure, SolverFailure, Undecidable
 from .graphs import StandardGraph
@@ -57,15 +81,17 @@ from .oracle import FilterOracle
 from .sequences import (
     GeneratedSeq,
     PeriodicSeq,
-    _Unrolled,
     form_key,
     generated,
+    span,
     structural_window,
     value_at,
     values_window,
 )
 from .ultrapower import GraphFamily
 
+# Largest accepted condition number. Only a matrix the certificate cannot
+# place below _COND_LIMIT / 100 (module docstring) gets an SVD estimate.
 _COND_LIMIT = 1e12
 # Indices per stacked nodal solve: bounds the (block, m, m) stack in memory.
 _BLOCK = 256
@@ -122,10 +148,14 @@ def solve_standard(net: StandardNetwork, index: int | None = None) -> StandardSo
         failure = _invalid_branch(bids, r, e, index)
         if failure is not None:
             raise failure
-    (result,) = _solve_batch(net.graph, [r], [e], [index])
-    if isinstance(result, Exception):
-        raise result
-    return result
+    phi, currents, voltages, failed = _solve_batch(net.graph, [r], [e], [index])
+    if failed:
+        raise failed[index]
+    return StandardSolution(
+        dict(zip(sorted(net.graph.nodes0), phi[0].tolist())),
+        dict(zip(bids, currents[0].tolist())),
+        dict(zip(bids, voltages[0].tolist())),
+    )
 
 
 def _invalid_branch(bids: list[str], r: list, e: list, index) -> SolverFailure | None:
@@ -139,6 +169,36 @@ def _invalid_branch(bids: list[str], r: list, e: list, index) -> SolverFailure |
         if not (isinstance(eb, (int, float)) and math.isfinite(eb)):
             return SolverFailure(f"branch {bid} has nonfinite source value {eb!r}", index=index)
     return None
+
+
+def _certified(matrices: np.ndarray) -> np.ndarray:
+    """Per matrix of the stack, whether the certificate of the module
+    docstring proves its condition number at most _COND_LIMIT / 100. All
+    False when the stacked solve for x raises."""
+    import numpy as np
+
+    count, m, _ = matrices.shape
+    ok = np.isfinite(matrices).all(axis=(1, 2))
+    ok &= (matrices == matrices.transpose(0, 2, 1)).all(axis=(1, 2))
+    ok &= (matrices[:, ~np.eye(m, dtype=bool)] <= 0).all(axis=1)
+    picked = np.flatnonzero(ok)
+    if not len(picked):
+        return ok
+    a = matrices if len(picked) == count else matrices[picked]
+    try:
+        x = np.linalg.solve(a, np.ones((len(picked), m, 1)))[..., 0]
+    except np.linalg.LinAlgError:  # some matrix is exactly singular: let the SVD judge
+        return np.zeros(count, dtype=bool)
+    with np.errstate(all="ignore"):
+        size = np.abs(a).sum(axis=2).max(axis=1) * x.max(axis=1)
+        ok[picked] = (
+            np.isfinite(x).all(axis=1)
+            & (x > 0).all(axis=1)
+            & ((a @ x[..., None])[..., 0] >= 0.5).all(axis=1)
+            & (4 * size <= _COND_LIMIT / 100)
+            & (m * np.finfo(float).eps * size <= 0.25)
+        )
+    return ok
 
 
 def _condition_numbers(matrices: np.ndarray) -> list:
@@ -158,29 +218,59 @@ def _condition_numbers(matrices: np.ndarray) -> list:
         return found
 
 
-def _solve_batch(graph: StandardGraph, r, e, indices: list) -> list:
-    """Nodal analysis of one graph under many sets of branch values at once.
+def _well_conditioned(matrices: np.ndarray, indices: list, failed: dict) -> np.ndarray:
+    """Positions in the stack of the matrices that pass the condition gate.
 
-    Row j of ``r`` and ``e`` holds the resistances and EMFs of index
-    ``indices[j]``, in sorted branch-id order. Entry j of the result is
-    that index's ``StandardSolution``, or the exception solving it alone
-    raises; one index failing never fails another. Conductances are
-    accumulated branch by branch in sorted order, each update vectorised
-    across the block, so every float equals the one a single solve gives.
+    Row j belongs to index ``indices[j]``. A certified matrix passes as is;
+    every other one is judged by ``np.linalg.cond``, and its failure goes
+    into ``failed`` under its index.
     """
     import numpy as np
 
+    passed = _certified(matrices)
+    rest = np.flatnonzero(~passed).tolist()
+    if rest:
+        for row, condition in zip(rest, _condition_numbers(matrices[rest])):
+            if isinstance(condition, Exception):
+                failed[indices[row]] = condition
+            elif not math.isfinite(condition) or condition > _COND_LIMIT:
+                failed[indices[row]] = NumericalFailure(
+                    f"nodal matrix is ill-conditioned (condition {condition:.3e})",
+                    condition=condition,
+                    index=indices[row],
+                )
+            else:
+                passed[row] = True
+    return np.flatnonzero(passed)
+
+
+def _solve_batch(graph: StandardGraph, r, e, indices: list) -> tuple:
+    """Nodal analysis of one graph under many sets of branch values at once.
+
+    Row j of ``r`` and ``e`` holds the resistances and EMFs of index
+    ``indices[j]``, in sorted branch-id order. Returns ``(phi, currents,
+    voltages, failed)``: arrays with row j for index ``indices[j]`` and one
+    column per node (sorted) or branch (sorted), and index -> the exception
+    solving that index alone raises, whose row holds no solution. One index
+    failing never fails another. Conductances are accumulated branch by
+    branch in sorted order, each update vectorised across the block, so
+    every float equals the one a single solve gives.
+    """
+    import numpy as np
+
+    nodes = sorted(graph.nodes0)
+    phi = np.zeros((len(indices), len(nodes)))
     if not graph.branches:
-        return [EmptyNetwork("the network has no branches to solve", index=n) for n in indices]
+        failed = {n: EmptyNetwork("the network has no branches to solve", index=n) for n in indices}
+        return phi, phi[:, :0], phi[:, :0], failed
     bids = sorted(graph.branches)
     r = np.asarray(r, dtype=float)
     e = np.asarray(e, dtype=float)
-    results: list = [None] * len(indices)
+    failed: dict = {}
     usable = np.isfinite(r).all(axis=1) & (r > 0).all(axis=1) & np.isfinite(e).all(axis=1)
     for j in np.flatnonzero(~usable).tolist():
-        results[j] = _invalid_branch(bids, r[j].tolist(), e[j].tolist(), indices[j])
+        failed[indices[j]] = _invalid_branch(bids, r[j].tolist(), e[j].tolist(), indices[j])
     valid = np.flatnonzero(usable)
-    nodes = sorted(graph.nodes0)
     column = {w: k for k, w in enumerate(nodes)}
     roots = _components(nodes, graph.branches)
     unknowns = [w for w in nodes if roots[w] != w]
@@ -188,51 +278,31 @@ def _solve_batch(graph: StandardGraph, r, e, indices: list) -> list:
     m = len(unknowns)
     tail = [column[graph.branches[bid][0]] for bid in bids]
     head = [column[graph.branches[bid][1]] for bid in bids]
-    for start in range(0, len(valid), _BLOCK):
-        block = valid[start : start + _BLOCK].tolist()
-        rb, eb = r[block], e[block]
-        phi = np.zeros((len(block), len(nodes)))
-        solved = list(range(len(block)))
-        # numpy would warn where Python floats silently overflow to inf/nan.
-        with np.errstate(over="ignore", invalid="ignore"):
-            if m:
-                matrix = np.zeros((len(block), m, m))
-                rhs = np.zeros((len(block), m))
-                for col, bid in enumerate(bids):
-                    u, v = graph.branches[bid]
-                    g = 1.0 / rb[:, col]
-                    for w, other, sign in ((u, v, -1.0), (v, u, 1.0)):
-                        if w not in pos:
-                            continue
-                        k = pos[w]
-                        matrix[:, k, k] += g
-                        if other in pos:
-                            matrix[:, k, pos[other]] -= g
-                        rhs[:, k] += sign * eb[:, col] * g
-                solved = []
-                for row, condition in enumerate(_condition_numbers(matrix)):
-                    if isinstance(condition, Exception):
-                        results[block[row]] = condition
-                    elif not math.isfinite(condition) or condition > _COND_LIMIT:
-                        results[block[row]] = NumericalFailure(
-                            f"nodal matrix is ill-conditioned (condition {condition:.3e})",
-                            condition=condition,
-                            index=indices[block[row]],
-                        )
-                    else:
-                        solved.append(row)
-                if solved:
-                    x = np.linalg.solve(matrix[solved], rhs[solved][..., None])[..., 0]
-                    phi[np.ix_(solved, [column[w] for w in unknowns])] = x
-            currents = (phi[:, tail] - phi[:, head] + eb) / rb
-            voltages = rb * currents - eb
-        for row in solved:
-            results[block[row]] = StandardSolution(
-                dict(zip(nodes, phi[row].tolist())),
-                dict(zip(bids, currents[row].tolist())),
-                dict(zip(bids, voltages[row].tolist())),
-            )
-    return results
+    # numpy would warn where Python floats silently overflow to inf/nan.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, len(valid) if m else 0, _BLOCK):
+            block = valid[start : start + _BLOCK]
+            rb, eb = r[block], e[block]
+            matrix = np.zeros((len(block), m, m))
+            rhs = np.zeros((len(block), m))
+            for col, bid in enumerate(bids):
+                u, v = graph.branches[bid]
+                g = 1.0 / rb[:, col]
+                for w, other, sign in ((u, v, -1.0), (v, u, 1.0)):
+                    if w not in pos:
+                        continue
+                    k = pos[w]
+                    matrix[:, k, k] += g
+                    if other in pos:
+                        matrix[:, k, pos[other]] -= g
+                    rhs[:, k] += sign * eb[:, col] * g
+            solved = _well_conditioned(matrix, [indices[j] for j in block.tolist()], failed)
+            if len(solved):
+                x = np.linalg.solve(matrix[solved], rhs[solved][..., None])[..., 0]
+                phi[np.ix_(block[solved], [column[w] for w in unknowns])] = x
+        currents = (phi[:, tail] - phi[:, head] + e) / r
+        voltages = r * currents - e
+    return phi, currents, voltages, failed
 
 
 # -- nonstandard networks -------------------------------------------------------------
@@ -322,23 +392,22 @@ def operating_point(
 def _read_cells(seq, indices: range, failed: dict, convert) -> list:
     """``convert(value_at(seq, n))`` for each n of ``indices``.
 
-    A periodic descriptor is sliced from its unrolled cycle; a generated
-    one is evaluated index by index, skipping indices already in
-    ``failed``. A cell whose read or conversion raises holds 0.0, and its
-    exception goes into ``failed`` unless an earlier datum failed there.
+    The range is read through ``span``: a periodic descriptor from its
+    unrolled cycle, a generated one from its window. Only from where a
+    generated span stops short is it read index by index, skipping indices
+    already in ``failed``. A cell whose read or conversion raises holds
+    0.0, and its exception goes into ``failed`` unless an earlier datum
+    failed there.
     """
-    if isinstance(seq, PeriodicSeq):
-        raw = _Unrolled(seq).span(indices.start, indices.stop)
-    else:
-        raw = []
-        for n in indices:
-            value = 0.0
-            if n not in failed:
-                try:
-                    value = value_at(seq, n)
-                except Exception as exc:  # noqa: BLE001 - raised again when index n is asked for
-                    failed[n] = exc
-            raw.append(value)
+    raw = span(seq, indices.start, indices.stop)
+    for n in indices[len(raw) :]:
+        value = 0.0
+        if n not in failed:
+            try:
+                value = value_at(seq, n)
+            except Exception as exc:  # noqa: BLE001 - raised again when index n is asked for
+                failed[n] = exc
+        raw.append(value)
     if not failed:
         try:
             return list(map(convert, raw))
@@ -356,13 +425,28 @@ def _read_cells(seq, indices: range, failed: dict, convert) -> list:
     return cells
 
 
-def _solve_at_indices(net: NsNetwork, indices: range) -> dict:
-    """Index -> the n-th network's StandardSolution, or what solving it raises.
+@dataclass
+class _Solved:
+    """The standard solutions over ``indices`` as columns: node or branch
+    id -> its values over the range. ``failed`` maps each index that has no
+    solution to the exception solving it raises; its cells are filler."""
+
+    indices: range
+    potentials: dict[str, list]
+    currents: dict[str, list]
+    voltages: dict[str, list]
+    failed: dict
+
+
+def _solve_at_indices(net: NsNetwork, indices: range) -> _Solved:
+    """The n-th networks' solutions for every n of ``indices``, as columns.
 
     Each datum is read once for the whole range as a column, in declaration
     order, and then the prototype assignment; an index fails with the
     exception of its first failing read, as ``network_at`` would raise it.
-    Indices are solved in one batch per prototype.
+    Indices are solved in one batch per prototype. Potentials have a column
+    for every node of a prototype solved in the range; a node that an
+    index's prototype lacks holds filler there.
     """
     import numpy as np
 
@@ -372,21 +456,35 @@ def _solve_at_indices(net: NsNetwork, indices: range) -> dict:
         _read_cells(seq, indices, failed, float) for bid in declared for seq in net.data[bid]
     ]
     graphs = _read_cells(net.family.assignment, indices, failed, net.family.prototypes.__getitem__)
-    order = [declared.index(bid) for bid in sorted(declared)]
+    bids = sorted(declared)
+    order = [declared.index(bid) for bid in bids]
     groups: dict[int, tuple[StandardGraph, list, list]] = {}
     for row, (n, graph) in enumerate(zip(indices, graphs)):
         if n not in failed:
             _, ns, rows = groups.setdefault(id(graph), (graph, [], []))
             ns.append(n)
             rows.append(row)
-    results: dict = dict(failed)
+    nodes = sorted(set().union(*(graph.nodes0 for graph, _, _ in groups.values())))
+    phi = np.zeros((len(indices), len(nodes)))
+    currents = np.zeros((len(indices), len(bids)))
+    voltages = np.zeros((len(indices), len(bids)))
     if groups:
         table = np.array(columns, dtype=float).reshape(len(columns), len(indices)).T
+        column = {w: k for k, w in enumerate(nodes)}
         for graph, ns, rows in groups.values():
             block = table[rows]
             r, e = block[:, 0::2][:, order], block[:, 1::2][:, order]
-            results.update(zip(ns, _solve_batch(graph, r, e, ns)))
-    return results
+            p, c, v, lost = _solve_batch(graph, r, e, ns)
+            phi[np.ix_(rows, [column[w] for w in sorted(graph.nodes0)])] = p
+            currents[rows], voltages[rows] = c, v
+            failed.update(lost)
+    return _Solved(
+        indices,
+        dict(zip(nodes, phi.T.tolist())),
+        dict(zip(bids, currents.T.tolist())),
+        dict(zip(bids, voltages.T.tolist())),
+        failed,
+    )
 
 
 def _periodic_operating_point(net, oracle, shared_nodes) -> OperatingPoint:
@@ -394,46 +492,45 @@ def _periodic_operating_point(net, oracle, shared_nodes) -> OperatingPoint:
     for r, e in net.data.values():
         seqs.extend((r, e))
     head, period = structural_window(*seqs)
-    window = head + period
-    found = _solve_at_indices(net, range(window))
-    solutions = [found[n] for n in range(window)]
-    for result in solutions:
-        if isinstance(result, Exception):
-            raise result
+    found = _solve_at_indices(net, range(head + period))
+    if found.failed:
+        raise found.failed[min(found.failed)]
 
     def packaged(values: list[float]) -> Hyperreal:
         return Hyperreal(PeriodicSeq.make(values[:head], values[head:]), oracle)
 
-    currents = {
-        bid: packaged([s.currents[bid] for s in solutions]) for bid in sorted(net.data)
-    }
-    voltages = {
-        bid: packaged([s.voltages[bid] for s in solutions]) for bid in sorted(net.data)
-    }
-    potentials = {
-        w: packaged([s.potentials[w] for s in solutions]) for w in shared_nodes
-    }
+    currents = {bid: packaged(found.currents[bid]) for bid in sorted(net.data)}
+    voltages = {bid: packaged(found.voltages[bid]) for bid in sorted(net.data)}
+    potentials = {w: packaged(found.potentials[w]) for w in shared_nodes}
     return OperatingPoint(
         net, oracle, "periodic", currents, voltages, potentials, float("inf")
     )
 
 
-def _solution_rule(solve_at, solved, part: str, name: str):
-    """The rule ``n -> solve_at(n).<part>[name]``, with a ``fill`` (see
-    ``sequences``) that reads ``solved(start, stop)``, the cached block
-    results, and stops at the first index whose result is an exception."""
-    get_part, get_name = attrgetter(part), itemgetter(name)
+def _solution_rule(solved_at, n_max: int, part: str, name: str):
+    """The rule giving at n the value of ``name`` in the ``part`` columns
+    of ``solved_at(n)``, the solved block holding n, or raising n's
+    failure; with a ``fill`` (see ``sequences``) that slices the blocks'
+    columns up to the first failed index."""
 
     def rule(n: int):
-        return get_name(get_part(solve_at(n)))
+        block = solved_at(n)
+        if n in block.failed:
+            raise block.failed[n]
+        return getattr(block, part)[name][n - block.indices.start]
 
     def fill(start: int, stop: int) -> list:
-        results = solved(start, stop)
-        try:
-            return list(map(get_name, map(get_part, results)))
-        except AttributeError:  # an exception where a solution should be
-            cut = next(k for k, x in enumerate(results) if isinstance(x, Exception))
-            return list(map(get_name, map(get_part, results[:cut])))
+        values: list = []
+        n, stop = start, min(stop, n_max + 1)
+        while n < stop:
+            block = solved_at(n)
+            first, end = block.indices.start, min(stop, block.indices.stop)
+            cut = min((k for k in block.failed if n <= k < end), default=end)
+            values += getattr(block, part)[name][n - first : cut - first]
+            if cut < end:
+                break
+            n = end
+        return values
 
     rule.fill = fill
     return rule
@@ -447,29 +544,16 @@ def _generated_operating_point(net, oracle, shared_nodes, horizon) -> OperatingP
     for seq in seqs:
         if isinstance(seq, GeneratedSeq):
             n_max = min(n_max, seq.n_max)
-    cache: dict = {}
+    blocks: dict[int, _Solved] = {}
 
-    def solve_block(n: int) -> None:
+    def solved_at(n: int) -> _Solved:
+        """The solved block holding index n: each block is solved once."""
+        if n > n_max:  # past the horizon no block holds n: solve it alone
+            return _solve_at_indices(net, range(n, n + 1))
         start = n - n % _BLOCK
-        stop = max(n + 1, min(start + _BLOCK, n_max + 1))
-        cache.update(_solve_at_indices(net, range(start, stop)))
-
-    def solve_at(n: int) -> StandardSolution:
-        if n not in cache:
-            solve_block(n)
-        result = cache[n]
-        if isinstance(result, Exception):
-            raise result
-        return result
-
-    def solved(start: int, stop: int) -> list:
-        """solve_at's results, solutions or exceptions, for the indices of
-        start .. stop - 1 within the horizon: each block is solved once."""
-        stop = min(stop, n_max + 1)
-        for first in range(start - start % _BLOCK, stop, _BLOCK):
-            if first not in cache:
-                solve_block(first)
-        return list(map(cache.__getitem__, range(start, stop)))
+        if start not in blocks:
+            blocks[start] = _solve_at_indices(net, range(start, min(start + _BLOCK, n_max + 1)))
+        return blocks[start]
 
     ck = net.content_key()
     currents: dict[str, Hyperreal] = {}
@@ -477,7 +561,7 @@ def _generated_operating_point(net, oracle, shared_nodes, horizon) -> OperatingP
     for bid in sorted(net.data):
         key = ("ns-current", ck, bid) if ck is not None else None
         rep = generated(
-            _solution_rule(solve_at, solved, "currents", bid),
+            _solution_rule(solved_at, n_max, "currents", bid),
             n_max,
             key=key,
             label=f"i({bid})",
@@ -492,7 +576,7 @@ def _generated_operating_point(net, oracle, shared_nodes, horizon) -> OperatingP
         key = ("ns-potential", ck, w) if ck is not None else None
         potentials[w] = Hyperreal(
             generated(
-                _solution_rule(solve_at, solved, "potentials", w),
+                _solution_rule(solved_at, n_max, "potentials", w),
                 n_max,
                 key=key,
                 label=f"phi({w})",

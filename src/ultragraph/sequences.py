@@ -35,8 +35,10 @@ by ``fn`` itself, which raises the real exception, so a raising index is
 still never recorded. ``fn`` stays the rule: ``value_at`` and ``reader``
 call it per index, and rules without ``fill`` (``affine``, ``mod``, user
 callables) are read that way throughout. ``span`` is the read a ``fill``
-makes of another descriptor: its values over a range, cut short where a
-generated one raises.
+makes of another descriptor, and a block solve of its generated data: its
+values over a range, cut short where a generated one raises. A rule that
+keeps no window (one that cannot be weakly referenced) is evaluated over
+that range alone.
 
 A periodic descriptor is read by whole cycles: ``values_window``,
 ``pointwise`` and ``agreement_set`` unroll it once (``_Unrolled``) and
@@ -203,9 +205,19 @@ def span(seq: SeqDescriptor, start: int, stop: int) -> list:
     its horizon. Never raises: this is how a ``fill`` reads its operands."""
     if isinstance(seq, PeriodicSeq):
         return _Unrolled(seq).span(start, stop)
-    vals = _window(seq.fn)
+    stop = min(stop, seq.n_max + 1)
     try:
-        _extend(seq.fn, vals, min(stop, seq.n_max + 1))
+        vals = _WINDOWS.setdefault(seq.fn, [])
+    except TypeError:  # no window is kept for this rule (``_window``): read the range alone
+        vals = []
+        for n in range(start, stop):
+            try:
+                vals.append(seq.fn(n))
+            except Exception:  # noqa: BLE001 - vals holds every value before it
+                break
+        return vals
+    try:
+        _extend(seq.fn, vals, stop)
     except Exception:  # noqa: BLE001 - the window holds every value before it
         pass
     return vals[start:stop]

@@ -2,10 +2,11 @@
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from ultragraph import (
@@ -17,6 +18,7 @@ from ultragraph import (
     NsNetwork,
     StandardGraph,
     StandardNetwork,
+    StandardSolution,
     operating_point,
     periodic,
     solve_standard,
@@ -183,7 +185,13 @@ def test_branchless_nonstandard_network_is_rejected_per_index():
     with pytest.raises(EmptyNetwork, match=r"at index n=0"):
         operating_point(net, FilterOracle())
     found = _solve_at_indices(net, range(3, 5))
-    assert [(n, type(x), x.index) for n, x in found.items()] == [(3, EmptyNetwork, 3), (4, EmptyNetwork, 4)]
+    assert found.indices == range(3, 5)
+    assert [(n, type(x), x.index) for n, x in sorted(found.failed.items())] == [
+        (3, EmptyNetwork, 3),
+        (4, EmptyNetwork, 4),
+    ]
+    assert (found.currents, found.voltages) == ({}, {})
+    assert found.potentials == {"a": [0.0, 0.0]}
 
 
 def test_wildly_mismatched_conductances_fail_loudly():
@@ -376,6 +384,23 @@ def loop_solve(net):
     return potentials, currents, voltages
 
 
+def batch_outcomes(graph, indices, batch):
+    """Index -> the StandardSolution that row of ``_solve_batch``'s arrays
+    holds, or the index's failure."""
+    phi, currents, voltages, failed = batch
+    nodes, bids = sorted(graph.nodes0), sorted(graph.branches)
+    return {
+        n: failed[n]
+        if n in failed
+        else StandardSolution(
+            dict(zip(nodes, phi[j].tolist())),
+            dict(zip(bids, currents[j].tolist())),
+            dict(zip(bids, voltages[j].tolist())),
+        )
+        for j, n in enumerate(indices)
+    }
+
+
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), size=st.integers(1, 2 * _BLOCK + 3))
 def test_batch_matches_single_solves_bit_for_bit(seed, size):
@@ -386,11 +411,15 @@ def test_batch_matches_single_solves_bit_for_bit(seed, size):
         for _ in range(size)
     ]
     bids = sorted(plain)
-    batch = _solve_batch(
+    batch = batch_outcomes(
         net.graph,
-        [[d[bid].resistance for bid in bids] for d in datas],
-        [[d[bid].emf for bid in bids] for d in datas],
         list(range(size)),
+        _solve_batch(
+            net.graph,
+            [[d[bid].resistance for bid in bids] for d in datas],
+            [[d[bid].emf for bid in bids] for d in datas],
+            list(range(size)),
+        ),
     )
     for n in sorted({0, size // 2, size - 1}):
         single = solve_standard(StandardNetwork(net.graph, datas[n]), index=n)
@@ -422,12 +451,14 @@ def test_a_matrix_numpy_cannot_decompose_fails_only_its_own_index():
         for n in range(6)
     ]
     bids = ["b1", "b2", "b3"]
-    batch = _solve_batch(
+    found = _solve_batch(
         g,
         [[d[bid].resistance for bid in bids] for d in datas],
         [[d[bid].emf for bid in bids] for d in datas],
         list(range(6)),
     )
+    assert list(found[3]) == [3]
+    batch = batch_outcomes(g, list(range(6)), found)
     assert isinstance(batch[3], np.linalg.LinAlgError)
     with pytest.raises(np.linalg.LinAlgError):
         solve_standard(StandardNetwork(g, datas[3]), index=3)
@@ -750,7 +781,7 @@ def row_major_solve(net, indices):
     for graph, ns, rows in groups.values():
         table = np.array(rows)
         r, e = table[:, 0::2][:, order], table[:, 1::2][:, order]
-        results.update(zip(ns, _solve_batch(graph, r, e, ns)))
+        results.update(batch_outcomes(graph, ns, _solve_batch(graph, r, e, ns)))
     return results
 
 
@@ -758,6 +789,54 @@ def outcome(result):
     if isinstance(result, Exception):
         return type(result), str(result), getattr(result, "index", None)
     return result
+
+
+def cells(solution, graph):
+    """A StandardSolution's values of ``graph``'s nodes and branches by
+    (part, name), as float.hex."""
+    return {
+        (part, name): getattr(solution, part)[name].hex()
+        for part, names in (
+            ("potentials", graph.nodes0),
+            ("currents", graph.branches),
+            ("voltages", graph.branches),
+        )
+        for name in names
+    }
+
+
+def column_cells(net, solved):
+    """``cells`` per index of a column result: its failure, or its row of
+    every column that the index's prototype has."""
+    found = {}
+    for k, n in enumerate(solved.indices):
+        if n in solved.failed:
+            found[n] = outcome(solved.failed[n])
+            continue
+        graph = net.family.graph_at(n)
+        columns = (
+            (solved.potentials, graph.nodes0),
+            (solved.currents, graph.branches),
+            (solved.voltages, graph.branches),
+        )
+        row = StandardSolution(*({name: col[name][k] for name in names} for col, names in columns))
+        found[n] = cells(row, graph)
+    return found
+
+
+def assert_columns_match_rows(net, indices):
+    """``_solve_at_indices`` against the row-major reader: the same failed
+    indices with the same failures, and every other cell by float.hex."""
+    solved, expected = _solve_at_indices(net, indices), row_major_solve(net, indices)
+    assert solved.indices == indices
+    assert sorted(solved.currents) == sorted(solved.voltages) == sorted(net.data)
+    parts = (solved.potentials, solved.currents, solved.voltages)
+    assert all(len(col) == len(indices) for part in parts for col in part.values())
+    assert set(solved.failed) == {n for n, x in expected.items() if isinstance(x, Exception)}
+    assert column_cells(net, solved) == {
+        n: outcome(x) if isinstance(x, Exception) else cells(x, net.family.graph_at(n))
+        for n, x in expected.items()
+    }
 
 
 FAULTS = [None, "ohm", ValueError("no data here"), KeyError("gone"), math.inf, -1.0]
@@ -808,8 +887,214 @@ def test_column_reads_fail_each_index_as_the_row_major_reader(k, faults, forms, 
         },
     )
     for indices in (range(start, start + _BLOCK), range(max(0, k - 3), k + 4)):
-        got, expected = _solve_at_indices(net, indices), row_major_solve(net, indices)
-        assert {n: outcome(x) for n, x in got.items()} == {n: outcome(x) for n, x in expected.items()}
+        assert_columns_match_rows(net, indices)
+
+
+HORIZON = 2000
+LAST_BLOCK = HORIZON - HORIZON % _BLOCK  # the last block, 1792 .. 2000, is partial
+
+
+@pytest.mark.parametrize(
+    "fault", [0.0, 1e-15, ValueError("no data here")], ids=["nonpositive", "ill-conditioned", "raising"]
+)
+@pytest.mark.parametrize(
+    "k",
+    [300, _BLOCK, 2 * _BLOCK - 1, LAST_BLOCK, 1900, HORIZON],
+    ids=["mid-block", "block-start", "block-end", "last-block-start", "last-block-mid", "horizon"],
+)
+def test_columns_match_the_row_major_reader_up_to_the_horizon(k, fault):
+    def rule(n):
+        if n != k:
+            return 1.0 + n
+        if isinstance(fault, Exception):
+            raise fault
+        return fault
+
+    net = chain_network(generated(rule, HORIZON, key=("spike", HORIZON, k, repr(fault))))
+    for start in range(0, HORIZON + 1, _BLOCK):
+        assert_columns_match_rows(net, range(start, min(start + _BLOCK, HORIZON + 1)))
+    filled, single = (operating_point(net, FilterOracle()) for _ in range(2))
+    assert filled.horizon == HORIZON
+    for part in ("currents", "potentials"):
+        for name, number in getattr(filled, part).items():
+            ref = getattr(single, part)[name].rep
+            assert read_outcome(lambda: values_window(number.rep, HORIZON)) == read_outcome(
+                lambda: [value_at(ref, n) for n in range(HORIZON + 1)]
+            )
+
+
+def test_generated_data_are_read_through_their_windows(monkeypatch):
+    calls = []
+
+    def counting(seq, n):
+        calls.append(n)
+        return value_at(seq, n)
+
+    monkeypatch.setattr(network, "value_at", counting)
+    healthy = chain_network(named_generator("affine", (1, 1), 700))
+    for start in range(0, 701, _BLOCK):
+        assert not _solve_at_indices(healthy, range(start, min(start + _BLOCK, 701))).failed
+    op = operating_point(healthy, FilterOracle())
+    assert [_advisory_class(h).describe() for h in [*op.currents.values(), *op.potentials.values()]]
+    assert calls == []
+    # a rule that keeps no window (it cannot be weakly referenced) is still
+    # evaluated once per index
+    class Unkept:
+        __slots__ = ()
+
+        def __call__(self, n):
+            calls.append(n)
+            return 1.0 + n
+
+    unkept = chain_network(generated(Unkept(), 700))
+    for start in range(0, 701, _BLOCK):
+        assert not _solve_at_indices(unkept, range(start, min(start + _BLOCK, 701))).failed
+    assert calls == list(range(701))
+    calls.clear()
+    # a datum is read index by index only from where its window stops short
+    faulted = chain_network(spike(300, ValueError("no data here")))
+    assert list(_solve_at_indices(faulted, range(_BLOCK, 2 * _BLOCK)).failed) == [300]
+    assert calls == list(range(300, 2 * _BLOCK))
+
+
+def grid_network(rows=3, cols=4, seed=5):
+    """A periodic-data grid: resistances and EMFs cycle with lengths 1, 2, 3
+    and 5, some after a preperiod."""
+    rng = random.Random(seed)
+    nodes = [f"n{i}{j}" for i in range(rows) for j in range(cols)]
+    branches = {}
+    for i in range(rows):
+        for j in range(cols):
+            if j + 1 < cols:
+                branches[f"h{i}{j}"] = (f"n{i}{j}", f"n{i}{j + 1}")
+            if i + 1 < rows:
+                branches[f"v{i}{j}"] = (f"n{i}{j}", f"n{i + 1}{j}")
+    g = StandardGraph("grid", 0, nodes0=nodes, branches=branches)
+
+    def cycling(lo, hi):
+        pre = [rng.uniform(lo, hi) for _ in range(rng.choice((0, 0, 1)))]
+        return periodic(pre, [rng.uniform(lo, hi) for _ in range(rng.choice((1, 2, 3, 5)))])
+
+    data = {bid: (cycling(0.5, 4.0), cycling(-3.0, 3.0)) for bid in branches}
+    return NsNetwork("mesh", GraphFamily("gridfam", (g,)), data)
+
+
+def test_a_healthy_periodic_solve_makes_no_svd(monkeypatch):
+    calls = []
+    cond = np.linalg.cond
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return cond(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counting)
+    op = operating_point(grid_network(), FilterOracle())
+    assert op.route == "periodic"
+    assert verify_laws(op).ok
+    assert calls == []
+    # an ill-conditioned phase still gets its SVD estimate
+    with pytest.raises(NumericalFailure, match=r"at index n=1"):
+        operating_point(chain_network(periodic((), (1.0, 1e-15))), FilterOracle())
+    assert len(calls) == 1
+
+
+def svd_gate(matrices, indices):
+    """The condition gate without certificates, kept as the reference:
+    np.linalg.cond on each matrix alone against the limit 1e12."""
+    passed, failed = [], {}
+    for row, (matrix, n) in enumerate(zip(matrices, indices)):
+        try:
+            condition = float(np.linalg.cond(matrix))
+        except np.linalg.LinAlgError as exc:
+            failed[n] = exc
+            continue
+        if math.isfinite(condition) and condition <= 1e12:
+            passed.append(row)
+        else:
+            failed[n] = NumericalFailure(
+                f"nodal matrix is ill-conditioned (condition {condition:.3e})",
+                condition=condition,
+                index=n,
+            )
+    return passed, failed
+
+
+def failures(found):
+    return {
+        n: (type(x), str(x), getattr(x, "index", None), repr(getattr(x, "condition", None)))
+        for n, x in found.items()
+    }
+
+
+def gated_solve(graph, r, e, indices):
+    """``_solve_batch`` with every gate decision checked against ``svd_gate``,
+    and the same solve with no matrix certified: both must agree bit for bit."""
+    gate, stacks = network._well_conditioned, []
+
+    def compared(matrices, at, failed):
+        found = {}
+        passed = gate(matrices, at, found)
+        expected_passed, expected_failed = svd_gate(matrices, at)
+        assert passed.tolist() == expected_passed
+        assert failures(found) == failures(expected_failed)
+        failed.update(found)
+        stacks.append(matrices.copy())
+        return passed
+
+    with mock.patch.object(network, "_well_conditioned", compared):
+        got = _solve_batch(graph, r, e, indices)
+    with mock.patch.object(network, "_certified", lambda m: np.zeros(len(m), dtype=bool)):
+        svd_only = _solve_batch(graph, r, e, indices)
+    for array, reference in zip(got[:3], svd_only[:3]):
+        assert array.tobytes() == reference.tobytes()
+    assert failures(got[3]) == failures(svd_only[3])
+    return got, stacks
+
+
+RESISTANCES = {
+    "plain": lambda rng: rng.uniform(0.1, 10.0),
+    "spread": lambda rng: 10.0 ** rng.uniform(-150, 150),
+    "subnormal": lambda rng: 5e-324 * rng.randint(1, 2**52),  # 1/r overflows to inf
+    "singular": lambda rng: rng.choice((1.0, 1e-20, 1e20)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_nodes=st.integers(1, 6),
+    n_branches=st.integers(1, 8),
+    size=st.integers(1, 6),
+    kinds=st.lists(st.sampled_from(sorted(RESISTANCES)), min_size=1, max_size=3),
+)
+def test_certified_gate_decides_as_the_svd_gate(seed, n_nodes, n_branches, size, kinds):
+    # endpoints drawn independently: self-loops, parallel branches, isolated
+    # nodes and disconnected components all occur
+    rng = random.Random(seed)
+    nodes = [f"n{k}" for k in range(n_nodes)]
+    branches = {f"b{k}": (rng.choice(nodes), rng.choice(nodes)) for k in range(n_branches)}
+    graph = StandardGraph("rand", 0, nodes0=nodes, branches=branches)
+    r = [[RESISTANCES[rng.choice(kinds)](rng) for _ in branches] for _ in range(size)]
+    e = [[rng.uniform(-5.0, 5.0) for _ in branches] for _ in range(size)]
+    _, stacks = gated_solve(graph, r, e, list(range(7, 7 + size)))
+    for stack in stacks:
+        certified = network._certified(stack)
+        event(f"certified {certified.sum()} of {len(certified)}")
+
+
+def test_an_exactly_singular_stack_is_left_to_the_svd_gate():
+    # b2's conductance 1e20 absorbs b1's 1 on the diagonal: [[1e20, -1e20], [-1e20, 1e20]]
+    g = StandardGraph("chain", 0, nodes0=["a", "b", "c"], branches={"b1": ("a", "b"), "b2": ("b", "c")})
+    r = [[1.0, 2.0], [1.0, 1e-20], [3.0, 0.5]]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(np.array([[1e20, -1e20], [-1e20, 1e20]]), np.ones(2))
+    (phi, _, _, failed), (stack,) = gated_solve(g, r, [[1.0, 0.0]] * 3, [0, 1, 2])
+    assert list(failed) == [1]
+    assert isinstance(failed[1], NumericalFailure) and failed[1].index == 1
+    assert phi[[0, 2]].any()
+    # the singular matrix sends its whole stack to the SVD; alone, the others pass
+    assert not network._certified(stack).any()
+    assert network._certified(stack[[0, 2]]).all()
 
 
 # -- generated windows filled from solved blocks -----------------------------------------
