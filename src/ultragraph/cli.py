@@ -46,6 +46,8 @@ _EXIT_VALIDATION = 3
 _EXIT_UNDECIDABLE = 4
 _EXIT_SOLVER = 5
 
+_CHUNK = 1 << 16  # characters of output written at once
+
 
 def _exit_code_for(exc: Exception) -> int:
     if isinstance(exc, ProjectError):
@@ -130,10 +132,26 @@ def main(argv: list[str] | None = None) -> int:
             _write_json(args.json, args.command, [f"error: {exc}"], code)
         return code
     lines.extend(_audit_lines(audit))
-    print("\n".join(lines))
+    _write_lines(lines, sys.stdout)
     if args.json:
         _write_json(args.json, args.command, lines, code)
     return code
+
+
+def _write_lines(lines: list[str], out) -> None:
+    """Write what ``print("\\n".join(lines))`` writes, one run of lines at a
+    time, so the whole text is never held at once. Each run aims at about
+    ``_CHUNK`` characters by the characters per line of the run before it,
+    and has at most twice its lines."""
+    start, step = 0, 1
+    while True:
+        text = "\n".join(lines[start : start + step])
+        out.write(text)
+        out.write("\n")
+        start += step
+        if start >= len(lines):
+            return
+        step = max(1, min(2 * step, step * _CHUNK // (len(text) + 1)))
 
 
 def _write_json(path: str, command: str, lines: list[str], code: int) -> None:

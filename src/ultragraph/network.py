@@ -71,6 +71,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import repeat
 from operator import add, mul, neg, sub, truediv
 
@@ -429,13 +430,21 @@ def _read_cells(seq, indices: range, failed: dict, convert) -> list:
 class _Solved:
     """The standard solutions over ``indices`` as columns: node or branch
     id -> its values over the range. ``failed`` maps each index that has no
-    solution to the exception solving it raises; its cells are filler."""
+    solution to the exception solving it raises; its cells are filler.
+
+    The branch voltages stay one array, a row per index, until
+    ``voltages`` is first read: only the periodic route reads them, as the
+    generated route derives its voltages as ``r*i - e``."""
 
     indices: range
     potentials: dict[str, list]
     currents: dict[str, list]
-    voltages: dict[str, list]
     failed: dict
+    voltage_rows: object  # numpy array, index x branch (sorted)
+
+    @cached_property
+    def voltages(self) -> dict[str, list]:
+        return dict(zip(self.currents, self.voltage_rows.T.tolist()))
 
 
 def _solve_at_indices(net: NsNetwork, indices: range) -> _Solved:
@@ -482,8 +491,8 @@ def _solve_at_indices(net: NsNetwork, indices: range) -> _Solved:
         indices,
         dict(zip(nodes, phi.T.tolist())),
         dict(zip(bids, currents.T.tolist())),
-        dict(zip(bids, voltages.T.tolist())),
         failed,
+        voltages,
     )
 
 

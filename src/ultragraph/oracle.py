@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     InconsistentPin,
@@ -65,8 +65,7 @@ class Pin:
     verdict: Membership
 
 
-@dataclass(frozen=True)
-class AuditEntry:
+class AuditEntry(NamedTuple):
     """One oracle decision that influenced a verdict."""
 
     subject: str
@@ -74,7 +73,8 @@ class AuditEntry:
     context: str
 
     def render(self) -> str:
-        return f"{self.context}: {self.subject} -> {self.verdict}"
+        subject, verdict, context = self
+        return f"{context}: {subject} -> {verdict}"
 
 
 def _crt_merge(mod_a: int, res_a: int, mod_b: int, res_b: int) -> tuple[int, int]:
@@ -191,7 +191,7 @@ class FilterOracle:
 
     def _record(self, subject: IndexSet, verdict: Membership, context: str) -> None:
         if self.audit is not None:
-            self.audit.append(AuditEntry(subject.describe(), verdict.value, context))
+            self.audit.append(AuditEntry(subject.describe(), verdict._value_, context))
 
     def decide(self, subject: IndexSet, context: str = "decide") -> Membership:
         """Is the set a member of the chosen ultrafilter?

@@ -18,11 +18,16 @@ keys so that two constructions known to be identical compare equal on all
 of N rather than on a sampled window.
 
 Nonstandard nodes are the shorting classes of a universe of extremities.
-The builder checks the decided relation for transitivity and checks the
-node axioms (at least one tip per node, at most one exceptional class per
-node, no exceptional class shared between nodes); a failure is an
-:class:`~ultragraph.errors.InvariantBreach`, signalling that the supplied
-prototypes or queries were malformed rather than a fault of the oracle.
+Between periodic owner sequences shorting is an equivalence by Łoś's
+theorem: the verdict is the equality of the two owners at the index the
+oracle selects. ``build_ns_nodes`` therefore decides each distinct
+agreement set once, and checks transitivity only in a universe that holds
+a generated or sampled owner, whose decisions rest on pins over a window.
+It also checks the node axioms (at least one tip per node, at most one
+exceptional class per node, no exceptional class shared between nodes); a
+failure is an :class:`~ultragraph.errors.InvariantBreach`, signalling that
+the supplied prototypes or queries were malformed rather than a fault of
+the oracle.
 """
 
 from __future__ import annotations
@@ -359,11 +364,52 @@ def _select_periodic_rank(ext: NsExtremity, oracle: FilterOracle) -> int:
 # -- shorting and node building --------------------------------------------------------
 
 
+def _same_level(a: NsExtremity, b: NsExtremity) -> bool:
+    return a.level is b.level or a.level == b.level
+
+
 def _require_same_level(a: NsExtremity, b: NsExtremity) -> None:
-    if a.level is not b.level and a.level != b.level:
+    if not _same_level(a, b):
         raise RankTooHigh(
             f"cannot short across levels {rank_str(a.level)} and {rank_str(b.level)}"
         )
+
+
+def _first_other_level(exts: list[NsExtremity]) -> int:
+    """The first position whose level differs from the first extremity's,
+    or ``len(exts)`` when all share one level."""
+    return next(
+        (j for j in range(1, len(exts)) if not _same_level(exts[0], exts[j])), len(exts)
+    )
+
+
+# The agreement pattern of two periodic owners that share no value: nowhere.
+_NOWHERE = (0, (False,))
+
+
+def _sharing_partners(exts: list[NsExtremity]) -> list[set[int] | None]:
+    """Per extremity, the positions of the periodic owners that share a
+    value with its periodic owner: any other pair of periodic owners agrees
+    nowhere. An owner whose values cannot be hashed is a partner of every
+    owner. None where the owner is not periodic or cannot be hashed."""
+    by_value: dict[object, list[int]] = {}
+    values: list[set | None] = []
+    wild: set[int] = set()
+    for k, e in enumerate(exts):
+        seen = None
+        if isinstance(e.owner_rep, PeriodicSeq):
+            try:
+                seen = {*e.owner_rep.pre, *e.owner_rep.cycle}
+            except TypeError:
+                wild.add(k)
+            else:
+                for v in seen:
+                    by_value.setdefault(v, []).append(k)
+        values.append(seen)
+    return [
+        None if seen is None else wild.union(*(by_value[v] for v in seen))
+        for seen in values
+    ]
 
 
 def ns_shorted(a: NsExtremity, b: NsExtremity, oracle: FilterOracle) -> bool:
@@ -411,9 +457,15 @@ def build_ns_nodes(
 ) -> NsLayer:
     """Partition the extremities into nonstandard nodes by decided shorting.
 
-    Each pair is decided as ``ns_shorted`` decides it. Periodic owner
-    sequences are unrolled once per extremity, and each distinct agreement
-    pattern is turned into its index set once per call.
+    Each pair is decided and audited as ``ns_shorted`` decides it, in pair
+    order. Two periodic owner sequences are compared over their unrolled
+    window only when they share an owner value (otherwise they agree
+    nowhere), and the oracle decides each distinct agreement set once per
+    call; later pairs with the same set record the same verdict. By Łoś
+    such a verdict is the equality of the two owners at the selected
+    index, so shorting among periodic owners is an equivalence. Only pairs
+    with a generated or sampled owner can break transitivity, and only a
+    universe holding such a pair is checked for it.
     """
     exts = list(extremities)
     classes = [classify(e, oracle) for e in exts]
@@ -422,8 +474,13 @@ def build_ns_nodes(
         _Unrolled(e.owner_rep) if isinstance(e.owner_rep, PeriodicSeq) else None
         for e in exts
     ]
-    agreements: dict[tuple[int, tuple], IndexSet] = {}
-    decided: dict[tuple[int, int], bool] = {}
+    near = _sharing_partners(exts)
+    mixed = None in owners
+    labels = [e.label for e in exts]
+    record, decide = oracle._record, oracle.decide
+    settled: dict[tuple[int, tuple] | None, tuple[IndexSet, Membership]] = {}
+    by_set: dict[IndexSet, tuple[IndexSet, Membership]] = {}
+    distinct: list[tuple[int, int]] = []  # pairs declared apart that a chain may join
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -432,27 +489,45 @@ def build_ns_nodes(
             i = parent[i]
         return i
 
+    def first_decision(pattern: tuple[int, tuple], context: str):
+        head, bits = pattern
+        agree = IndexSet.eventually_periodic(bits[:head], bits[head:])
+        known = by_set.get(agree)
+        if known is None:
+            known = by_set[agree] = (agree, decide(agree, context))
+        else:
+            record(known[0], known[1], context)
+        return known
+
+    IN = Membership.IN
     for i in range(n):
-        a = exts[i]
-        for j in range(i + 1, n):
-            b = exts[j]
-            _require_same_level(a, b)
-            if owners[i] is not None and owners[j] is not None:
-                pattern = _agreement_pattern(owners[i], owners[j])
-                agree = agreements.get(pattern)
-                if agree is None:
-                    head, bits = pattern
-                    agree = IndexSet.eventually_periodic(bits[:head], bits[head:])
-                    agreements[pattern] = agree
+        a, ua, shared = exts[i], owners[i], near[i]
+        prefix = f"shorting {a.label} with "
+        # Level equality is an equivalence, so the first pair across levels
+        # is in row 0.
+        stop = n if i else _first_other_level(exts)
+        for j in range(i + 1, stop):
+            context = prefix + labels[j]
+            ub = owners[j]
+            if ua is None or ub is None:
+                verdict = decide(agreement_set(a.owner_rep, exts[j].owner_rep), context)
             else:
-                agree = agreement_set(a.owner_rep, b.owner_rep)
-            verdict = oracle.decide(agree, context=f"shorting {a.label} with {b.label}")
-            same = verdict is Membership.IN
-            decided[(i, j)] = same
-            if same:
+                # None keys the pairs that share no owner value.
+                pattern = _agreement_pattern(ua, ub) if shared is None or j in shared else None
+                known = settled.get(pattern)
+                if known is None:
+                    known = settled[pattern] = first_decision(pattern or _NOWHERE, context)
+                else:
+                    record(known[0], known[1], context)
+                verdict = known[1]
+            if verdict is IN:
                 parent[find(i)] = find(j)
-    for (i, j), same in decided.items():
-        if not same and find(i) == find(j):
+            elif mixed:
+                distinct.append((i, j))
+        if stop < n:
+            _require_same_level(a, exts[stop])
+    for i, j in distinct:
+        if find(i) == find(j):
             raise InvariantBreach(
                 f"shorting decisions are not transitive: {exts[i].label} and "
                 f"{exts[j].label} were declared distinct yet share a node"

@@ -178,3 +178,54 @@ def test_build_and_classify_do_not_import_numpy():
         cwd=ROOT,
     )
     assert solved.stdout == "True\n"
+
+
+class Recorder:
+    """A text stream that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        [],
+        [""],
+        ["", ""],
+        ["one"],
+        [f"  line {k}" for k in range(30_000)],
+        ["x" * 200_000, "", "short", "y" * 70_000],
+        ["== build =="] + ["z" * 40_000] * 40 + [f"a{k}" for k in range(5_000)],
+    ],
+    ids=["none", "blank", "two-blank", "one", "many-short", "long", "short-then-long"],
+)
+def test_output_is_written_as_one_join_would_be_in_bounded_pieces(lines):
+    from ultragraph import cli
+
+    out = Recorder()
+    cli._write_lines(lines, out)
+    assert "".join(out.writes) == "\n".join(lines) + "\n"
+    longest = max((len(line) + 1 for line in lines), default=1)
+    # a piece holds about _CHUNK characters, or a single longer line
+    assert max(map(len, out.writes)) <= 2 * max(cli._CHUNK, longest)
+
+
+def test_main_writes_through_the_chunked_writer(monkeypatch, capsys):
+    from ultragraph import cli
+
+    written = []
+    write_lines = cli._write_lines
+
+    def recording(lines, out):
+        written.append(len(lines))
+        write_lines(lines, out)
+
+    monkeypatch.setattr(cli, "_write_lines", recording)
+    assert cli.main(["build", str(ROOT / "projects" / "tower.ug")]) == 0
+    golden = (GOLDEN / "build_tower.txt").read_text()
+    assert capsys.readouterr().out == golden
+    assert written == [golden.count("\n")]

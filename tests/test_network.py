@@ -1151,6 +1151,29 @@ def test_advisory_labels_solve_each_block_once_and_call_no_rule_per_index(monkey
     assert solved == [range(0, _BLOCK), range(_BLOCK, 2 * _BLOCK), range(2 * _BLOCK, 701)]
 
 
+def test_only_the_periodic_route_turns_voltages_into_columns(monkeypatch):
+    blocks = []
+    solve_at_indices = network._solve_at_indices
+
+    def keeping(net, indices):
+        found = solve_at_indices(net, indices)
+        blocks.append(found)
+        return found
+
+    monkeypatch.setattr(network, "_solve_at_indices", keeping)
+    op = operating_point(chain_network(named_generator("affine", (1, 1), 700)), FilterOracle())
+    labels = [*op.currents.values(), *op.voltages.values(), *op.potentials.values()]
+    assert [_advisory_class(h).describe() for h in labels]
+    assert verify_laws(op, tol=1e-9).ok
+    assert len(blocks) > 1 and not any("voltages" in vars(found) for found in blocks)
+    blocks.clear()
+    op = operating_point(chain_network(periodic((1,), (2.0, 5.0))), FilterOracle())
+    (found,) = blocks
+    assert "voltages" in vars(found)
+    assert found.voltages == dict(zip(sorted(op.voltages), found.voltage_rows.T.tolist()))
+    assert [value_at(op.voltages["b1"].rep, n) for n in range(3)] == found.voltages["b1"]
+
+
 def test_a_generated_assignment_is_solved_within_its_horizon():
     g = StandardGraph(
         "loop0", 0, nodes0=["a", "b"], branches={"b1": ("a", "b"), "b2": ("b", "a")}

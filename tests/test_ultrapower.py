@@ -31,8 +31,10 @@ from ultragraph import (
     periodic,
     truncate,
 )
-from ultragraph.errors import InvariantBreach, Undecidable
-from ultragraph.sequences import generated, horizon, value_at
+from ultragraph import ultrapower
+from ultragraph.errors import InconsistentPin, InvariantBreach, RankTooHigh, Undecidable
+from ultragraph.oracle import AuditEntry
+from ultragraph.sequences import agreement_set, generated, horizon, value_at
 from ultragraph.ultrapower import _audit_pointwise, _pairs
 
 from conftest import (
@@ -171,8 +173,6 @@ def test_transitivity_inclusion_holds_pointwise(alternating_family):
             periodic((), (Extremity("tip", "t0", 0), Extremity("tip", "s0", 0))),
         ),
     ]
-    from ultragraph.sequences import agreement_set
-
     for e, f, g in itertools.permutations(univ, 3):
         nef = agreement_set(e.owner_rep, f.owner_rep)
         nfg = agreement_set(f.owner_rep, g.owner_rep)
@@ -389,7 +389,8 @@ def test_generated_assignment_makes_shorting_undecidable(oracle):
 
 def pairwise_partition(exts, oracle):
     """What ``build_ns_nodes`` decides, the former way: classify every
-    extremity, then one ``ns_shorted`` call per pair, merged by union-find."""
+    extremity, then one ``ns_shorted`` call per pair, merged by union-find,
+    then every pair declared apart checked against the merged nodes."""
     for e in exts:
         classify(e, oracle)
     parent = list(range(len(exts)))
@@ -399,9 +400,18 @@ def pairwise_partition(exts, oracle):
             i = parent[i]
         return i
 
+    apart = []
     for i, j in itertools.combinations(range(len(exts)), 2):
         if ns_shorted(exts[i], exts[j], oracle):
             parent[find(i)] = find(j)
+        else:
+            apart.append((i, j))
+    for i, j in apart:
+        if find(i) == find(j):
+            raise InvariantBreach(
+                f"shorting decisions are not transitive: {exts[i].label} and "
+                f"{exts[j].label} were declared distinct yet share a node"
+            )
     groups = {}
     for i, e in enumerate(exts):
         groups.setdefault(find(i), []).append(e.label)
@@ -426,17 +436,24 @@ def tip_family(tips, groupings, assignment):
     return GraphFamily("rand", tuple(protos), assignment)
 
 
-def keyed_extremity(family, label):
-    # Periodic in kind, but with an opaque owner rule: only its key says that
-    # two such extremities share every owner.
+def owned_extremity(family, label, owner_rep, level=1):
+    """A tip extremity whose owner sequence is given outright."""
     return NsExtremity(
         family,
-        1,
+        level,
         periodic((), (Extremity("tip", "t0", 0),)),
-        generated(lambda n: "x0", 64, key=("keyed-owner",), label="x0"),
+        owner_rep,
         IndexSet.naturals(),
         periodic((), (0,)),
         label,
+    )
+
+
+def keyed_extremity(family, label):
+    # Periodic in kind, but with an opaque owner rule: only its key says that
+    # two such extremities share every owner.
+    return owned_extremity(
+        family, label, generated(lambda n: "x0", 64, key=("keyed-owner",), label="x0")
     )
 
 
@@ -462,40 +479,176 @@ def tip_universes(draw):
             draw(st.lists(tip, max_size=2)), draw(st.lists(tip, min_size=1, max_size=3))
         )
         exts.append(ns_extremity(family, 1, rep, label=f"q{q}"))
+    # Owners over the family's own node names, given outright: their shared
+    # values often sit only in a preperiod, or at positions that never
+    # coincide, so they agree on a finite set or nowhere.
+    owner = st.sampled_from(["x0", "x1", "x2", "x3"])
+    for q in range(draw(st.integers(0, 3))):
+        owners = periodic(
+            draw(st.lists(owner, max_size=2)), draw(st.lists(owner, min_size=1, max_size=3))
+        )
+        exts.append(owned_extremity(family, f"o{q}", owners))
+    # Generated owners read from a drawn cycle: a pair with one is decided
+    # through a sampled agreement set, which only a pin can decide.
+    for q in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        cycle = tuple(draw(st.lists(owner, min_size=1, max_size=3)))
+        rule = generated(lambda n, c=cycle: c[n % len(c)], 64, label=f"g{q}")
+        exts.append(owned_extremity(family, f"g{q}", rule))
     exts = draw(st.permutations(exts))
-    if draw(st.booleans()):
+    if draw(st.integers(0, 3)) == 2:
         # Two keyed extremities first: their pair is decided through
         # ``agreement_set``, and the next pair, against a periodic owner,
-        # is undecidable.
+        # is undecidable unless a pin decides it.
         exts = [keyed_extremity(family, "k0"), keyed_extremity(family, "k1"), *exts]
+    if draw(st.integers(0, 5)) == 2:
+        # One extremity of another level, anywhere: shorting across levels
+        # is an error at the first pair that crosses.
+        stray = owned_extremity(family, "lv2", periodic((), ("x0",)), level=2)
+        exts.insert(draw(st.integers(0, len(exts))), stray)
     return family, exts
 
 
+@settings(deadline=None)
 @given(
     tip_universes(),
     st.integers(1, 12),
     st.integers(0, 11),
-    st.lists(st.tuples(st.integers(2, 4), st.integers(0, 3)), max_size=1),
+    st.lists(st.tuples(st.integers(2, 4), st.integers(0, 3)), max_size=2),
 )
 def test_build_matches_pairwise_shorting(universe, modulus, residue, pins):
     family, exts = universe
 
     def oracle(audit):
+        # Pinning the naturals changes no exact verdict; it decides the
+        # sampled sets that hold everywhere or nowhere on their window.
         orc = FilterOracle([(modulus, residue % modulus)], audit=audit)
+        orc = orc.pin(IndexSet.naturals(), Membership.IN)
         for m, r in pins:
-            orc = orc.pin(IndexSet.residue_class(m, r), Membership.IN)
+            try:
+                orc = orc.pin(IndexSet.residue_class(m, r), Membership.IN)
+            except InconsistentPin:
+                pass
         return orc
 
     audit_new, audit_old = [], []
     try:
         layer = build_ns_nodes(family, 1, exts, oracle(audit_new))
-    except Undecidable as exc:
-        with pytest.raises(Undecidable, match=re.escape(str(exc))):
+    except (Undecidable, RankTooHigh, InvariantBreach) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
             pairwise_partition(exts, oracle(audit_old))
     else:
         got = sorted(tuple(m.label for m in node.members) for node in layer.nodes)
         assert got == pairwise_partition(exts, oracle(audit_old))
     assert audit_new == audit_old
+
+
+def edge_universe(case):
+    """Universes over one two-prototype family whose periodic owners share
+    values in ways the pairs must still be compared for."""
+    tips = ["t0", "t1", "t2", "t3"]
+    family = tip_family(tips, [[0, 0, 1, 2], [0, 1, 1, 3]], periodic((1,), (0, 1)))
+    exts = [constant_extremity(family, 1, Extremity("tip", t, 0)) for t in tips]
+    own = {
+        # x0 shared with t0's owner only at index 0, in both preperiods
+        "pre-only": periodic(("x0",), ("x2",)),
+        # x0 and x1 shared with t1's owner, never at the same index
+        "never-coincide": periodic((), ("x1", "x0")),
+        "finite-and-cofinite": periodic(("x3", "x0"), ("x0",)),
+        "unhashable": periodic((), (["x0"], ["x1"])),
+        "unhashable-twin": periodic((), (["x0"], ["x1"])),
+    }
+    if case == "mixed-levels":
+        stray = owned_extremity(family, "lv2", periodic((), ("x0",)), level=2)
+        return family, [*exts[:2], stray, *exts[2:]]
+    if case == "generated":
+        rule = generated(lambda n: "x0" if n % 2 else "x1", 64, label="g")
+        return family, [*exts[:2], owned_extremity(family, "g", rule), *exts[2:]]
+    return family, [*exts, *(owned_extremity(family, label, o) for label, o in own.items())]
+
+
+@pytest.mark.parametrize("case", ["shared-values", "mixed-levels", "generated"])
+@pytest.mark.parametrize("odds", [False, True])
+def test_build_matches_pairwise_shorting_on_edge_universes(case, odds):
+    family, exts = edge_universe(case)
+
+    def oracle(audit):
+        orc = FilterOracle(audit=audit)
+        return orc.pin(IndexSet.residue_class(2, 1), Membership.IN) if odds else orc
+
+    audit_new, audit_old = [], []
+    try:
+        layer = build_ns_nodes(family, 1, exts, oracle(audit_new))
+    except (Undecidable, RankTooHigh) as exc:
+        assert case != "shared-values"
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            pairwise_partition(exts, oracle(audit_old))
+    else:
+        assert case != "mixed-levels"
+        got = sorted(tuple(m.label for m in node.members) for node in layer.nodes)
+        assert got == pairwise_partition(exts, oracle(audit_old))
+    assert audit_new == audit_old
+    subjects = {e.subject for e in audit_new if e.context.startswith("shorting ")}
+    if case == "shared-values":
+        # the shared values still gave finite, empty and cofinite sets
+        assert {"finite={0}", "finite={}", "cofinite={0}"} <= subjects
+    if case == "mixed-levels":
+        # row 0 is decided up to the extremity across levels
+        assert [e.context for e in audit_new if e.context.startswith("shorting ")] == [
+            "shorting tip:t0 with tip:t1"
+        ]
+
+
+def short_window_owner(values, label):
+    """A generated owner whose trusted window is the values given."""
+    return generated(lambda n: values[n], len(values) - 1, label=label)
+
+
+def window_pins(oracle, *members):
+    """Pin, for each run of members, a sampled set holding exactly those
+    indices on [0, 5] and every index from 6 to 100."""
+    for chosen in members:
+        target = IndexSet.sampled(lambda n, c=chosen: n in c or n >= 6, 100)
+        oracle = oracle.pin(target, Membership.IN)
+    return oracle
+
+
+def test_non_transitive_shorting_among_generated_owners_is_a_breach(oracle, loop_family):
+    # g1 ~ g2 on {0, 1}, g2 ~ g3 on {2, 3}, g1 and g3 never agree; pins on
+    # the sampled window make the first two large and the last small.
+    exts = [
+        owned_extremity(loop_family, "g1", short_window_owner("xxxxxx", "g1")),
+        owned_extremity(loop_family, "g2", short_window_owner("xxyyzz", "g2")),
+        owned_extremity(loop_family, "g3", short_window_owner("wwyyww", "g3")),
+    ]
+    pinned = window_pins(oracle, {0, 1}, {2, 3}, set(range(6)))
+    with pytest.raises(InvariantBreach, match="g1 and g3 were declared distinct"):
+        build_ns_nodes(loop_family, 1, exts, pinned)
+
+
+def test_generated_owner_joining_periodic_owners_declared_apart_is_a_breach(oracle, loop_family):
+    # p1 and p2 never agree, so they are apart exactly; a generated owner
+    # that the pins short to both joins them all the same.
+    exts = [
+        owned_extremity(loop_family, "p1", periodic((), ("x",))),
+        owned_extremity(loop_family, "p2", periodic((), ("y",))),
+        owned_extremity(loop_family, "g", short_window_owner("xxyyzz", "g")),
+    ]
+    pinned = window_pins(oracle, {0, 1}, {2, 3})
+    with pytest.raises(InvariantBreach, match="p1 and p2 were declared distinct"):
+        build_ns_nodes(loop_family, 1, exts, pinned)
+
+
+def test_audit_entries_are_light_immutable_records():
+    entry = AuditEntry("finite={}", "out", "shorting a with b")
+    assert AuditEntry._fields == ("subject", "verdict", "context")
+    assert repr(entry) == "AuditEntry(subject='finite={}', verdict='out', context='shorting a with b')"
+    assert entry.render() == "shorting a with b: finite={} -> out"
+    assert (entry.subject, entry.verdict, entry.context) == tuple(entry)
+    with pytest.raises(AttributeError):
+        entry.verdict = "in"
+    assert entry == AuditEntry("finite={}", "out", "shorting a with b")
+    assert entry != AuditEntry("finite={}", "in", "shorting a with b")
+    assert hash(entry) == hash(AuditEntry("finite={}", "out", "shorting a with b"))
 
 
 def test_shorting_canonicalizes_each_pattern_once_and_owners_are_indexed_once(monkeypatch):
@@ -523,13 +676,49 @@ def test_shorting_canonicalizes_each_pattern_once_and_owners_are_indexed_once(mo
         return canonical(pre, cycle)
 
     monkeypatch.setattr(IndexSet, "eventually_periodic", staticmethod(counting_canonical))
+
+    decided = []
+    decide = FilterOracle.decide
+
+    def counting_decide(self, subject, context="decide"):
+        if context.startswith("shorting "):
+            decided.append(subject)
+        return decide(self, subject, context)
+
+    compared = []
+    pattern = ultrapower._agreement_pattern
+
+    def counting_pattern(a, b):
+        compared.append(((tuple(a.values[: a.head]), a.cycle), (tuple(b.values[: b.head]), b.cycle)))
+        return pattern(a, b)
+
+    monkeypatch.setattr(FilterOracle, "decide", counting_decide)
+    monkeypatch.setattr(ultrapower, "_agreement_pattern", counting_pattern)
     audit = []
     layer = build_ns_nodes(family, 1, exts, FilterOracle(audit=audit))
-    pairs = len(exts) * (len(exts) - 1) // 2
-    assert sum(e.context.startswith("shorting ") for e in audit) == pairs
+    monkeypatch.undo()
+    pairs = list(itertools.combinations(exts, 2))
+    shorting = [e for e in audit if e.context.startswith("shorting ")]
+    assert [e.context for e in shorting] == [f"shorting {a.label} with {b.label}" for a, b in pairs]
     assert len(canonicalized) == len(set(canonicalized))
-    assert len(canonicalized) < pairs // 10
+    assert len(canonicalized) < len(pairs) // 10
     assert layer.nodes
+    # One decision per distinct agreement set, in the order of first use.
+    agreements = [agreement_set(a.owner_rep, b.owner_rep) for a, b in pairs]
+    assert decided == list(dict.fromkeys(agreements))
+    assert [e.subject for e in shorting] == [s.describe() for s in agreements]
+
+    # Owners are compared position by position only where they share a value.
+    def values(owner):
+        return set(owner.pre) | set(owner.cycle)
+
+    sharing = [
+        ((a.pre, a.cycle), (b.pre, b.cycle))
+        for a, b in ((a.owner_rep, b.owner_rep) for a, b in pairs)
+        if values(a) & values(b)
+    ]
+    assert compared == sharing
+    assert 0 < len(sharing) < len(pairs)
 
 
 def reference_audit_pointwise(nodes, upto, notes):
