@@ -160,16 +160,11 @@ def _write_json(path: str, command: str, lines: list[str], code: int) -> None:
 
 
 def _audit_lines(audit: list) -> list[str]:
-    rendered: list[str] = []
-    seen: set[str] = set()
-    for entry in audit:
-        text = entry.render()
-        if text not in seen:
-            seen.add(text)
-            rendered.append(text)
+    """Each distinct audit line once, in the order first recorded."""
+    rendered = dict.fromkeys("  " + entry.render() for entry in audit)
     if not rendered:
         return []
-    return ["", "== audit =="] + [f"  {text}" for text in rendered]
+    return ["", "== audit ==", *rendered]
 
 
 def _run(command: str, project: Project, oracle: FilterOracle, args) -> tuple[list[str], int]:

@@ -15,6 +15,12 @@ Magnitude classification and standard parts never extrapolate numerically:
   infinitesimal/finite, declared unbounded plus monotone for infinite;
 * anything else is ``Unknown``, and ``standard_part`` raises
   ``NoCertificate``.
+
+A number is immutable, so its certificate is checked once: ``trait_check``
+runs the first time ``classify``, ``standard_part`` or ``describe`` needs
+it, and ``certify`` returns a number carrying the check it made. A
+``TraitViolated`` is kept and raised again; any other exception met while
+reading the window is not kept, so the next call reads again.
 """
 
 from __future__ import annotations
@@ -49,11 +55,12 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div}
 class Hyperreal:
     """A sequence class representing one nonstandard real."""
 
-    __slots__ = ("rep", "oracle")
+    __slots__ = ("rep", "oracle", "_cert")
 
     def __init__(self, rep: SeqDescriptor, oracle: FilterOracle):
         self.rep = rep
         self.oracle = oracle
+        self._cert = None
 
     @classmethod
     def lift(cls, value, oracle: FilterOracle) -> "Hyperreal":
@@ -127,6 +134,25 @@ class Hyperreal:
         n0 = head + ((residue - head) % period)
         return sq.value_at(self.rep, n0)
 
+    def _certificate(self) -> tuple:
+        """(class, standard part or None, ``TraitViolated`` or None) of a
+        generated number, from one ``trait_check`` kept on the number."""
+        if self._cert is None:
+            rep = self.rep
+            cls, st, violation = MagnitudeClass.UNKNOWN, None, None
+            try:
+                sq.trait_check(rep)
+            except TraitViolated as exc:
+                violation = exc
+            else:
+                if rep.limit is not None and sq.MONOTONE in rep.traits:
+                    st = rep.limit
+                    cls = MagnitudeClass.INFINITESIMAL if st == 0 else MagnitudeClass.FINITE
+                elif sq.UNBOUNDED in rep.traits and sq.MONOTONE in rep.traits:
+                    cls = MagnitudeClass.INFINITE
+            self._cert = (cls, st, violation)
+        return self._cert
+
     def classify(self) -> MagnitudeClass:
         if isinstance(self.rep, PeriodicSeq):
             return (
@@ -134,20 +160,7 @@ class Hyperreal:
                 if self.selected_value() == 0
                 else MagnitudeClass.FINITE
             )
-        try:
-            sq.trait_check(self.rep)
-        except TraitViolated:
-            return MagnitudeClass.UNKNOWN
-        traits = self.rep.traits
-        if self.rep.limit is not None and sq.MONOTONE in traits:
-            return (
-                MagnitudeClass.INFINITESIMAL
-                if self.rep.limit == 0
-                else MagnitudeClass.FINITE
-            )
-        if sq.UNBOUNDED in traits and sq.MONOTONE in traits:
-            return MagnitudeClass.INFINITE
-        return MagnitudeClass.UNKNOWN
+        return self._certificate()[0]
 
     def standard_part(self):
         """The standard number infinitely close to this one.
@@ -158,18 +171,21 @@ class Hyperreal:
         """
         if isinstance(self.rep, PeriodicSeq):
             return self.selected_value()
-        if self.rep.limit is not None and sq.MONOTONE in self.rep.traits:
-            sq.trait_check(self.rep)
-            return self.rep.limit
-        raise NoCertificate(
-            "no convergence certificate: declare a limit with the monotone trait"
-        )
+        if self.rep.limit is None or sq.MONOTONE not in self.rep.traits:
+            raise NoCertificate(
+                "no convergence certificate: declare a limit with the monotone trait"
+            )
+        _, st, violation = self._certificate()
+        if violation is not None:
+            raise violation
+        return st
 
     def certify(self, limit=None, monotone=False, unbounded=False, injective=False) -> "Hyperreal":
         """Attach declared traits or a limit, spot-checking them first.
 
-        Returns a new number with the declarations recorded; raises
-        ``TraitViolated`` when the samples contradict them.
+        Returns a new number with the declarations recorded, carrying that
+        check as its certificate; raises ``TraitViolated`` when the samples
+        contradict them.
         """
         if isinstance(self.rep, PeriodicSeq):
             return self
@@ -188,8 +204,11 @@ class Hyperreal:
             key=self.rep.key,
             label=self.rep.label,
         )
-        sq.trait_check(rep)
-        return Hyperreal(rep, self.oracle)
+        certified = Hyperreal(rep, self.oracle)
+        violation = certified._certificate()[2]
+        if violation is not None:
+            raise violation
+        return certified
 
     # -- rendering -------------------------------------------------------------------
 
@@ -279,10 +298,9 @@ def _combine(a: SeqDescriptor, b: SeqDescriptor, op: str) -> SeqDescriptor:
     if ka is not None and kb is not None:
         key = ({"+": "add", "-": "sub", "*": "mul", "/": "div"}[op], ka, kb)
         label = f"({_short(a)} {op} {_short(b)})"
-    read_a, read_b = sq.reader(a), sq.reader(b)
 
     def rule(n: int):
-        return fn(read_a(n), read_b(n))
+        return fn(sq.value_at(a, n), sq.value_at(b, n))
 
     def fill(start: int, stop: int) -> list:
         # b is read only as far as a goes. Where either span stops short,
@@ -324,11 +342,14 @@ def _guard_divisor(divisor: SeqDescriptor, oracle: FilterOracle) -> None:
         if oracle.decide(zero, context="division zero-set") is Membership.IN:
             raise DivisionByZeroClass("divisor is the zero class")
         return
-    for n, value in enumerate(sq.samples(divisor, divisor.n_max)):
+    values = sq.span(divisor, 0, divisor.n_max + 1)
+    for n, value in enumerate(values):
         if value == 0:
             raise DivisionByZeroClass(
                 f"divisor vanishes at n={n}; its zero-set is not decidably negligible"
             )
+    if len(values) <= divisor.n_max:  # the span stopped where the rule raises
+        sq.value_at(divisor, len(values))
 
 
 def hr_eq(x: Hyperreal, y: Hyperreal) -> bool:

@@ -52,19 +52,23 @@ every decision and every ``NumericalFailure`` is the one the SVD alone
 gives.
 
 ``verify_laws`` re-reads values from the operating point's descriptors, so
-a perturbed operating point is honestly re-checked: it confirms Kirchhoff's
-current law at every node, Kirchhoff's voltage law around every fundamental
-loop of a spanning tree, Ohm's law per branch, and Tellegen's theorem, with
-residuals normalized by the magnitude of the data. The laws are checked by
-columns. Each descriptor is read once over the checked indices: the joint
-structural window by whole cycles on the periodic route, the first
-``check_upto`` indices one at a time on the generated route. Indices are
-grouped by prototype, and each residual column is formed from the same
-operands in the same order as a per-index check, so every float equals
-the per-index one. Only the worst residual of each law subject is kept,
-with its first index as witness. A NaN residual, which an infinite value
-also gives once normalized (inf/inf), is worse than any number: its law is
-VIOLATED at the first index where it occurs.
+a perturbed operating point is honestly re-checked: it confirms
+Kirchhoff's current law at every node, Kirchhoff's voltage law around
+every fundamental loop of a spanning tree, Ohm's law per branch, and
+Tellegen's theorem, with residuals normalized by the magnitude of the
+data. The laws are checked by columns. Each descriptor is read once over
+the checked indices as a ``span``: the joint structural window on the
+periodic route, the first ``check_upto`` indices on the generated route.
+Where a column stops short, its first missing index is read again in the
+order a per-index check reads it (the graph, the assignment, then
+currents, voltages, resistances and EMFs in declaration order), so the
+same exception escapes as from that check. Indices are grouped by
+prototype, and each residual column is formed from the same operands in
+the same order as a per-index check, so every float equals the per-index
+one. Only the worst residual of each law subject is kept, with its first
+index as witness. A NaN residual, which an infinite value also gives once
+normalized (inf/inf), is worse than any number: its law is VIOLATED at the
+first index where it occurs.
 """
 
 from __future__ import annotations
@@ -87,7 +91,6 @@ from .sequences import (
     span,
     structural_window,
     value_at,
-    values_window,
 )
 from .ultrapower import GraphFamily
 
@@ -763,21 +766,20 @@ def verify_laws(op: OperatingPoint, tol: float = 1e-9, check_upto: int = 64) -> 
             seqs.extend((r, e))
         head, period = structural_window(*seqs)
         indices = range(head + period)
-        last = len(indices) - 1
-        protos = values_window(net.family.assignment, last)
-        columns = [[values_window(seq, last) for seq in part] for part in sources]
     else:
-        # At most check_upto indices, read in the order a per-index check
-        # reads them, so the first failing read is the one that escapes.
         indices = range(min(check_upto, int(op.horizon)))
-        protos = []
-        columns = [[[] for _ in bids] for _ in sources]
-        for n in indices:
-            net.family.graph_at(n)
-            protos.append(value_at(net.family.assignment, n))
-            for part, cols in zip(sources, columns):
-                for seq, col in zip(part, cols):
-                    col.append(value_at(seq, n))
+    protos = span(net.family.assignment, 0, len(indices))
+    columns = [[span(seq, 0, len(indices)) for seq in part] for part in sources]
+    short = min(map(len, [protos, *(col for cols in columns for col in cols)]))
+    if short < len(indices):
+        # Re-read the first index some column lacks in the order a per-index
+        # check reads it (``graph_at`` reads the assignment), so the read
+        # that fails first is the one raised.
+        net.family.graph_at(short)
+        for part in sources:
+            for seq in part:
+                value_at(seq, short)
+        raise InvariantBreach(f"a law column stopped short at n={short} without a failing read")
     positions: dict = {}
     for k, proto in enumerate(protos):
         positions.setdefault(proto, []).append(k)

@@ -19,38 +19,37 @@ index when the samples contradict the declaration; beyond the horizon they
 are trusted. That trust boundary is explicit and reported, since properties
 like unboundedness are not decidable from finitely many samples.
 
-A generated rule is evaluated at most once per index: ``trait_check``,
-``values_window`` and ``samples`` read one window of values kept per rule
-(per ``fn``, so copies of a descriptor share it) for as long as the rule
+A range of a descriptor is read in one of two ways. ``values_window(seq,
+upto)`` gives the values at 0 .. upto and raises what the rule raises at
+the first index that fails, or ``BeyondHorizon`` past the horizon.
+``span(seq, start, stop)`` never raises: it gives the values over the
+range, cut short where a generated one raises or passes its horizon; a
+caller that needs the exception reads the index where the span stopped
+with ``value_at``. ``value_at`` is the read of a single index.
+
+A generated rule is evaluated at most once per index: both range reads,
+and so ``trait_check``, read one window of values kept per rule (per
+``fn``, so copies of a descriptor share it) for as long as the rule
 lives. Rules must therefore be deterministic. An evaluation that raises
-leaves its index unrecorded, so asking again raises again.
+leaves its index unrecorded, so asking again raises again. A rule that
+keeps no window (one that cannot be weakly referenced) is evaluated over
+the range read alone.
 
 A rule may also carry a ``fill(start, stop)`` attribute that computes a
 block of its window at once. The contract: return ``fn(n)`` for n =
 start, start + 1, ..., stopping before the first index whose evaluation
 raises; never raise, and never read past the rule's horizon. A window is
 grown through ``fill`` when the rule has one, and otherwise by calling
-``fn(n)`` index by index. After a short fill the next index is evaluated
+``fn(n)`` index by index, as for rules without ``fill`` (``affine``,
+``mod``, user callables). After a short fill the next index is evaluated
 by ``fn`` itself, which raises the real exception, so a raising index is
-still never recorded. ``fn`` stays the rule: ``value_at`` and ``reader``
-call it per index, and rules without ``fill`` (``affine``, ``mod``, user
-callables) are read that way throughout. ``span`` is the read a ``fill``
-makes of another descriptor, and a block solve of its generated data: its
-values over a range, cut short where a generated one raises. A rule that
-keeps no window (one that cannot be weakly referenced) is evaluated over
-that range alone.
+still never recorded. ``fn`` stays the rule: ``value_at`` calls it per
+index. ``span`` is the read a ``fill`` makes of another descriptor.
 
 A periodic descriptor is read by whole cycles: ``values_window``,
-``pointwise`` and ``agreement_set`` unroll it once (``_Unrolled``) and
-slice the columns they need, never going through ``value_at`` index by
-index.
-
-``reader(seq)`` binds ``n -> value_at(seq, n)`` once, for code that
-evaluates one descriptor at many indices. It is defined for n >= 0 only
-and does not check the sign: a periodic reader indexes its preperiod or
-cycle directly (a constant one returns its value), and a generated reader
-calls ``fn`` behind its own horizon check, raising ``BeyondHorizon`` past
-``n_max`` as ``value_at`` does.
+``span``, ``pointwise`` and ``agreement_set`` unroll it once
+(``_Unrolled``) and slice the columns they need, never going through
+``value_at`` index by index.
 """
 
 from __future__ import annotations
@@ -61,7 +60,7 @@ from dataclasses import dataclass, field
 from itertools import compress, count, islice, repeat
 from math import lcm
 from operator import eq, ge, gt, le, lt, sub
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
 from ._periodic import minimize, unrolled
 from .errors import BeyondHorizon, TraitViolated
@@ -146,27 +145,6 @@ def value_at(seq: SeqDescriptor, n: int):
     return seq.fn(n)
 
 
-def reader(seq: SeqDescriptor) -> Callable[[int], Any]:
-    """``n -> value_at(seq, n)`` for n >= 0, bound once (module docstring)."""
-    if isinstance(seq, PeriodicSeq):
-        pre, cycle = seq.pre, seq.cycle
-        head, period = len(pre), len(cycle)
-        if not head and period == 1:
-            (value,) = cycle
-            return lambda n: value
-        if not head:
-            return lambda n: cycle[n % period]
-        return lambda n: pre[n] if n < head else cycle[(n - head) % period]
-    fn, n_max = seq.fn, seq.n_max
-
-    def read(n: int):
-        if n > n_max:
-            raise BeyondHorizon(f"generated sequence evaluated at n={n} beyond horizon {n_max}")
-        return fn(n)
-
-    return read
-
-
 def horizon(seq: SeqDescriptor) -> float:
     return math.inf if isinstance(seq, PeriodicSeq) else seq.n_max
 
@@ -194,11 +172,6 @@ def _extend(fn, vals: list, stop: int) -> list:
     return vals
 
 
-def _values(seq: GeneratedSeq, upto: int) -> list:
-    """``seq.fn(n)`` for n = 0..upto, computing only indices not seen before."""
-    return _extend(seq.fn, _window(seq.fn), upto + 1)[: upto + 1]
-
-
 def span(seq: SeqDescriptor, start: int, stop: int) -> list:
     """The values of ``seq`` at start .. stop - 1; for a generated
     descriptor only those before the first index that raises or lies past
@@ -223,22 +196,13 @@ def span(seq: SeqDescriptor, start: int, stop: int) -> list:
     return vals[start:stop]
 
 
-def samples(seq: GeneratedSeq, upto: int) -> Iterator:
-    """Like ``_values``, lazily: a scan that stops early computes no further.
-
-    The horizon is the caller's to respect.
-    """
-    vals = _window(seq.fn)
-    for n in range(upto + 1):
-        if n == len(vals):
-            vals.append(seq.fn(n))
-        yield vals[n]
-
-
 def values_window(seq: SeqDescriptor, upto: int) -> list:
+    """The values of ``seq`` at 0 .. upto. Raises where a generated rule
+    raises, or ``BeyondHorizon`` when upto lies past its horizon."""
     if isinstance(seq, PeriodicSeq):
         return _Unrolled(seq).span(0, upto + 1)
-    vals = _values(seq, min(upto, seq.n_max))
+    end = min(upto, seq.n_max) + 1
+    vals = _extend(seq.fn, _window(seq.fn), end)[:end]
     if upto > seq.n_max:
         raise BeyondHorizon(
             f"generated sequence evaluated at n={seq.n_max + 1} beyond horizon {seq.n_max}"
@@ -341,7 +305,7 @@ def trait_check(seq: SeqDescriptor, upto: int | None = None) -> TraitReport:
         vals = sorted({_fmt(v) for v in seq.pre + seq.cycle})
         return TraitReport(True, [f"finitely many values {{{', '.join(vals)}}}"])
     end = seq.n_max if upto is None else min(upto, seq.n_max)
-    vals = _values(seq, end)
+    vals = values_window(seq, end)
     notes = []
     if MONOTONE in seq.traits:
         _check_monotone(vals)

@@ -89,7 +89,7 @@ class GraphFamily:
         if isinstance(assignment, PeriodicSeq):
             probe = set(assignment.pre) | set(assignment.cycle)
         else:
-            probe = {value_at(assignment, n) for n in range(min(64, assignment.n_max) + 1)}
+            probe = set(values_window(assignment, min(64, assignment.n_max)))
         for k in probe:
             if not isinstance(k, int) or not 0 <= k < len(prototypes):
                 raise ValueError(f"assignment value {k!r} is not a prototype index")

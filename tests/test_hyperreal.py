@@ -24,10 +24,12 @@ from ultragraph import (
     named_generator,
     periodic,
 )
+from ultragraph import sequences
 from ultragraph.errors import (
     BeyondHorizon,
     DivisionByZeroClass,
     NoCertificate,
+    SolverFailure,
     TraitViolated,
     Undecidable,
 )
@@ -113,6 +115,26 @@ def test_generated_divisor_with_any_zero_sample_is_refused(orc):
         x / dips
 
 
+@pytest.mark.parametrize(
+    "zero_at, raise_at, raised, at",
+    [
+        (3, 5, DivisionByZeroClass, 3),
+        (5, 3, LookupError, 3),
+        (None, 3, LookupError, 3),
+        (3, 3, LookupError, 3),
+        (7, None, DivisionByZeroClass, 7),
+    ],
+)
+def test_a_generated_divisor_fails_at_its_first_zero_or_raising_index(orc, zero_at, raise_at, raised, at):
+    def rule(n):
+        if n == raise_at:
+            raise LookupError(f"no value at n={n}")
+        return 0.0 if n == zero_at else 1.0 + n
+
+    with pytest.raises(raised, match=f"n={at}"):
+        Hyperreal.lift(1.0, orc) / Hyperreal(generated(rule, 64), orc)
+
+
 def test_classify_certified_decay_is_infinitesimal(orc):
     x = Hyperreal(
         generated(lambda n: 1 / (n + 1), 512, traits=(MONOTONE,), limit=0.0), orc
@@ -154,6 +176,64 @@ def test_certify_rejects_a_gap_that_levels_off(orc):
     with pytest.raises(TraitViolated, match="levels off"):
         x.certify(limit=0.0, monotone=True)
     assert x.certify(limit=1.0, monotone=True).standard_part() == 1.0
+
+
+# -- one certificate per number ----------------------------------------------------------
+
+
+@pytest.fixture
+def trait_checks(monkeypatch):
+    """The descriptors ``sequences.trait_check`` is called on, in order."""
+    calls = []
+    check = sequences.trait_check
+
+    def counted(seq, upto=None):
+        calls.append(seq)
+        return check(seq, upto)
+
+    monkeypatch.setattr(sequences, "trait_check", counted)
+    return calls
+
+
+def test_a_declared_number_is_checked_once(orc, trait_checks):
+    x = Hyperreal(generated(lambda n: 1 / (n + 1), 512, traits=(MONOTONE,), limit=0.0), orc)
+    assert x.classify() is MagnitudeClass.INFINITESIMAL
+    assert x.standard_part() == 0.0
+    assert x.describe().endswith(":: infinitesimal, st=0.0")
+    assert trait_checks == [x.rep]
+
+
+def test_a_certified_number_carries_the_check_certify_made(orc, trait_checks):
+    x = Hyperreal(generated(lambda n: 1 + 1 / (n + 1), 512), orc)
+    certified = x.certify(limit=1.0, monotone=True)
+    assert trait_checks == [certified.rep]
+    assert certified.describe().endswith(":: finite, st=1.0")
+    assert trait_checks == [certified.rep]
+
+
+def test_a_false_limit_is_one_violation_raised_each_time(orc, trait_checks):
+    x = Hyperreal(generated(lambda n: 1 + 1 / (n + 1), 512, traits=(MONOTONE,), limit=0.0), orc)
+    assert x.classify() is MagnitudeClass.UNKNOWN
+    with pytest.raises(TraitViolated) as first:
+        x.standard_part()
+    with pytest.raises(TraitViolated) as again:
+        x.describe()
+    assert again.value is first.value
+    assert len(trait_checks) == 1
+
+
+def test_a_failing_window_read_is_met_by_every_call(orc, trait_checks):
+    def rule(n):
+        if n == 40:
+            raise SolverFailure("no solution", index=n)
+        return 1 / (n + 1)
+
+    x = Hyperreal(generated(rule, 512, traits=(MONOTONE,), limit=0.0), orc)
+    for call in (x.classify, x.standard_part, x.describe) * 2:
+        with pytest.raises(SolverFailure, match="n=40"):
+            call()
+    # nothing is kept, so every call reads the window again
+    assert len(trait_checks) == 6
 
 
 def test_describe_renders_class_and_standard_part(orc):

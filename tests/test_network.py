@@ -690,6 +690,91 @@ def test_column_law_checks_match_on_the_generated_route():
     assert not report.ok
 
 
+def law_fault(name, raise_at, bad_at, value, bad):
+    """``value(n)``, but raising at ``raise_at`` and ``bad`` at ``bad_at``
+    (either None for no fault), as a keyed generated rule."""
+
+    def rule(n):
+        if n == raise_at:
+            raise LookupError(f"{name}: no value at n={n}")
+        return bad if n == bad_at else value(n)
+
+    return generated(rule, 4 * _BLOCK, key=(name, raise_at, bad_at))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_generated_law_checks_fail_as_the_per_index_check(data):
+    # The family reads its assignment at 0..64 when it is built, so the
+    # assignment's fault lies past 64; the others may share its index.
+    at = data.draw(st.integers(65, 95), label="at")
+
+    def where(low):
+        return data.draw(st.one_of(st.none(), st.just(at), st.integers(low, 95)))
+
+    r_raise, r_bad, e_raise, proto_raise = where(0), where(0), where(0), where(65)
+    check_upto = data.draw(st.integers(60, 100), label="check_upto")
+    g0 = StandardGraph(
+        "tri", 0, nodes0=["a", "b", "c"], branches={"b1": ("a", "b"), "b2": ("b", "c"), "b3": ("c", "a")}
+    )
+    g1 = StandardGraph(
+        "par", 0, nodes0=["a", "b", "c"], branches={"b1": ("a", "b"), "b2": ("a", "b"), "b3": ("b", "c")}
+    )
+    net = NsNetwork(
+        "faults",
+        GraphFamily("faultfam", (g0, g1), law_fault("proto", proto_raise, None, lambda n: n % 3 // 2, 0)),
+        {
+            "b3": (periodic((), (2.0,)), periodic((), (2.0, -1.0))),
+            "b1": (
+                law_fault("r", r_raise, r_bad, lambda n: 1.0 + n / 8, -1.0),
+                law_fault("e", e_raise, None, lambda n: 0.5, 0.0),
+            ),
+            "b2": (periodic((3.0,), (1.5,)), periodic((), (0.0,))),
+        },
+    )
+    op = operating_point(net, FilterOracle())
+    assert op.route == "generated"
+    try:
+        reference = reference_law_worst(op, check_upto=check_upto)
+    except Exception:  # noqa: BLE001 - verify_laws must raise the same
+        expected = failure_of(lambda: reference_law_worst(op, check_upto=check_upto))
+        assert failure_of(lambda: verify_laws(op, check_upto=check_upto)) == expected
+        return
+    assert checks_by_subject(verify_laws(op, check_upto=check_upto)) == {
+        key: (value.hex(), n, value <= 1e-9) for key, (value, n) in reference.items()
+    }
+
+
+def test_generated_law_checks_make_no_single_value_reads(monkeypatch):
+    import ultragraph.sequences as sequences_module
+    import ultragraph.ultrapower as ultrapower_module
+
+    calls, rule_calls = [], []
+    solution_rule, original = network._solution_rule, sequences_module.value_at
+
+    def counted_rule(*args):
+        rule = solution_rule(*args)
+
+        def counted(n):
+            rule_calls.append(n)
+            return rule(n)
+
+        counted.fill = rule.fill
+        return counted
+
+    def counting(seq, n):
+        calls.append(n)
+        return original(seq, n)
+
+    monkeypatch.setattr(network, "_solution_rule", counted_rule)
+    op = operating_point(chain_network(named_generator("affine", (1, 1), 700)), FilterOracle())
+    for module in (network, sequences_module, ultrapower_module):
+        monkeypatch.setattr(module, "value_at", counting)
+    report = verify_laws(op)
+    assert report.ok and report.checks
+    assert calls == [] and rule_calls == []
+
+
 def alternating_op():
     """The two-phase loop of ``test_alternating_family_solves_per_phase``."""
     g = StandardGraph(

@@ -31,12 +31,10 @@ from ultragraph.sequences import (
     _check_unbounded,
     _fmt,
     _Unrolled,
-    _values,
     agreement_set as agree,
     form_key,
     horizon,
     pointwise,
-    reader,
     span,
     structural_window,
     value_at,
@@ -300,18 +298,6 @@ def test_values_window_and_span_match_value_at(pre, cycle, start, length):
     ]
 
 
-@given(pre=small_pres, cycle=small_cycles)
-def test_a_reader_reads_as_value_at(pre, cycle):
-    for seq in (periodic(pre, cycle), constant(cycle[0]), periodic([], cycle)):
-        read = reader(seq)
-        assert [read(n) for n in range(40)] == [value_at(seq, n) for n in range(40)]
-    rule = generated(lambda n: n * n, 12)
-    read = reader(rule)
-    assert [read(n) for n in range(13)] == [n * n for n in range(13)]
-    with pytest.raises(BeyondHorizon, match="n=13 beyond horizon 12"):
-        read(13)
-
-
 # -- windows grown through a rule's fill ------------------------------------------------
 
 
@@ -354,9 +340,7 @@ def test_a_filled_window_reads_as_the_rule_index_by_index(n_max, raise_at, reads
     plain, filled, fill_reads = rule_pair(raise_at)
     per_index, blocky = generated(plain, n_max), generated(filled, n_max)
     for start, stop in reads:
-        upto = min(start, n_max)
         for call in (
-            lambda s: _values(s, upto),
             lambda s: values_window(s, start),
             lambda s: span(s, start, stop),
         ):
