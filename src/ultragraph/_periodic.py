@@ -1,15 +1,20 @@
-"""Canonical form for eventually periodic sequences.
+"""The layout of eventually periodic data, shared by the index-set algebra
+(boolean values) and the sequence descriptors (arbitrary values).
 
-Shared by the index-set algebra (boolean values) and the sequence
-descriptors (arbitrary values). The canonical form has the shortest cycle
-and the shortest preperiod, so two descriptions of the same sequence
-compare equal structurally.
+A form is a preperiod ``pre`` followed by a nonempty ``cycle`` repeated
+forever. ``minimize`` gives its canonical form, so equal sequences compare
+equal structurally. Several forms are compared over one joint window
+(``joint_window``: the longest preperiod plus the lcm of the cycle
+lengths), past which their aligned values repeat (``aligned``). By Łoś's
+theorem a form equals, as a class, its value on the residue class the
+oracle selects (``on_residue``).
 """
 
 from __future__ import annotations
 
-from math import isqrt
-from typing import Sequence
+from itertools import islice
+from math import isqrt, lcm
+from typing import Iterable, Sequence
 
 
 def minimize(pre: Sequence, cycle: Sequence) -> tuple[tuple, tuple]:
@@ -46,8 +51,63 @@ def _shift_invariant(cycle: Sequence, d: int) -> bool:
     return (cycle[d] is first or cycle[d] == first) and cycle[d:] == cycle[: len(cycle) - d]
 
 
+def joint_window(forms: Iterable) -> tuple[int, int]:
+    """(head, period) of the joint window of the forms, anything with
+    ``pre`` and ``cycle`` (periodic descriptors, ``Unrolled`` readers): the
+    longest preperiod and the lcm of the cycle lengths."""
+    head, period = 0, 1
+    for form in forms:
+        if len(form.pre) > head:
+            head = len(form.pre)
+        period = lcm(period, len(form.cycle))
+    return head, period
+
+
+class Unrolled:
+    """The values of the form (pre, cycle) from index 0 on, unrolled by
+    whole cycles and extended only when a longer prefix is asked for."""
+
+    __slots__ = ("pre", "cycle", "head", "period", "values")
+
+    def __init__(self, pre: Sequence, cycle: Sequence):
+        self.pre = pre
+        self.cycle = cycle
+        self.head = len(pre)
+        self.period = len(cycle)
+        self.values = list(pre)
+
+    def prefix(self, length: int) -> list:
+        """At least the first ``length`` values (possibly more)."""
+        short = length - len(self.values)
+        if short > 0:
+            self.values.extend(self.cycle * -(-short // self.period))
+        return self.values
+
+    def span(self, start: int, stop: int) -> list:
+        """The values at indices start .. stop - 1. A start past the
+        preperiod is first moved back by whole cycles, so only about
+        head + period + (stop - start) values are ever unrolled."""
+        if start > self.head:
+            shift = (start - self.head) // self.period * self.period
+            start, stop = start - shift, stop - shift
+        return self.prefix(stop)[start:max(start, stop)]
+
+
+def aligned(columns: Sequence[Unrolled], fn) -> tuple[int, tuple]:
+    """(head, values): ``fn`` of the columns' aligned values over their
+    joint window, called at n = 0, 1, ... in that order. The result's form
+    is ``(values[:head], values[head:])``, not yet minimized."""
+    head, period = joint_window(columns)
+    width = head + period
+    return head, tuple(islice(map(fn, *[c.prefix(width) for c in columns]), width))
+
+
+def on_residue(pre: Sequence, cycle: Sequence, residue: int):
+    """The value the form takes at every n = residue (mod m) past its
+    preperiod, for any m that the cycle length divides."""
+    return cycle[(residue - len(pre)) % len(cycle)]
+
+
 def unrolled(pre: Sequence, cycle: Sequence, n: int):
     """Value at position n of the sequence described by (pre, cycle)."""
-    if n < len(pre):
-        return pre[n]
-    return cycle[(n - len(pre)) % len(cycle)]
+    return pre[n] if n < len(pre) else on_residue(pre, cycle, n)

@@ -11,14 +11,16 @@ Commands:
 All output is byte-deterministic for a given project file and flags: names
 are sorted, floats rendered via repr, and no timestamps or file paths
 appear. The oracle audit trail is appended with each decision listed
-exactly once. Exit codes: 0 success, 2 unreadable project, 3 structural
-or validation failure, 4 undecidable question, 5 solver failure.
+exactly once. Exit codes: 0 success, 2 unreadable project or flag
+value out of range, 3 structural or validation failure, 4 undecidable
+question, 5 solver failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -61,6 +63,19 @@ def _exit_code_for(exc: Exception) -> int:
     raise exc
 
 
+def _checked(convert, ok, bound: str):
+    """An argparse type that also rejects a converted value that is not ``ok``."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{bound}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it when ``convert`` refuses the text
+    return parse
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ultragraph",
@@ -85,17 +100,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument(
             "--horizon",
-            type=int,
+            type=_checked(int, lambda n: n >= 1, "must be at least 1"),
             default=64,
             metavar="N",
-            help="window for spot checks and audits (default 64)",
+            help="window for spot checks and audits, at least 1 (default 64)",
         )
         cmd.add_argument(
             "--tol",
-            type=float,
+            type=_checked(float, lambda t: 0 <= t < math.inf, "must be finite and nonnegative"),
             default=1e-9,
             metavar="T",
-            help="relative tolerance for law residuals (default 1e-9)",
+            help="relative tolerance for law residuals, finite and >= 0 (default 1e-9)",
         )
         cmd.add_argument(
             "--mu-max",

@@ -107,6 +107,7 @@ class StandardNode:
 _NODE_RE = re.compile(r"^x(\d+)_(\d+)$")
 _OTIP_RE = re.compile(r"^T_(\d+)$")
 _ONODE_RE = re.compile(r"^W_(\d+)$")
+_PROBE_DEPTH = 4  # scheme-layer ranks and generated omega-node indices ``validate`` checks
 
 
 class TowerScheme:
@@ -412,10 +413,10 @@ class ValidationReport:
         return not self.violations
 
 
-def validate(graph: StandardGraph, probe_depth: int = 4) -> ValidationReport:
+def validate(graph: StandardGraph) -> ValidationReport:
     """Check the node/tip/branch axioms; violations are data, not errors.
 
-    Scheme-backed layers are spot-checked up to ``probe_depth``. Tip
+    Scheme-backed layers are spot-checked up to ``_PROBE_DEPTH``. Tip
     path-consistency is out of scope by design and noted as unchecked.
     """
     report = ValidationReport(graph.name)
@@ -442,15 +443,15 @@ def validate(graph: StandardGraph, probe_depth: int = 4) -> ValidationReport:
             if r < 0 or r >= graph.rank:
                 bad(Violation("rank-range", f"tip layer at invalid rank {r}"))
     else:
-        levels = list(range(1, probe_depth + 1))
+        levels = list(range(1, _PROBE_DEPTH + 1))
         report.notes.append(
-            f"scheme layers spot-checked up to rank {probe_depth}; the template "
+            f"scheme layers spot-checked up to rank {_PROBE_DEPTH}; the template "
             "repeats uniformly beyond"
         )
     for level in levels:
         _check_layer(graph, level, report)
     if graph.rank is OMEGA:
-        _check_omega_layer(graph, report, probe_depth)
+        _check_omega_layer(graph, report)
     report.notes.append("tip path-consistency: not checked (tips are primitive identifiers)")
     return report
 
@@ -525,7 +526,7 @@ def _check_exceptional(graph, node, level, report) -> None:
         )
 
 
-def _check_omega_layer(graph, report, probe_depth) -> None:
+def _check_omega_layer(graph, report) -> None:
     bad = report.violations.append
     if graph.omega_layer_explicit():
         universe = graph.omega_tips
@@ -546,7 +547,7 @@ def _check_omega_layer(graph, report, probe_depth) -> None:
             elif len(who) > 1:
                 bad(Violation("tip-shared", f"omega-arrow tip {t} belongs to nodes {', '.join(who)}"))
     else:
-        for j in range(probe_depth):
+        for j in range(_PROBE_DEPTH):
             node = graph.omega_node_at(j)
             if node.exceptional is not None and graph.node_rank(node.exceptional) is None:
                 bad(
@@ -556,7 +557,7 @@ def _check_omega_layer(graph, report, probe_depth) -> None:
                     )
                 )
         report.notes.append(
-            f"generated omega layer spot-checked up to index {probe_depth}"
+            f"generated omega layer spot-checked up to index {_PROBE_DEPTH}"
         )
 
 

@@ -9,7 +9,8 @@ classes because they hold pointwise and the oracle respects intersections.
 Magnitude classification and standard parts never extrapolate numerically:
 
 * a periodic descriptor is, as a class, equal to the constant it takes on
-  the residue class the oracle selects, so its standard part is exact;
+  the residue class the oracle selects (Łoś; ``_periodic.on_residue``
+  reads that value), so its standard part is exact;
 * a generated descriptor yields a verdict only with a certificate: a
   declared limit with the monotone trait (verified up to the horizon) for
   infinitesimal/finite, declared unbounded plus monotone for infinite;
@@ -30,10 +31,10 @@ from enum import Enum
 from typing import Any
 
 from . import sequences as sq
+from ._periodic import on_residue
 from .errors import DivisionByZeroClass, NoCertificate, TraitViolated, Undecidable
-from .indexsets import IndexSet
 from .oracle import FilterOracle, Membership
-from .sequences import GeneratedSeq, PeriodicSeq, SeqDescriptor
+from .sequences import GeneratedSeq, PeriodicSeq, SeqDescriptor, _relation_set
 
 
 class MagnitudeClass(Enum):
@@ -128,11 +129,8 @@ class Hyperreal:
         """
         if not isinstance(self.rep, PeriodicSeq):
             raise NoCertificate("selected value requires a periodic descriptor")
-        period = len(self.rep.cycle)
-        head = len(self.rep.pre)
-        residue = self.oracle.selected_residue(period)
-        n0 = head + ((residue - head) % period)
-        return sq.value_at(self.rep, n0)
+        residue = self.oracle.selected_residue(len(self.rep.cycle))
+        return on_residue(self.rep.pre, self.rep.cycle, residue)
 
     def _certificate(self) -> tuple:
         """(class, standard part or None, ``TraitViolated`` or None) of a
@@ -326,14 +324,6 @@ def _short(seq: SeqDescriptor) -> str:
     if isinstance(seq, PeriodicSeq):
         return seq.describe()
     return seq.label or "gen"
-
-
-def _relation_set(a: SeqDescriptor, b: SeqDescriptor, rel) -> IndexSet:
-    if isinstance(a, PeriodicSeq) and isinstance(b, PeriodicSeq):
-        bits = sq.pointwise((a, b), rel)
-        return IndexSet.eventually_periodic(bits.pre, bits.cycle)
-    upto = int(min(sq.horizon(a), sq.horizon(b)))
-    return IndexSet.sampled(lambda n: rel(sq.value_at(a, n), sq.value_at(b, n)), upto)
 
 
 def _guard_divisor(divisor: SeqDescriptor, oracle: FilterOracle) -> None:

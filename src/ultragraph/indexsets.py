@@ -10,10 +10,11 @@ Four representations:
   horizon only.
 
 The first three are exact: membership is known for every n and the family
-is closed under complement, union and intersection (cycle lengths combine
-by lcm). Sampled sets are deliberately second class; combining anything
-with a sampled set stays sampled, and membership past the horizon raises
-``BeyondHorizon`` instead of guessing.
+is closed under complement, union and intersection (two sets combine
+bit by bit across their joint window, ``_periodic.joint_window``). Sampled
+sets are deliberately second class; combining anything with a sampled set
+stays sampled, and membership past the horizon raises ``BeyondHorizon``
+instead of guessing.
 
 Construction always canonicalizes: a periodic description whose cycle is
 all ones (or all zeros) collapses to the cofinite (or finite) form, cycles
@@ -23,10 +24,9 @@ equality of the underlying set, independent of how it was described.
 
 from __future__ import annotations
 
-from math import lcm
 from typing import Callable, Iterable
 
-from ._periodic import minimize, unrolled
+from ._periodic import Unrolled, aligned, minimize, on_residue, unrolled
 from .errors import BeyondHorizon
 
 FINITE = "finite"
@@ -155,11 +155,7 @@ class IndexSet:
             )
             a, b = self, other
             return IndexSet.sampled(lambda n: op(a.contains(n), b.contains(n)), horizon)
-        pre_a, cyc_a = self._period_form()
-        pre_b, cyc_b = other._period_form()
-        head = max(len(pre_a), len(pre_b))
-        period = lcm(len(cyc_a), len(cyc_b))
-        bits = [op(self.contains(n), other.contains(n)) for n in range(head + period)]
+        head, bits = aligned([Unrolled(*self._period_form()), Unrolled(*other._period_form())], op)
         return IndexSet.eventually_periodic(bits[:head], bits[head:])
 
     def union(self, other: "IndexSet") -> "IndexSet":
@@ -175,11 +171,6 @@ class IndexSet:
         if other.is_empty() or self.is_naturals():
             return other
         return self._pointwise(other, lambda a, b: a and b)
-
-    def subset_of(self, other: "IndexSet") -> bool:
-        if not (self.exact and other.exact):
-            raise BeyondHorizon("subset test requires exact representations")
-        return self.intersection(other) == self
 
     # -- residue-class containment (used by the filter oracle) --------------
 
@@ -198,9 +189,7 @@ class IndexSet:
             raise BeyondHorizon("class containment is only decidable for exact sets")
         if modulus % len(self.cycle) != 0:
             raise ValueError("modulus must be a multiple of the set's period")
-        head = len(self.pre)
-        n0 = head + ((residue - head) % modulus)
-        return self.contains(n0)
+        return on_residue(self.pre, self.cycle, residue)
 
     # -- comparisons and rendering ------------------------------------------
 

@@ -12,7 +12,7 @@ share one branch-identifier set. Its operating point is the sequence of
 standard solutions, packaged as hyperreals:
 
 * all data and the prototype assignment eventually periodic — the solver
-  runs once per phase of the joint structural window and the results are
+  runs once per phase of the joint window and the results are
   exact eventually periodic descriptors;
 * otherwise — currents and potentials become generated sequences that
   solve the n-th network on demand, up to the shortest horizon of the
@@ -57,7 +57,7 @@ Kirchhoff's current law at every node, Kirchhoff's voltage law around
 every fundamental loop of a spanning tree, Ohm's law per branch, and
 Tellegen's theorem, with residuals normalized by the magnitude of the
 data. The laws are checked by columns. Each descriptor is read once over
-the checked indices as a ``span``: the joint structural window on the
+the checked indices as a ``span``: the joint window on the
 periodic route, the first ``check_upto`` indices on the generated route.
 Where a column stops short, its first missing index is read again in the
 order a per-index check reads it (the graph, the assignment, then
@@ -79,6 +79,7 @@ from functools import cached_property
 from itertools import repeat
 from operator import add, mul, neg, sub, truediv
 
+from ._periodic import joint_window
 from .errors import EmptyNetwork, InvariantBreach, NumericalFailure, SolverFailure, Undecidable
 from .graphs import StandardGraph
 from .hyperreal import Hyperreal, hr_eq
@@ -89,7 +90,6 @@ from .sequences import (
     form_key,
     generated,
     span,
-    structural_window,
     value_at,
 )
 from .ultrapower import GraphFamily
@@ -99,6 +99,7 @@ from .ultrapower import GraphFamily
 _COND_LIMIT = 1e12
 # Indices per stacked nodal solve: bounds the (block, m, m) stack in memory.
 _BLOCK = 256
+_HORIZON = 1_000_000  # last index the generated route solves
 
 
 @dataclass(frozen=True)
@@ -355,11 +356,13 @@ class NsNetwork:
             tuple(parts),
         )
 
+    def descriptors(self) -> list:
+        """The prototype assignment, then the resistance and the EMF of each
+        branch in declaration order."""
+        return [self.family.assignment, *(seq for pair in self.data.values() for seq in pair)]
+
     def all_periodic(self) -> bool:
-        return isinstance(self.family.assignment, PeriodicSeq) and all(
-            isinstance(r, PeriodicSeq) and isinstance(e, PeriodicSeq)
-            for r, e in self.data.values()
-        )
+        return all(isinstance(seq, PeriodicSeq) for seq in self.descriptors())
 
 
 @dataclass
@@ -374,9 +377,7 @@ class OperatingPoint:
     notes: list[str] = field(default_factory=list)
 
 
-def operating_point(
-    net: NsNetwork, oracle: FilterOracle, horizon: int = 1_000_000
-) -> OperatingPoint:
+def operating_point(net: NsNetwork, oracle: FilterOracle) -> OperatingPoint:
     shared_nodes = net.family.shared_zero_nodes()
     notes = []
     skipped = sorted(net.family.all_zero_nodes() - set(shared_nodes))
@@ -388,7 +389,7 @@ def operating_point(
     if net.all_periodic():
         op = _periodic_operating_point(net, oracle, shared_nodes)
     else:
-        op = _generated_operating_point(net, oracle, shared_nodes, horizon)
+        op = _generated_operating_point(net, oracle, shared_nodes)
     op.notes.extend(notes)
     return op
 
@@ -500,10 +501,7 @@ def _solve_at_indices(net: NsNetwork, indices: range) -> _Solved:
 
 
 def _periodic_operating_point(net, oracle, shared_nodes) -> OperatingPoint:
-    seqs = [net.family.assignment]
-    for r, e in net.data.values():
-        seqs.extend((r, e))
-    head, period = structural_window(*seqs)
+    head, period = joint_window(net.descriptors())
     found = _solve_at_indices(net, range(head + period))
     if found.failed:
         raise found.failed[min(found.failed)]
@@ -548,14 +546,8 @@ def _solution_rule(solved_at, n_max: int, part: str, name: str):
     return rule
 
 
-def _generated_operating_point(net, oracle, shared_nodes, horizon) -> OperatingPoint:
-    seqs = [net.family.assignment]
-    for r, e in net.data.values():
-        seqs.extend((r, e))
-    n_max = horizon
-    for seq in seqs:
-        if isinstance(seq, GeneratedSeq):
-            n_max = min(n_max, seq.n_max)
+def _generated_operating_point(net, oracle, shared_nodes) -> OperatingPoint:
+    n_max = min([_HORIZON] + [s.n_max for s in net.descriptors() if isinstance(s, GeneratedSeq)])
     blocks: dict[int, _Solved] = {}
 
     def solved_at(n: int) -> _Solved:
@@ -759,12 +751,8 @@ def verify_laws(op: OperatingPoint, tol: float = 1e-9, check_upto: int = 64) -> 
         [net.data[bid][1] for bid in bids],
     )
     if op.route == "periodic":
-        seqs = [net.family.assignment]
-        for h in list(op.currents.values()) + list(op.voltages.values()):
-            seqs.append(h.rep)
-        for r, e in net.data.values():
-            seqs.extend((r, e))
-        head, period = structural_window(*seqs)
+        results = [h.rep for h in (*op.currents.values(), *op.voltages.values())]
+        head, period = joint_window(net.descriptors() + results)
         indices = range(head + period)
     else:
         indices = range(min(check_upto, int(op.horizon)))
@@ -805,8 +793,7 @@ def verify_laws(op: OperatingPoint, tol: float = 1e-9, check_upto: int = 64) -> 
         checks.append(check)
     if not indices:
         notes.append("no indices were available to check")
-    report = LawReport(all(c.ok for c in checks), tol, checks, notes)
-    return report
+    return LawReport(all(c.ok for c in checks), tol, checks, notes)
 
 
 def _ohm_class_verdict(op: OperatingPoint, bid: str) -> str:

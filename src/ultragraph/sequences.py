@@ -46,10 +46,10 @@ by ``fn`` itself, which raises the real exception, so a raising index is
 still never recorded. ``fn`` stays the rule: ``value_at`` calls it per
 index. ``span`` is the read a ``fill`` makes of another descriptor.
 
-A periodic descriptor is read by whole cycles: ``values_window``,
-``span``, ``pointwise`` and ``agreement_set`` unroll it once
-(``_Unrolled``) and slice the columns they need, never going through
-``value_at`` index by index.
+A periodic descriptor is read by whole cycles, never through ``value_at``
+index by index: ``values_window`` and ``span`` slice its unrolled values,
+and ``pointwise`` and ``agreement_set`` map over aligned columns across
+the joint window of the descriptors (``_periodic`` holds the layout).
 """
 
 from __future__ import annotations
@@ -57,12 +57,11 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass, field
-from itertools import compress, count, islice, repeat
-from math import lcm
+from itertools import compress, count, repeat
 from operator import eq, ge, gt, le, lt, sub
 from typing import Any, Callable, Iterable
 
-from ._periodic import minimize, unrolled
+from ._periodic import Unrolled, aligned, minimize, unrolled
 from .errors import BeyondHorizon, TraitViolated
 from .indexsets import IndexSet
 
@@ -177,7 +176,7 @@ def span(seq: SeqDescriptor, start: int, stop: int) -> list:
     descriptor only those before the first index that raises or lies past
     its horizon. Never raises: this is how a ``fill`` reads its operands."""
     if isinstance(seq, PeriodicSeq):
-        return _Unrolled(seq).span(start, stop)
+        return Unrolled(seq.pre, seq.cycle).span(start, stop)
     stop = min(stop, seq.n_max + 1)
     try:
         vals = _WINDOWS.setdefault(seq.fn, [])
@@ -200,7 +199,7 @@ def values_window(seq: SeqDescriptor, upto: int) -> list:
     """The values of ``seq`` at 0 .. upto. Raises where a generated rule
     raises, or ``BeyondHorizon`` when upto lies past its horizon."""
     if isinstance(seq, PeriodicSeq):
-        return _Unrolled(seq).span(0, upto + 1)
+        return Unrolled(seq.pre, seq.cycle).span(0, upto + 1)
     end = min(upto, seq.n_max) + 1
     vals = _extend(seq.fn, _window(seq.fn), end)[:end]
     if upto > seq.n_max:
@@ -210,65 +209,14 @@ def values_window(seq: SeqDescriptor, upto: int) -> list:
     return vals
 
 
-def structural_window(*seqs: SeqDescriptor) -> tuple[int, int]:
-    """(preperiod length, combined cycle length) for periodic descriptors."""
-    head = max((len(s.pre) for s in seqs), default=0)
-    period = 1
-    for s in seqs:
-        period = lcm(period, len(s.cycle))
-    return head, period
-
-
 def pointwise(seqs: Iterable[PeriodicSeq], fn) -> PeriodicSeq:
     """Apply fn to aligned values of periodic descriptors; result is periodic.
 
-    Each descriptor is unrolled once into a column over the joint
-    structural window, and fn is called at n = 0, 1, ... in that order.
+    Each descriptor is unrolled once into a column over the joint window,
+    and fn is called at n = 0, 1, ... in that order.
     """
-    seqs = list(seqs)
-    head, period = structural_window(*seqs)
-    width = head + period
-    columns = [_Unrolled(s).prefix(width) for s in seqs]
-    values = list(islice(map(fn, *columns), width))
+    head, values = aligned([Unrolled(s.pre, s.cycle) for s in seqs], fn)
     return PeriodicSeq.make(values[:head], values[head:])
-
-
-class _Unrolled:
-    """The values of a periodic descriptor from index 0 on, unrolled by whole
-    cycles and extended only when a longer prefix is asked for."""
-
-    __slots__ = ("cycle", "head", "period", "values")
-
-    def __init__(self, seq: PeriodicSeq):
-        self.cycle = seq.cycle
-        self.head = len(seq.pre)
-        self.period = len(seq.cycle)
-        self.values = list(seq.pre)
-
-    def prefix(self, length: int) -> list:
-        """At least the first ``length`` values (possibly more)."""
-        short = length - len(self.values)
-        if short > 0:
-            self.values.extend(self.cycle * -(-short // self.period))
-        return self.values
-
-    def span(self, start: int, stop: int) -> list:
-        """The values at indices start .. stop - 1. A start past the
-        preperiod is first moved back by whole cycles, so only about
-        head + period + (stop - start) values are ever unrolled."""
-        if start > self.head:
-            shift = (start - self.head) // self.period * self.period
-            start, stop = start - shift, stop - shift
-        return self.prefix(stop)[start:max(start, stop)]
-
-
-def _agreement_pattern(a: _Unrolled, b: _Unrolled) -> tuple[int, tuple]:
-    """(head, bits) of where two periodic descriptors agree over their
-    structural window: ``bits[n]`` is ``a(n) == b(n)`` for n below head + the
-    lcm of the two cycle lengths, head being the longer preperiod."""
-    head = max(a.head, b.head)
-    width = head + lcm(a.period, b.period)
-    return head, tuple(islice(map(eq, a.prefix(width), b.prefix(width)), width))
 
 
 def agreement_set(a: SeqDescriptor, b: SeqDescriptor) -> IndexSet:
@@ -280,11 +228,17 @@ def agreement_set(a: SeqDescriptor, b: SeqDescriptor) -> IndexSet:
     """
     if a == b:
         return IndexSet.naturals()
+    return _relation_set(a, b, eq)
+
+
+def _relation_set(a: SeqDescriptor, b: SeqDescriptor, rel) -> IndexSet:
+    """The indices where ``rel`` holds between the two sequences' values:
+    exact when both are periodic, else sampled up to the shorter horizon."""
     if isinstance(a, PeriodicSeq) and isinstance(b, PeriodicSeq):
-        head, bits = _agreement_pattern(_Unrolled(a), _Unrolled(b))
+        head, bits = aligned([Unrolled(a.pre, a.cycle), Unrolled(b.pre, b.cycle)], rel)
         return IndexSet.eventually_periodic(bits[:head], bits[head:])
     upto = int(min(horizon(a), horizon(b)))
-    return IndexSet.sampled(lambda n: value_at(a, n) == value_at(b, n), upto)
+    return IndexSet.sampled(lambda n: rel(value_at(a, n), value_at(b, n)), upto)
 
 
 @dataclass
@@ -293,7 +247,7 @@ class TraitReport:
     notes: list[str] = field(default_factory=list)
 
 
-def trait_check(seq: SeqDescriptor, upto: int | None = None) -> TraitReport:
+def trait_check(seq: SeqDescriptor) -> TraitReport:
     """Verify declared traits (and a declared limit) against samples.
 
     Periodic descriptors need no declarations; the report just records the
@@ -304,7 +258,7 @@ def trait_check(seq: SeqDescriptor, upto: int | None = None) -> TraitReport:
     if isinstance(seq, PeriodicSeq):
         vals = sorted({_fmt(v) for v in seq.pre + seq.cycle})
         return TraitReport(True, [f"finitely many values {{{', '.join(vals)}}}"])
-    end = seq.n_max if upto is None else min(upto, seq.n_max)
+    end = seq.n_max
     vals = values_window(seq, end)
     notes = []
     if MONOTONE in seq.traits:

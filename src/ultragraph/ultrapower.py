@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import eq
 
+from ._periodic import Unrolled, aligned, joint_window
 from .errors import InvariantBreach, NotAnExtremity, RankTooHigh, Undecidable
 from .graphs import (
     OMEGA,
@@ -51,8 +52,6 @@ from .sequences import (
     UNBOUNDED,
     GeneratedSeq,
     PeriodicSeq,
-    _agreement_pattern,
-    _Unrolled,
     agreement_set,
     generated,
     horizon,
@@ -173,8 +172,8 @@ def ns_extremity(family: GraphFamily, level, rep, label: str | None = None) -> N
     """Build a nonstandard extremity, deriving owner/kind/rank descriptors.
 
     For an eventually periodic representative the descriptors are exact:
-    the representative and the prototype assignment are unrolled over one
-    structural window. A generated representative yields generated
+    the representative and the prototype assignment are unrolled over
+    their joint window. A generated representative yields generated
     descriptors over the same horizon; owner keys for those should come
     from the dedicated constructors (for the graded omega layer) since a
     bare rule carries no symbolic identity.
@@ -183,14 +182,17 @@ def ns_extremity(family: GraphFamily, level, rep, label: str | None = None) -> N
         for e in list(rep.pre) + list(rep.cycle):
             if not isinstance(e, Extremity):
                 raise NotAnExtremity(f"{e!r} is not an extremity")
+        # Kind and rank live on the extremity values themselves, so a
+        # periodic representative keeps them exact even when the prototype
+        # assignment is opaque; only ownership then needs sampling.
+        head, tips = aligned([Unrolled(rep.pre, rep.cycle)], lambda e: e.kind == "tip")
+        kind_tip_set = IndexSet.eventually_periodic(tips[:head], tips[head:])
+        rank_rep = pointwise([rep], lambda e: e.rank)
         if isinstance(family.assignment, PeriodicSeq):
             owner_rep = pointwise(
                 [rep, family.assignment],
                 lambda e, k: family.prototypes[k].owner_of(e, level),
             )
-            kind_bits = pointwise([rep], lambda e: e.kind == "tip")
-            kind_tip_set = IndexSet.eventually_periodic(kind_bits.pre, kind_bits.cycle)
-            rank_rep = pointwise([rep], lambda e: e.rank)
             return NsExtremity(family, level, rep, owner_rep, kind_tip_set, rank_rep, label)
     elif not isinstance(rep, GeneratedSeq):
         raise NotAnExtremity(f"{rep!r} is not an extremity sequence")
@@ -204,18 +206,11 @@ def ns_extremity(family: GraphFamily, level, rep, label: str | None = None) -> N
     owner_rep = generated(
         owner_at, span, label=f"owner({label or rep.describe()})"
     )
-    if isinstance(rep, PeriodicSeq):
-        # Kind and rank live on the extremity values themselves, so a
-        # periodic representative keeps them exact even when the prototype
-        # assignment is opaque; only ownership needs sampling.
-        kind_bits = pointwise([rep], lambda e: e.kind == "tip")
-        kind_tip_set = IndexSet.eventually_periodic(kind_bits.pre, kind_bits.cycle)
-        rank_rep = pointwise([rep], lambda e: e.rank)
-        return NsExtremity(family, level, rep, owner_rep, kind_tip_set, rank_rep, label)
-    # A bare rule reveals its tip/node split only by sampling; the dedicated
-    # constructors below supply exact sets because they know the construction.
-    kind_tip_set = IndexSet.sampled(lambda n: value_at(rep, n).kind == "tip", span)
-    rank_rep = generated(lambda n: value_at(rep, n).rank, span, label="rank")
+    if isinstance(rep, GeneratedSeq):
+        # A bare rule reveals its tip/node split only by sampling; the dedicated
+        # constructors below supply exact sets because they know the construction.
+        kind_tip_set = IndexSet.sampled(lambda n: value_at(rep, n).kind == "tip", span)
+        rank_rep = generated(lambda n: value_at(rep, n).rank, span, label="rank")
     return NsExtremity(family, level, rep, owner_rep, kind_tip_set, rank_rep, label)
 
 
@@ -453,7 +448,6 @@ def build_ns_nodes(
     extremities: list[NsExtremity],
     oracle: FilterOracle,
     audit_upto: int = 64,
-    require_tip: bool = True,
 ) -> NsLayer:
     """Partition the extremities into nonstandard nodes by decided shorting.
 
@@ -471,8 +465,8 @@ def build_ns_nodes(
     classes = [classify(e, oracle) for e in exts]
     n = len(exts)
     owners = [
-        _Unrolled(e.owner_rep) if isinstance(e.owner_rep, PeriodicSeq) else None
-        for e in exts
+        Unrolled(o.pre, o.cycle) if isinstance(o, PeriodicSeq) else None
+        for o in (e.owner_rep for e in exts)
     ]
     near = _sharing_partners(exts)
     mixed = None in owners
@@ -513,7 +507,7 @@ def build_ns_nodes(
                 verdict = decide(agreement_set(a.owner_rep, exts[j].owner_rep), context)
             else:
                 # None keys the pairs that share no owner value.
-                pattern = _agreement_pattern(ua, ub) if shared is None or j in shared else None
+                pattern = aligned((ua, ub), eq) if shared is None or j in shared else None
                 known = settled.get(pattern)
                 if known is None:
                     known = settled[pattern] = first_decision(pattern or _NOWHERE, context)
@@ -543,7 +537,7 @@ def build_ns_nodes(
         members = tuple(exts[i] for i in idx_sorted)
         mcls = tuple(classes[i] for i in idx_sorted)
         node = NsNode(f"*{rank_str(level)}.{k}", level, members, mcls)
-        if require_tip and node.tip_count() == 0:
+        if node.tip_count() == 0:
             raise InvariantBreach(
                 f"node {node.ident} contains no tip class; the supplied universe "
                 "is not the extremity set of a graph sequence"
@@ -600,12 +594,17 @@ def _audit_pointwise(nodes: list[NsNode], upto: int, notes: list[str]) -> None:
         if len(node.members) < 2:
             continue
         for a, b in _pairs(node.members):
-            window = int(min(upto, horizon(a.owner_rep), horizon(b.owner_rep)))
+            oa, ob = a.owner_rep, b.owner_rep
+            window = int(min(upto, horizon(oa), horizon(ob)))
             if window <= 0:
                 continue
-            owners_a = values_window(a.owner_rep, window - 1)
-            owners_b = values_window(b.owner_rep, window - 1)
-            if not any(map(eq, owners_a, owners_b)):
+            read = window
+            if isinstance(oa, PeriodicSeq) and isinstance(ob, PeriodicSeq):
+                # The agreement pattern repeats past the joint head, so owners
+                # that agree below ``window`` agree below head + period too.
+                head, period = joint_window([oa, ob])
+                read = min(window, head + period)
+            if not any(map(eq, values_window(oa, read - 1), values_window(ob, read - 1))):
                 notes.append(
                     f"{a.label} and {b.label} share no owner in the first "
                     f"{window} indices; their identification rests on the "

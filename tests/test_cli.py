@@ -47,6 +47,17 @@ def test_output_matches_golden(name, args):
     assert proc.stdout == (GOLDEN / f"{name}.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--horizon", "0"), ("--horizon", "-5"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf")],
+)
+def test_out_of_range_flag_values_are_rejected_with_exit_2(flag, value):
+    proc = run_cli("solve", "projects/divider.ug", flag, value)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert f"error: argument {flag}: " in proc.stderr
+
+
 def test_runs_are_byte_identical():
     first = run_cli("report", "projects/loop.ug")
     second = run_cli("report", "projects/loop.ug")

@@ -34,7 +34,8 @@ from ultragraph.errors import (
     Undecidable,
 )
 from ultragraph.hyperreal import _combine, _relation_set
-from ultragraph.sequences import MONOTONE, UNBOUNDED, structural_window, value_at, values_window
+from ultragraph._periodic import joint_window
+from ultragraph.sequences import MONOTONE, UNBOUNDED, value_at, values_window
 
 from conftest import outcome
 
@@ -52,6 +53,23 @@ def hyper(pre, cycle, orc):
 @pytest.fixture
 def orc():
     return FilterOracle()
+
+
+@given(
+    pre=st.lists(st.integers(0, 3), max_size=4),
+    cycle=st.lists(st.integers(0, 3), min_size=1, max_size=6),
+    modulus=st.integers(1, 12),
+    residue=st.integers(0, 11),
+)
+def test_selected_value_matches_a_read_at_the_first_selected_index_past_the_preperiod(
+    pre, cycle, modulus, residue
+):
+    pinned = FilterOracle().pin(IndexSet.residue_class(modulus, residue), Membership.IN)
+    rep = periodic(pre, cycle)
+    head, period = len(rep.pre), len(rep.cycle)
+    n0 = head + ((pinned.selected_residue(period) - head) % period)
+    assert Hyperreal(rep, pinned).selected_value() == value_at(rep, n0)
+    assert Hypernatural(rep, pinned).value() == value_at(rep, n0)
 
 
 def test_identical_constants_are_equal(orc):
@@ -187,9 +205,9 @@ def trait_checks(monkeypatch):
     calls = []
     check = sequences.trait_check
 
-    def counted(seq, upto=None):
+    def counted(seq):
         calls.append(seq)
-        return check(seq, upto)
+        return check(seq)
 
     monkeypatch.setattr(sequences, "trait_check", counted)
     return calls
@@ -343,7 +361,7 @@ def test_hypernatural_rejects_negative_entries(orc):
 )
 def test_relation_sets_match_per_index_evaluation(xs, ys, us, vs):
     a, b = periodic(xs, ys), periodic(us, vs)
-    head, period = structural_window(a, b)
+    head, period = joint_window([a, b])
     bits = [value_at(a, n) < value_at(b, n) for n in range(head + period)]
     want = IndexSet.eventually_periodic(bits[:head], bits[head:])
     assert _relation_set(a, b, lambda x, y: x < y) == want

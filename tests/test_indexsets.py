@@ -10,15 +10,21 @@ from ultragraph.errors import BeyondHorizon
 import pytest
 
 
-# random eventually periodic sets, periods <= 12 as the law suite demands
-ep_sets = st.builds(
-    IndexSet.eventually_periodic,
-    st.lists(st.booleans(), max_size=6),
-    st.lists(st.booleans(), min_size=1, max_size=12),
+# random exact sets: eventually periodic ones, periods <= 12 as the law suite
+# demands, and finite and cofinite ones with members up to 300
+members = st.frozensets(st.integers(0, 300), max_size=8)
+ep_sets = st.one_of(
+    st.builds(
+        IndexSet.eventually_periodic,
+        st.lists(st.booleans(), max_size=6),
+        st.lists(st.booleans(), min_size=1, max_size=12),
+    ),
+    st.builds(IndexSet.finite, members),
+    st.builds(IndexSet.cofinite, members),
 )
 
 
-def unrolled(s, upto=200):
+def unrolled(s, upto=400):
     return [s.contains(n) for n in range(upto)]
 
 
@@ -85,6 +91,14 @@ def test_class_inside():
     assert evens.class_inside(2, 4) and not evens.class_inside(3, 4)
 
 
+@given(ep_sets, st.integers(1, 4), st.integers(-50, 50))
+def test_class_inside_matches_a_read_at_the_first_class_index_past_the_preperiod(s, k, residue):
+    pre, cycle = s._period_form()
+    head, modulus = len(pre), len(cycle) * k
+    n0 = head + ((residue - head) % modulus)
+    assert s.class_inside(residue, modulus) == s.contains(n0)
+
+
 def test_window_agrees():
     a = IndexSet.residue_class(2, 1)
     b = IndexSet.sampled(lambda n: n % 2 == 1, 32)
@@ -109,13 +123,6 @@ def test_de_morgan_as_canonical_equality(a, b):
 @given(ep_sets)
 def test_complement_is_involutive(a):
     assert a.complement().complement() == a
-
-
-@given(ep_sets, ep_sets)
-def test_subset_of_agrees_with_membership(a, b):
-    claim = a.subset_of(b)
-    holds = all(not x or y for x, y in zip(unrolled(a, 400), unrolled(b, 400)))
-    assert claim == holds
 
 
 def test_finite_cofinite_mixed_algebra():

@@ -27,12 +27,12 @@ from ultragraph import (
 from ultragraph import network
 from ultragraph.cli import _advisory_class
 from ultragraph.errors import BeyondHorizon, EmptyNetwork, NumericalFailure, SolverFailure
+from ultragraph._periodic import joint_window
 from ultragraph.network import _BLOCK, _solve_at_indices, _solve_batch, _spanning_tree
 from ultragraph.sequences import (
     PeriodicSeq,
     generated,
     named_generator,
-    structural_window,
     value_at,
     values_window,
 )
@@ -538,7 +538,7 @@ def reference_law_worst(op, check_upto=64):
             seqs.append(h.rep)
         for r, e in net.data.values():
             seqs.extend((r, e))
-        head, period = structural_window(*seqs)
+        head, period = joint_window(seqs)
         indices = range(head + period)
     else:
         indices = range(min(check_upto, int(op.horizon)))
@@ -663,7 +663,7 @@ def test_column_law_checks_match_the_per_index_loop(seed, n_protos, nudges):
     except NumericalFailure:
         return  # a random prototype can be singular; nothing to check then
     assert op.route == "periodic"
-    head, period = structural_window(net.family.assignment, *(s for d in net.data.values() for s in d))
+    head, period = joint_window(net.descriptors())
     width = head + period
     for part in (op.currents, op.voltages):
         for bid in list(part):

@@ -30,16 +30,15 @@ from ultragraph.sequences import (
     _check_monotone,
     _check_unbounded,
     _fmt,
-    _Unrolled,
     agreement_set as agree,
     form_key,
     horizon,
     pointwise,
     span,
-    structural_window,
     value_at,
     values_window,
 )
+from ultragraph._periodic import Unrolled, joint_window
 
 from conftest import outcome
 
@@ -176,7 +175,7 @@ def test_pointwise_combines_periodic_descriptors_exactly():
 def test_structural_window_covers_pre_and_lcm():
     a = periodic([9], [1, 2])
     b = periodic([], [10, 20, 30])
-    head, period = structural_window(a, b)
+    head, period = joint_window([a, b])
     assert head >= 1 and period % 6 == 0
 
 
@@ -255,7 +254,7 @@ def test_form_key_distinguishes_forms():
 
 def per_index_pointwise(seqs, fn):
     """The per-index ``pointwise`` that columns replaced, kept as its reference."""
-    head, period = structural_window(*seqs)
+    head, period = joint_window(seqs)
     values = [fn(*(value_at(s, n) for s in seqs)) for n in range(head + period)]
     return PeriodicSeq.make(values[:head], values[head:])
 
@@ -293,7 +292,7 @@ def test_pointwise_by_columns_matches_per_index_evaluation(parts, raise_at):
 def test_values_window_and_span_match_value_at(pre, cycle, start, length):
     seq = periodic(pre, cycle)
     assert values_window(seq, length) == [value_at(seq, n) for n in range(length + 1)]
-    assert _Unrolled(seq).span(start, start + length) == [
+    assert Unrolled(seq.pre, seq.cycle).span(start, start + length) == [
         value_at(seq, n) for n in range(start, start + length)
     ]
 

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import time
 from collections import Counter
 from types import SimpleNamespace
 
@@ -32,6 +33,7 @@ from ultragraph import (
     truncate,
 )
 from ultragraph import ultrapower
+from ultragraph._periodic import joint_window
 from ultragraph.errors import InconsistentPin, InvariantBreach, RankTooHigh, Undecidable
 from ultragraph.oracle import AuditEntry
 from ultragraph.sequences import agreement_set, generated, horizon, value_at
@@ -686,14 +688,15 @@ def test_shorting_canonicalizes_each_pattern_once_and_owners_are_indexed_once(mo
         return decide(self, subject, context)
 
     compared = []
-    pattern = ultrapower._agreement_pattern
+    pattern = ultrapower.aligned
 
-    def counting_pattern(a, b):
+    def counting_pattern(columns, fn):
+        a, b = columns
         compared.append(((tuple(a.values[: a.head]), a.cycle), (tuple(b.values[: b.head]), b.cycle)))
-        return pattern(a, b)
+        return pattern(columns, fn)
 
     monkeypatch.setattr(FilterOracle, "decide", counting_decide)
-    monkeypatch.setattr(ultrapower, "_agreement_pattern", counting_pattern)
+    monkeypatch.setattr(ultrapower, "aligned", counting_pattern)
     audit = []
     layer = build_ns_nodes(family, 1, exts, FilterOracle(audit=audit))
     monkeypatch.undo()
@@ -737,6 +740,25 @@ def reference_audit_pointwise(nodes, upto, notes):
                     f"{window} indices; their identification rests on the "
                     "selected tail"
                 )
+
+
+def test_owner_audit_of_periodic_owners_reads_only_their_joint_window():
+    family = tip_family(["t0"], [[0]], periodic((), (0,)))
+    owners = [
+        periodic(["q"] * 5, ["x"] * 6 + ["y"]),
+        periodic((), ["x"] * 10 + ["z"]),
+        periodic(["r"] * 2, ["w"] + ["x"] * 12),
+    ]
+    exts = [owned_extremity(family, f"e{k}", owner) for k, owner in enumerate(owners)]
+    start = time.perf_counter()
+    layer = build_ns_nodes(family, 1, exts, FilterOracle(), audit_upto=10**12)
+    elapsed = time.perf_counter() - start
+    head, period = joint_window(owners)
+    want = []
+    reference_audit_pointwise(layer.nodes, head + period, want)
+    assert [len(node.members) for node in layer.nodes] == [3]
+    assert layer.notes == want
+    assert elapsed < 1.0
 
 
 owner_cycles = st.lists(st.sampled_from("xyz"), min_size=1, max_size=4)
