@@ -176,7 +176,11 @@ def _write_json(path: str, command: str, lines: list[str], code: int) -> None:
 
 def _audit_lines(audit: list) -> list[str]:
     """Each distinct audit line once, in the order first recorded."""
-    rendered = dict.fromkeys("  " + entry.render() for entry in audit)
+    # ``AuditEntry.render``'s layout, inlined: one method call per entry
+    # costs more than the f-string, and ``str.format`` more still.
+    rendered = dict.fromkeys(
+        f"  {context}: {subject} -> {verdict}" for subject, verdict, context in audit
+    )
     if not rendered:
         return []
     return ["", "== audit ==", *rendered]

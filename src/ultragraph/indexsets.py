@@ -11,7 +11,8 @@ Four representations:
 
 The first three are exact: membership is known for every n and the family
 is closed under complement, union and intersection (two sets combine
-bit by bit across their joint window, ``_periodic.joint_window``). Sampled
+bit by bit across their joint window, ``_periodic.joint_window``, unless
+the members of a finite or cofinite operand decide the result). Sampled
 sets are deliberately second class; combining anything with a sampled set
 stays sampled, and membership past the horizon raises ``BeyondHorizon``
 instead of guessing.
@@ -158,11 +159,23 @@ class IndexSet:
         head, bits = aligned([Unrolled(*self._period_form()), Unrolled(*other._period_form())], op)
         return IndexSet.eventually_periodic(bits[:head], bits[head:])
 
+    # Between exact sets, a finite or cofinite operand whose listed numbers
+    # decide the result is combined by membership, so a large member is
+    # never unrolled. Finite with periodic under union, and cofinite with
+    # periodic under intersection, are unrolled: their form holds those bits.
+
     def union(self, other: "IndexSet") -> "IndexSet":
         if self.is_naturals() or other.is_empty():
             return self
         if other.is_naturals() or self.is_empty():
             return other
+        if self.exact and other.exact:
+            if self.kind == COFINITE:
+                return IndexSet.cofinite(m for m in self.members if m not in other)
+            if other.kind == COFINITE:
+                return IndexSet.cofinite(m for m in other.members if m not in self)
+            if self.kind == FINITE and other.kind == FINITE:
+                return IndexSet.finite(self.members | other.members)
         return self._pointwise(other, lambda a, b: a or b)
 
     def intersection(self, other: "IndexSet") -> "IndexSet":
@@ -170,6 +183,13 @@ class IndexSet:
             return self
         if other.is_empty() or self.is_naturals():
             return other
+        if self.exact and other.exact:
+            if self.kind == FINITE:
+                return IndexSet.finite(m for m in self.members if m in other)
+            if other.kind == FINITE:
+                return IndexSet.finite(m for m in other.members if m in self)
+            if self.kind == COFINITE and other.kind == COFINITE:
+                return IndexSet.cofinite(self.members | other.members)
         return self._pointwise(other, lambda a, b: a and b)
 
     # -- residue-class containment (used by the filter oracle) --------------

@@ -334,13 +334,6 @@ class NsNetwork:
         self.family = family
         self.data = dict(data)
 
-    def network_at(self, n: int) -> StandardNetwork:
-        branch_data = {
-            bid: Branch(float(value_at(r, n)), float(value_at(e, n)))
-            for bid, (r, e) in self.data.items()
-        }
-        return StandardNetwork(self.family.graph_at(n), branch_data)
-
     def content_key(self):
         """Symbolic identity of the whole network, or None if any rule lacks one."""
         parts = []
@@ -456,7 +449,8 @@ def _solve_at_indices(net: NsNetwork, indices: range) -> _Solved:
 
     Each datum is read once for the whole range as a column, in declaration
     order, and then the prototype assignment; an index fails with the
-    exception of its first failing read, as ``network_at`` would raise it.
+    exception of its first failing read, as reading that index alone (each
+    branch's resistance and EMF, then its prototype) would raise it.
     Indices are solved in one batch per prototype. Potentials have a column
     for every node of a prototype solved in the range; a node that an
     index's prototype lacks holds filler there.

@@ -190,8 +190,12 @@ class FilterOracle:
         return self._selected % modulus
 
     def _record(self, subject: IndexSet, verdict: Membership, context: str) -> None:
+        # Every entry is made here, without the NamedTuple's Python-level
+        # ``__new__``: a build can record tens of thousands.
         if self.audit is not None:
-            self.audit.append(AuditEntry(subject.describe(), verdict._value_, context))
+            self.audit.append(
+                tuple.__new__(AuditEntry, (subject.describe(), verdict._value_, context))
+            )
 
     def decide(self, subject: IndexSet, context: str = "decide") -> Membership:
         """Is the set a member of the chosen ultrafilter?

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import (
     DuplicateId,
@@ -89,18 +90,21 @@ _DEFAULT_GEN_HORIZON = 100_000
 # -- tokens ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "num" | "name" | "punct" | "nl"
     text: str
     line: int
     col: int
 
 
+# One scanner for a whole line: every character starts a token, a run of
+# whitespace (``\s`` is ``str.isspace``) or an unexpected character.
 _TOKEN_RE = re.compile(
     r"(?P<num>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_\-]*)"
     r"|(?P<punct>[{}\[\]=:,();])"
+    r"|(?P<space>\s+)"
+    r"|(?P<bad>.)"
 )
 
 
@@ -108,25 +112,21 @@ def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        pos = 0
         produced = False
-        while pos < len(line):
-            if line[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(line, pos)
-            if m is None:
-                raise ProjectSyntaxError(
-                    f"unexpected character {line[pos]!r}", lineno, pos + 1
-                )
+        for m in _TOKEN_RE.finditer(line):
             kind = m.lastgroup
+            if kind == "space":
+                continue
             text_ = m.group()
-            if kind == "punct" and text_ == ";":
-                tokens.append(_Token("nl", ";", lineno, pos + 1))
+            if kind == "bad":
+                raise ProjectSyntaxError(
+                    f"unexpected character {text_!r}", lineno, m.start() + 1
+                )
+            if text_ == ";":
+                tokens.append(_Token("nl", ";", lineno, m.start() + 1))
             else:
-                tokens.append(_Token(kind, text_, lineno, pos + 1))
+                tokens.append(_Token(kind, text_, lineno, m.start() + 1))
                 produced = True
-            pos = m.end()
         if produced:
             tokens.append(_Token("nl", "\n", lineno, len(line) + 1))
     return tokens

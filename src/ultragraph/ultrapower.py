@@ -33,6 +33,7 @@ the oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import eq
 
 from ._periodic import Unrolled, aligned, joint_window
@@ -53,6 +54,7 @@ from .sequences import (
     GeneratedSeq,
     PeriodicSeq,
     agreement_set,
+    constant,
     generated,
     horizon,
     pointwise,
@@ -215,9 +217,27 @@ def ns_extremity(family: GraphFamily, level, rep, label: str | None = None) -> N
 
 
 def constant_extremity(family: GraphFamily, level, e: Extremity) -> NsExtremity:
-    return ns_extremity(
-        family, level, PeriodicSeq.make((), (e,)), label=e.describe()
+    """The constant sequence e, e, ... as a nonstandard extremity.
+
+    Its owner at n depends only on the prototype G_n. Under a periodic
+    assignment the owner sequence is therefore the assignment mapped
+    through a table of owners, one per prototype that occurs, asked in
+    the order ``ns_extremity`` would first ask them; the descriptors equal
+    those ``ns_extremity`` derives. Other assignments go through it.
+    """
+    label = e.describe()
+    rep = PeriodicSeq.make((), (e,))
+    assignment = family.assignment
+    if not isinstance(e, Extremity) or not isinstance(assignment, PeriodicSeq):
+        return ns_extremity(family, level, rep, label=label)
+    owners = dict.fromkeys((*assignment.pre, *assignment.cycle))
+    for k in owners:
+        owners[k] = family.prototypes[k].owner_of(e, level)
+    owner_rep = PeriodicSeq.make(
+        map(owners.__getitem__, assignment.pre), map(owners.__getitem__, assignment.cycle)
     )
+    kind_tip_set = IndexSet.naturals() if e.kind == "tip" else IndexSet.empty()
+    return NsExtremity(family, level, rep, owner_rep, kind_tip_set, constant(e.rank), label)
 
 
 def omega_exceptional_query(family: GraphFamily, n_max: int = 100_000) -> NsExtremity:
@@ -453,9 +473,12 @@ def build_ns_nodes(
 
     Each pair is decided and audited as ``ns_shorted`` decides it, in pair
     order. Two periodic owner sequences are compared over their unrolled
-    window only when they share an owner value (otherwise they agree
-    nowhere), and the oracle decides each distinct agreement set once per
-    call; later pairs with the same set record the same verdict. By Łoś
+    window only when they share an owner value, and the oracle decides each
+    distinct agreement set once per call; later pairs with the same set
+    record the same verdict. A row walks its partners, the columns that
+    share an owner value with it or have an owner that is not periodic, in
+    order; the runs of pairs between them agree nowhere and record that
+    one decision. By Łoś
     such a verdict is the equality of the two owners at the selected
     index, so shorting among periodic owners is an equivalence. Only pairs
     with a generated or sampled owner can break transitivity, and only a
@@ -472,7 +495,7 @@ def build_ns_nodes(
     mixed = None in owners
     labels = [e.label for e in exts]
     record, decide = oracle._record, oracle.decide
-    settled: dict[tuple[int, tuple] | None, tuple[IndexSet, Membership]] = {}
+    settled: dict[tuple[int, tuple], tuple[IndexSet, Membership]] = {}
     by_set: dict[IndexSet, tuple[IndexSet, Membership]] = {}
     distinct: list[tuple[int, int]] = []  # pairs declared apart that a chain may join
     parent = list(range(n))
@@ -494,23 +517,44 @@ def build_ns_nodes(
         return known
 
     IN = Membership.IN
+    irregular = [j for j, o in enumerate(owners) if o is None]
+    nowhere = None  # the decision shared by every pair that shares no owner value
     for i in range(n):
         a, ua, shared = exts[i], owners[i], near[i]
         prefix = f"shorting {a.label} with "
         # Level equality is an equivalence, so the first pair across levels
         # is in row 0.
         stop = n if i else _first_other_level(exts)
-        for j in range(i + 1, stop):
+        if ua is None or shared is None:
+            partners = range(i + 1, stop)
+        else:
+            partners = sorted(j for j in chain(shared, irregular) if i < j < stop)
+        start = i + 1
+        for j in chain(partners, (stop,)):
+            if start < j:
+                # Pairs start .. j - 1 share no owner value, so they agree
+                # nowhere, a finite set: declared apart.
+                k = start
+                if nowhere is None:
+                    nowhere = first_decision(_NOWHERE, prefix + labels[k])
+                    k += 1
+                subject, verdict = nowhere
+                for label in labels[k:j]:
+                    record(subject, verdict, prefix + label)
+                if mixed:
+                    distinct.extend((i, m) for m in range(start, j))
+            if j == stop:
+                break
+            start = j + 1
             context = prefix + labels[j]
             ub = owners[j]
             if ua is None or ub is None:
                 verdict = decide(agreement_set(a.owner_rep, exts[j].owner_rep), context)
             else:
-                # None keys the pairs that share no owner value.
-                pattern = aligned((ua, ub), eq) if shared is None or j in shared else None
+                pattern = aligned((ua, ub), eq)
                 known = settled.get(pattern)
                 if known is None:
-                    known = settled[pattern] = first_decision(pattern or _NOWHERE, context)
+                    known = settled[pattern] = first_decision(pattern, context)
                 else:
                     record(known[0], known[1], context)
                 verdict = known[1]

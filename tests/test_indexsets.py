@@ -1,5 +1,7 @@
 """Index sets: exact membership, Boolean closure, canonical forms."""
 
+import time
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -112,6 +114,19 @@ def test_boolean_ops_match_pointwise_evaluation(a, b):
     assert unrolled(a.union(b)) == [x or y for x, y in zip(au, bu)]
     assert unrolled(a.intersection(b)) == [x and y for x, y in zip(au, bu)]
     assert unrolled(a.complement()) == [not x for x in au]
+
+
+@pytest.mark.parametrize("member", [10**8, 10**8 + 1, 8, 9])
+def test_a_finite_meet_and_a_cofinite_join_never_unroll_to_the_member(member):
+    kept = {member} if member % 2 == 0 else ()
+    start = time.perf_counter()
+    meet = IndexSet.finite({member}).intersection(IndexSet.residue_class(2, 0))
+    assert time.perf_counter() - start < 0.1
+    assert meet == IndexSet.finite(kept)
+    start = time.perf_counter()
+    join = IndexSet.cofinite({member}).union(IndexSet.residue_class(2, 1))
+    assert time.perf_counter() - start < 0.1
+    assert join == IndexSet.cofinite(kept)
 
 
 @given(ep_sets, ep_sets)

@@ -1,6 +1,11 @@
 """Project-file parsing, resolution and canonical serialization."""
 
+import re
+import sys
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ultragraph import FilterOracle, Membership, IndexSet, OMEGA
 from ultragraph.errors import (
@@ -9,7 +14,7 @@ from ultragraph.errors import (
     Undecidable,
     UnresolvedReference,
 )
-from ultragraph.project import amend_oracle_spec, parse_project, serialize
+from ultragraph.project import _TOKEN_RE, _tokenize, amend_oracle_spec, parse_project, serialize
 from ultragraph.sequences import PeriodicSeq, value_at
 
 MINIMAL = """
@@ -63,6 +68,78 @@ def test_syntax_errors_carry_the_line_number():
     with pytest.raises(ProjectSyntaxError) as err:
         parse_project(bad)
     assert "line 2" in str(err.value)
+
+
+def test_an_unexpected_character_is_reported_at_its_line_and_column():
+    bad = "oracle main {\n  residue mod=2 : 1 $ 3\n}\n"
+    with pytest.raises(ProjectSyntaxError) as err:
+        parse_project(bad)
+    assert (err.value.line, err.value.col) == (2, 21)
+    assert str(err.value) == "line 2, col 21: unexpected character '$'"
+
+
+# The character loop ``_tokenize`` replaced, kept as its reference.
+_REFERENCE_TOKEN_RE = re.compile(
+    r"(?P<num>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_\-]*)"
+    r"|(?P<punct>[{}\[\]=:,();])"
+)
+
+
+def reference_tokenize(text):
+    tokens = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0]
+        pos = 0
+        produced = False
+        while pos < len(line):
+            if line[pos].isspace():
+                pos += 1
+                continue
+            m = _REFERENCE_TOKEN_RE.match(line, pos)
+            if m is None:
+                raise ProjectSyntaxError(
+                    f"unexpected character {line[pos]!r}", lineno, pos + 1
+                )
+            kind = m.lastgroup
+            text_ = m.group()
+            if kind == "punct" and text_ == ";":
+                tokens.append(("nl", ";", lineno, pos + 1))
+            else:
+                tokens.append((kind, text_, lineno, pos + 1))
+                produced = True
+            pos = m.end()
+        if produced:
+            tokens.append(("nl", "\n", lineno, len(line) + 1))
+    return tokens
+
+
+def tokens_or_error(tokenize, text):
+    try:
+        return [tuple(t) for t in tokenize(text)]
+    except ProjectSyntaxError as exc:
+        return str(exc), exc.line, exc.col
+
+
+project_text = st.lists(
+    st.one_of(
+        st.sampled_from(["oracle", "x_1", "tip-a", "_", "E5", "-3", "2.5", "1e-3", "7E+2", "4.", "-"]),
+        st.sampled_from(list("{}[]=:,();#") + [" ", "\t", "\n", "\r\n", "\x0b", "\x0c", "\x85"]),
+        st.sampled_from(["\u00a0", "\u3000", "\u2028", "\x1c", "$", "@", "!", ".", "é", "٣", "\x00"]),
+        st.text(max_size=3),
+    ),
+    max_size=30,
+).map("".join)
+
+
+@given(project_text)
+def test_the_scanner_tokenizes_as_the_character_loop(text):
+    assert tokens_or_error(_tokenize, text) == tokens_or_error(reference_tokenize, text)
+
+
+def test_the_scanner_skips_exactly_what_isspace_skips():
+    for ch in map(chr, range(sys.maxunicode + 1)):
+        assert (_TOKEN_RE.match(ch).lastgroup == "space") == ch.isspace(), repr(ch)
 
 
 def test_unknown_block_kind_is_a_syntax_error():

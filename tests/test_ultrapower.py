@@ -5,6 +5,7 @@ import re
 import time
 from collections import Counter
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +44,7 @@ from conftest import (
     alternating_3graphs,
     ladder_1graph,
     loop_2graph,
+    outcome,
     tower_omega_graph,
 )
 
@@ -459,6 +461,12 @@ def keyed_extremity(family, label):
     )
 
 
+def descriptors(ext):
+    return (
+        ext.family, ext.level, ext.rep, ext.owner_rep, ext.kind_tip_set, ext.rank_rep, ext.label
+    )
+
+
 @st.composite
 def tip_universes(draw):
     tips = [f"t{k}" for k in range(draw(st.integers(2, 6)))]
@@ -490,6 +498,11 @@ def tip_universes(draw):
             draw(st.lists(owner, max_size=2)), draw(st.lists(owner, min_size=1, max_size=3))
         )
         exts.append(owned_extremity(family, f"o{q}", owners))
+    # Owners whose values are lists: they cannot be hashed, so every owner
+    # is compared with them position by position.
+    for q in range(draw(st.sampled_from([0, 0, 1, 2]))):
+        cycle = draw(st.lists(owner, min_size=1, max_size=3))
+        exts.append(owned_extremity(family, f"u{q}", periodic((), tuple([v] for v in cycle))))
     # Generated owners read from a drawn cycle: a pair with one is decided
     # through a sampled agreement set, which only a pin can decide.
     for q in range(draw(st.sampled_from([0, 0, 1, 2]))):
@@ -532,16 +545,53 @@ def test_build_matches_pairwise_shorting(universe, modulus, residue, pins):
                 pass
         return orc
 
+    for e in family.shared_extremities(1):
+        assert descriptors(constant_extremity(family, 1, e)) == descriptors(
+            ns_extremity(family, 1, periodic((), (e,)), label=e.describe())
+        )
+    recorded = []
+    record = FilterOracle._record
+
+    def counted(self, subject, verdict, context):
+        recorded.append(context)
+        record(self, subject, verdict, context)
+
     audit_new, audit_old = [], []
     try:
-        layer = build_ns_nodes(family, 1, exts, oracle(audit_new))
+        with mock.patch.object(FilterOracle, "_record", counted):
+            layer = build_ns_nodes(family, 1, exts, oracle(audit_new))
     except (Undecidable, RankTooHigh, InvariantBreach) as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             pairwise_partition(exts, oracle(audit_old))
     else:
         got = sorted(tuple(m.label for m in node.members) for node in layer.nodes)
         assert got == pairwise_partition(exts, oracle(audit_old))
+    # entry for entry, and every entry made by ``_record``
     assert audit_new == audit_old
+    assert len(recorded) == len(audit_new)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        GraphFamily("alt", alternating_3graphs(), periodic((), (0, 1))),
+        GraphFamily("alt-pre", alternating_3graphs(), periodic((1, 1, 0), (0, 1, 1))),
+        GraphFamily("tower", (tower_omega_graph(),)),
+        GraphFamily("loop", (loop_2graph(),)),
+    ],
+    ids=lambda f: f.name,
+)
+def test_constant_extremities_equal_the_derived_ones(family):
+    levels = range(1, (family.rank if isinstance(family.rank, int) else 3) + 1)
+    for level in levels:
+        shared = family.shared_extremities(level)
+        assert shared
+        stray = [Extremity("tip", "nowhere", level - 1), Extremity("node", "x1", level)]
+        for e in [*shared, *stray]:
+            got = outcome(lambda: descriptors(constant_extremity(family, level, e)))
+            assert got == outcome(
+                lambda: descriptors(ns_extremity(family, level, periodic((), (e,)), e.describe()))
+            )
 
 
 def edge_universe(case):
