@@ -3,11 +3,11 @@
 
 A form is a preperiod ``pre`` followed by a nonempty ``cycle`` repeated
 forever. ``minimize`` gives its canonical form, so equal sequences compare
-equal structurally. Several forms are compared over one joint window
-(``joint_window``: the longest preperiod plus the lcm of the cycle
-lengths), past which their aligned values repeat (``aligned``). By Łoś's
-theorem a form equals, as a class, its value on the residue class the
-oracle selects (``on_residue``).
+equal structurally, and ``period`` a cycle's minimal period. Several forms
+are compared over one joint window (``joint_window``: the longest
+preperiod plus the lcm of the cycle lengths), past which their aligned
+values repeat (``aligned``). By Łoś's theorem a form equals, as a class,
+its value on the residue class the oracle selects (``on_residue``).
 """
 
 from __future__ import annotations
@@ -25,14 +25,19 @@ def minimize(pre: Sequence, cycle: Sequence) -> tuple[tuple, tuple]:
     """
     if not cycle:
         raise ValueError("cycle must be nonempty")
-    p = len(cycle)
-    d = next(d for d in _divisors(p) if d == p or _shift_invariant(cycle, d))
-    cyc = list(cycle[:d])
+    cyc = list(cycle[: period(cycle)])
     head = list(pre)
     while head and head[-1] == cyc[-1]:
         head.pop()
         cyc.insert(0, cyc.pop())
     return tuple(head), tuple(cyc)
+
+
+def period(cycle: Sequence) -> int:
+    """The minimal period of a nonempty cycle: the least d that divides its
+    length and leaves it unchanged when shifted by d."""
+    p = len(cycle)
+    return next(d for d in _divisors(p) if d == p or _shift_invariant(cycle, d))
 
 
 def _divisors(p: int) -> list[int]:

@@ -61,10 +61,6 @@ def rank_lt(a, b) -> bool:
     return rank_key(a) < rank_key(b)
 
 
-def rank_le(a, b) -> bool:
-    return rank_key(a) <= rank_key(b)
-
-
 def rank_str(rank) -> str:
     return repr(rank) if isinstance(rank, _RankSentinel) else str(rank)
 
@@ -492,13 +488,17 @@ def _check_layer(graph: StandardGraph, level: int, report: ValidationReport) -> 
                     f"rank-{level - 1} tip {t} belongs to nodes {', '.join(who)}",
                 )
             )
+    _check_shared_exceptional(layer.values(), report)
+
+
+def _check_shared_exceptional(nodes, report: ValidationReport) -> None:
     shared: dict[str, list[str]] = {}
-    for node in layer.values():
+    for node in nodes:
         if node.exceptional is not None:
             shared.setdefault(node.exceptional, []).append(node.ident)
     for target, who in sorted(shared.items()):
         if len(who) > 1:
-            bad(
+            report.violations.append(
                 Violation(
                     "exceptional-shared",
                     f"node {target} is the exceptional element of {', '.join(sorted(who))}",
@@ -546,6 +546,7 @@ def _check_omega_layer(graph, report) -> None:
                 bad(Violation("tip-unowned", f"omega-arrow tip {t} belongs to no omega-node"))
             elif len(who) > 1:
                 bad(Violation("tip-shared", f"omega-arrow tip {t} belongs to nodes {', '.join(who)}"))
+        _check_shared_exceptional(graph.omega_nodes.values(), report)
     else:
         for j in range(_PROBE_DEPTH):
             node = graph.omega_node_at(j)

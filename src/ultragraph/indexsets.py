@@ -1,33 +1,40 @@
 """Decidable subsets of the natural numbers.
 
-Four representations:
+Two representations:
 
-* ``finite`` -- an explicit finite set of members,
-* ``cofinite`` -- an explicit finite set of non-members,
-* ``periodic`` -- eventually periodic membership (preperiod bits plus a
-  repeating cycle of bits),
+* exact -- a ``cycle`` of membership bits anchored at index 0 and repeated
+  forever, plus a finite set of exceptions (``members``): n is a member
+  exactly when ``cycle[n % len(cycle)]`` differs from ``n in members``.
+  A finite set is the cycle ``(False,)`` with its members as exceptions,
+  a cofinite set the cycle ``(True,)`` with its non-members; every other
+  exact set is eventually periodic. ``kind`` names which of the three
+  (``finite``, ``cofinite``, ``periodic``) a set is.
 * ``sampled`` -- an arbitrary membership function evaluable up to a finite
   horizon only.
 
-The first three are exact: membership is known for every n and the family
-is closed under complement, union and intersection (two sets combine
-bit by bit across their joint window, ``_periodic.joint_window``, unless
-the members of a finite or cofinite operand decide the result). Sampled
-sets are deliberately second class; combining anything with a sampled set
-stays sampled, and membership past the horizon raises ``BeyondHorizon``
-instead of guessing.
+Exact sets are closed under complement, union and intersection. Two sets
+combine their cycles over the lcm of their periods (``_periodic.aligned``),
+and only an exception of either operand can be an exception of the result,
+so a large listed number is never unrolled. Sampled sets are deliberately
+second class; combining anything with a sampled set stays sampled (unless
+the exact operand alone settles it: the naturals under union, the empty
+set under intersection), and membership past the horizon raises
+``BeyondHorizon`` instead of guessing.
 
-Construction always canonicalizes: a periodic description whose cycle is
-all ones (or all zeros) collapses to the cofinite (or finite) form, cycles
-are minimal, preperiods are minimal. Equality is therefore structural
-equality of the underlying set, independent of how it was described.
+Construction always canonicalizes: the cycle is cut to its minimal period,
+and the exceptions are then exactly the indices where the set differs from
+it. Equality is therefore structural equality of the underlying set,
+independent of how it was described. By Łoś's theorem the exceptions never
+matter to the filter oracle: an exact set is large exactly when its cycle
+holds at the selected residue.
 """
 
 from __future__ import annotations
 
+from operator import and_, or_
 from typing import Callable, Iterable
 
-from ._periodic import Unrolled, aligned, minimize, on_residue, unrolled
+from ._periodic import Unrolled, aligned, period
 from .errors import BeyondHorizon
 
 FINITE = "finite"
@@ -36,35 +43,48 @@ PERIODIC = "periodic"
 SAMPLED = "sampled"
 
 
-class IndexSet:
-    __slots__ = ("kind", "members", "pre", "cycle", "fn", "horizon", "_text")
+def _listed(numbers: Iterable[int]) -> frozenset:
+    ms = frozenset(int(n) for n in numbers)
+    if any(n < 0 for n in ms):
+        raise ValueError("index sets live inside the naturals")
+    return ms
 
-    def __init__(self, kind, members=frozenset(), pre=(), cycle=(), fn=None, horizon=0):
+
+def _bits(values) -> str:
+    return ",".join("1" if b else "0" for b in values)
+
+
+class IndexSet:
+    __slots__ = ("kind", "cycle", "members", "fn", "horizon", "_text")
+
+    def __init__(self, kind, cycle=(), members=frozenset(), fn=None, horizon=0):
         # Use the factory functions below instead of calling this directly;
         # they canonicalize.
         self.kind = kind
-        self.members = members
-        self.pre = pre
         self.cycle = cycle
+        self.members = members
         self.fn = fn
         self.horizon = horizon
         self._text = None  # describe(), rendered on first use
+
+    @staticmethod
+    def _exact(cycle: tuple, exceptions: Iterable[int]) -> "IndexSet":
+        """The exact set with these bits from index 0 on, flipped at the
+        exceptions: every exact set is built here, its cycle cut to the
+        minimal period."""
+        cycle = cycle[: period(cycle)]
+        kind = PERIODIC if len(cycle) > 1 else COFINITE if cycle[0] else FINITE
+        return IndexSet(kind, cycle, frozenset(exceptions))
 
     # -- factories ---------------------------------------------------------
 
     @staticmethod
     def finite(members: Iterable[int] = ()) -> "IndexSet":
-        ms = frozenset(int(n) for n in members)
-        if any(n < 0 for n in ms):
-            raise ValueError("index sets live inside the naturals")
-        return IndexSet(FINITE, members=ms)
+        return IndexSet._exact((False,), _listed(members))
 
     @staticmethod
     def cofinite(non_members: Iterable[int] = ()) -> "IndexSet":
-        ms = frozenset(int(n) for n in non_members)
-        if any(n < 0 for n in ms):
-            raise ValueError("index sets live inside the naturals")
-        return IndexSet(COFINITE, members=ms)
+        return IndexSet._exact((True,), _listed(non_members))
 
     @staticmethod
     def naturals() -> "IndexSet":
@@ -80,19 +100,20 @@ class IndexSet:
         cycle_bits = tuple(bool(b) for b in cycle)
         if not cycle_bits:
             raise ValueError("cycle must be nonempty")
-        pre_bits, cycle_bits = minimize(pre_bits, cycle_bits)
-        if all(cycle_bits):
-            return IndexSet.cofinite(n for n, b in enumerate(pre_bits) if not b)
-        if not any(cycle_bits):
-            return IndexSet.finite(n for n, b in enumerate(pre_bits) if b)
-        return IndexSet(PERIODIC, pre=pre_bits, cycle=cycle_bits)
+        # The cycle starts after the preperiod; rotate it to start at 0.
+        p = len(cycle_bits)
+        k = -len(pre_bits) % p
+        anchored = cycle_bits[k:] + cycle_bits[:k]
+        return IndexSet._exact(
+            anchored, (n for n, b in enumerate(pre_bits) if b != anchored[n % p])
+        )
 
     @staticmethod
     def residue_class(modulus: int, residue: int) -> "IndexSet":
         if modulus < 1:
             raise ValueError("modulus must be positive")
         r = residue % modulus
-        return IndexSet.eventually_periodic((), tuple(i == r for i in range(modulus)))
+        return IndexSet._exact(tuple(i == r for i in range(modulus)), ())
 
     @staticmethod
     def sampled(fn: Callable[[int], bool], horizon: int) -> "IndexSet":
@@ -105,15 +126,11 @@ class IndexSet:
     def contains(self, n: int) -> bool:
         if n < 0:
             return False
-        if self.kind == FINITE:
-            return n in self.members
-        if self.kind == COFINITE:
-            return n not in self.members
-        if self.kind == PERIODIC:
-            return unrolled(self.pre, self.cycle, n)
-        if n > self.horizon:
-            raise BeyondHorizon(f"sampled set evaluated at n={n} beyond horizon {self.horizon}")
-        return bool(self.fn(n))
+        if self.kind == SAMPLED:
+            if n > self.horizon:
+                raise BeyondHorizon(f"sampled set evaluated at n={n} beyond horizon {self.horizon}")
+            return bool(self.fn(n))
+        return self.cycle[n % len(self.cycle)] != (n in self.members)
 
     __contains__ = contains
 
@@ -129,68 +146,38 @@ class IndexSet:
 
     # -- boolean algebra ----------------------------------------------------
 
-    def _period_form(self) -> tuple[tuple, tuple]:
-        """(pre bits, cycle bits) view of an exact set."""
-        if self.kind == PERIODIC:
-            return self.pre, self.cycle
-        span = max(self.members) + 1 if self.members else 0
-        bits = tuple(self.contains(n) for n in range(span))
-        return bits, ((self.kind == COFINITE),)
-
     def complement(self) -> "IndexSet":
-        if self.kind == FINITE:
-            return IndexSet.cofinite(self.members)
-        if self.kind == COFINITE:
-            return IndexSet.finite(self.members)
-        if self.kind == PERIODIC:
-            return IndexSet.eventually_periodic(
-                tuple(not b for b in self.pre), tuple(not b for b in self.cycle)
-            )
-        fn = self.fn
-        return IndexSet.sampled(lambda n: not fn(n), self.horizon)
+        if self.kind == SAMPLED:
+            fn = self.fn
+            return IndexSet.sampled(lambda n: not fn(n), self.horizon)
+        return IndexSet._exact(tuple(not b for b in self.cycle), self.members)
 
-    def _pointwise(self, other: "IndexSet", op) -> "IndexSet":
+    def _combine(self, other: "IndexSet", op) -> "IndexSet":
         if self.kind == SAMPLED or other.kind == SAMPLED:
-            horizon = min(
-                s.horizon for s in (self, other) if s.kind == SAMPLED
-            )
+            # The naturals or the empty set either settles the result or
+            # leaves the other operand as it is.
+            for a, b in ((self, other), (other, self)):
+                if a.is_empty() or a.is_naturals():
+                    return a if op(a.cycle[0], True) == op(a.cycle[0], False) else b
+            horizon = min(s.horizon for s in (self, other) if s.kind == SAMPLED)
             a, b = self, other
             return IndexSet.sampled(lambda n: op(a.contains(n), b.contains(n)), horizon)
-        head, bits = aligned([Unrolled(*self._period_form()), Unrolled(*other._period_form())], op)
-        return IndexSet.eventually_periodic(bits[:head], bits[head:])
-
-    # Between exact sets, a finite or cofinite operand whose listed numbers
-    # decide the result is combined by membership, so a large member is
-    # never unrolled. Finite with periodic under union, and cofinite with
-    # periodic under intersection, are unrolled: their form holds those bits.
+        _, cycle = aligned([Unrolled((), self.cycle), Unrolled((), other.cycle)], op)
+        p = len(cycle)
+        return IndexSet._exact(
+            cycle,
+            (
+                n
+                for n in self.members | other.members
+                if op(self.contains(n), other.contains(n)) != cycle[n % p]
+            ),
+        )
 
     def union(self, other: "IndexSet") -> "IndexSet":
-        if self.is_naturals() or other.is_empty():
-            return self
-        if other.is_naturals() or self.is_empty():
-            return other
-        if self.exact and other.exact:
-            if self.kind == COFINITE:
-                return IndexSet.cofinite(m for m in self.members if m not in other)
-            if other.kind == COFINITE:
-                return IndexSet.cofinite(m for m in other.members if m not in self)
-            if self.kind == FINITE and other.kind == FINITE:
-                return IndexSet.finite(self.members | other.members)
-        return self._pointwise(other, lambda a, b: a or b)
+        return self._combine(other, or_)
 
     def intersection(self, other: "IndexSet") -> "IndexSet":
-        if self.is_empty() or other.is_naturals():
-            return self
-        if other.is_empty() or self.is_naturals():
-            return other
-        if self.exact and other.exact:
-            if self.kind == FINITE:
-                return IndexSet.finite(m for m in self.members if m in other)
-            if other.kind == FINITE:
-                return IndexSet.finite(m for m in other.members if m in self)
-            if self.kind == COFINITE and other.kind == COFINITE:
-                return IndexSet.cofinite(self.members | other.members)
-        return self._pointwise(other, lambda a, b: a and b)
+        return self._combine(other, and_)
 
     # -- residue-class containment (used by the filter oracle) --------------
 
@@ -199,17 +186,14 @@ class IndexSet:
         finitely many exceptions?
 
         Requires the set's own period to divide ``modulus`` so membership is
-        constant along the class beyond the preperiod.
+        constant along the class outside the exceptions.
         """
-        if self.kind == FINITE:
-            return False
-        if self.kind == COFINITE:
-            return True
-        if self.kind != PERIODIC:
+        if self.kind == SAMPLED:
             raise BeyondHorizon("class containment is only decidable for exact sets")
-        if modulus % len(self.cycle) != 0:
+        p = len(self.cycle)
+        if modulus % p != 0:
             raise ValueError("modulus must be a multiple of the set's period")
-        return on_residue(self.pre, self.cycle, residue)
+        return self.cycle[residue % p]
 
     # -- comparisons and rendering ------------------------------------------
 
@@ -220,20 +204,15 @@ class IndexSet:
     def __eq__(self, other):
         if not isinstance(other, IndexSet):
             return NotImplemented
-        if self.kind != other.kind:
-            return False
-        if self.kind in (FINITE, COFINITE):
-            return self.members == other.members
-        if self.kind == PERIODIC:
-            return self.pre == other.pre and self.cycle == other.cycle
-        return self.fn is other.fn and self.horizon == other.horizon
+        return (
+            self.cycle == other.cycle
+            and self.members == other.members
+            and self.fn is other.fn
+            and self.horizon == other.horizon
+        )
 
     def __hash__(self):
-        if self.kind in (FINITE, COFINITE):
-            return hash((self.kind, self.members))
-        if self.kind == PERIODIC:
-            return hash((self.kind, self.pre, self.cycle))
-        return hash((self.kind, id(self.fn), self.horizon))
+        return hash((self.cycle, self.members, id(self.fn), self.horizon))
 
     def describe(self) -> str:
         # Index sets are never changed after the factories build them, so
@@ -244,16 +223,18 @@ class IndexSet:
         return self._text
 
     def _render(self) -> str:
-        if self.kind == FINITE:
-            return "finite={%s}" % ",".join(str(n) for n in sorted(self.members))
-        if self.kind == COFINITE:
-            return "cofinite={%s}" % ",".join(str(n) for n in sorted(self.members))
-        if self.kind == PERIODIC:
-            cyc = "cycle=[%s]" % ",".join("1" if b else "0" for b in self.cycle)
-            if self.pre:
-                return "pre=[%s] %s" % (",".join("1" if b else "0" for b in self.pre), cyc)
-            return cyc
-        return f"sampled(horizon={self.horizon})"
+        if self.kind == SAMPLED:
+            return f"sampled(horizon={self.horizon})"
+        if self.kind != PERIODIC:
+            return "%s={%s}" % (self.kind, ",".join(str(n) for n in sorted(self.members)))
+        # The minimal preperiod ends just past the last exception, and the
+        # cycle is read on from there.
+        head = max(self.members) + 1 if self.members else 0
+        k = head % len(self.cycle)
+        cyc = "cycle=[%s]" % _bits(self.cycle[k:] + self.cycle[:k])
+        if head:
+            return "pre=[%s] %s" % (_bits(map(self.contains, range(head))), cyc)
+        return cyc
 
     def __repr__(self):
         return f"IndexSet({self.describe()})"

@@ -4,11 +4,12 @@ Membership questions "is this index set large?" are answered exactly on the
 algebra of finite, cofinite and eventually periodic sets. The choice of
 ultrafilter is encoded by a residue tower: one residue c_m per modulus m,
 compatible in the sense that c_{m'} = c_m (mod m) whenever m divides m'.
-An eventually periodic set with period P is accepted exactly when it
-contains the residue class c_P (mod P) beyond its preperiod. Because all
-decisions come from a single tower, the ultrafilter laws (complementarity,
-closure under supersets and intersections, rejection of every finite set)
-hold unconditionally, even after pinning.
+An exact set with period P is accepted exactly when it contains the
+residue class c_P (mod P) up to its finitely many exceptions, that is
+when its cycle holds at c_P. Because all decisions come from a single
+tower, the ultrafilter laws (complementarity, closure under supersets and
+intersections, rejection of every finite set) hold unconditionally, even
+after pinning.
 
 Pins let the user steer toward a different ultrafilter. A pin on an exact
 set is translated into a constraint on the tower: the set of admissible
@@ -48,7 +49,7 @@ from .errors import (
     NotAPartition,
     Undecidable,
 )
-from .indexsets import COFINITE, FINITE, PERIODIC, SAMPLED, IndexSet
+from .indexsets import COFINITE, SAMPLED, IndexSet
 
 
 class Membership(Enum):
@@ -147,8 +148,7 @@ class FilterOracle:
         agrees with the base residues, else the first admissible one."""
         modulus = self._base_mod
         for pin in self._exact_pins:
-            period = len(pin.target.cycle) if pin.target.kind == PERIODIC else 1
-            modulus = lcm(modulus, period)
+            modulus = lcm(modulus, len(pin.target.cycle))
         wanted = [(pin.target, pin.verdict is Membership.IN) for pin in self._exact_pins]
 
         def admissible(r: int) -> bool:
@@ -200,9 +200,10 @@ class FilterOracle:
     def decide(self, subject: IndexSet, context: str = "decide") -> Membership:
         """Is the set a member of the chosen ultrafilter?
 
-        Exact sets always decide. Sampled sets decide only when they (or
-        their complements) match a pin pointwise on the shared window;
-        otherwise ``Undecidable`` is raised.
+        Exact sets always decide, by Łoś's theorem at the selected index:
+        a set is large exactly when its cycle holds there. Sampled sets
+        decide only when they (or their complements) match a pin pointwise
+        on the shared window; otherwise ``Undecidable`` is raised.
         """
         if subject.kind == SAMPLED:
             verdict = self._match_sampled(subject)
@@ -213,14 +214,8 @@ class FilterOracle:
                 )
             self._record(subject, verdict, context)
             return verdict
-        if subject.kind == FINITE:
-            verdict = Membership.OUT
-        elif subject.kind == COFINITE:
-            verdict = Membership.IN
-        else:
-            period = len(subject.cycle)
-            inside = subject.class_inside(self._selected % period, period)
-            verdict = Membership.IN if inside else Membership.OUT
+        cycle = subject.cycle
+        verdict = Membership.IN if cycle[self._selected % len(cycle)] else Membership.OUT
         self._record(subject, verdict, context)
         return verdict
 

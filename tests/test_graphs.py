@@ -50,6 +50,24 @@ def test_shared_exceptional_is_a_violation():
     assert "exceptional-shared" in codes(validate(g))
 
 
+def test_shared_exceptional_on_an_explicit_omega_layer_is_a_violation():
+    g = StandardGraph(
+        "T",
+        OMEGA,
+        nodes0=["a", "b"],
+        branches={"b1": ("a", "b")},
+        scheme=TowerScheme(2),
+        omega_tips=["T0", "T1"],
+        omega_nodes=[
+            StandardNode.make("W0", OMEGA, ("T0",), "x1_0"),
+            StandardNode.make("W1", OMEGA, ("T1",), "x1_0"),
+        ],
+    )
+    report = validate(g)
+    assert codes(report) == ["exceptional-shared"]
+    assert report.violations[0].detail == "node x1_0 is the exceptional element of W0, W1"
+
+
 def test_tipless_node_is_a_violation():
     g = StandardGraph(
         "empty",

@@ -1,11 +1,13 @@
 """Index sets: exact membership, Boolean closure, canonical forms."""
 
 import time
+from operator import and_, or_
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultragraph import IndexSet
+from ultragraph._periodic import Unrolled, aligned, minimize
 from ultragraph.indexsets import COFINITE, FINITE, PERIODIC, SAMPLED
 from ultragraph.errors import BeyondHorizon
 
@@ -95,8 +97,11 @@ def test_class_inside():
 
 @given(ep_sets, st.integers(1, 4), st.integers(-50, 50))
 def test_class_inside_matches_a_read_at_the_first_class_index_past_the_preperiod(s, k, residue):
-    pre, cycle = s._period_form()
-    head, modulus = len(pre), len(cycle) * k
+    # The preperiod ends just past the last n (all below 400 here) whose
+    # membership differs from that one period on.
+    period = len(s.cycle)
+    head = 1 + max((n for n in range(400) if s.contains(n) != s.contains(n + period)), default=-1)
+    modulus = period * k
     n0 = head + ((residue - head) % modulus)
     assert s.class_inside(residue, modulus) == s.contains(n0)
 
@@ -127,6 +132,20 @@ def test_a_finite_meet_and_a_cofinite_join_never_unroll_to_the_member(member):
     join = IndexSet.cofinite({member}).union(IndexSet.residue_class(2, 1))
     assert time.perf_counter() - start < 0.1
     assert join == IndexSet.cofinite(kept)
+    # With a periodic result the member is an exception to the evens (or
+    # odds) exactly when it is odd.
+    odd = {member} if member % 2 else set()
+    next_odd = member + 1 + member % 2
+    start = time.perf_counter()
+    join = IndexSet.finite({member}).union(IndexSet.residue_class(2, 0))
+    assert time.perf_counter() - start < 0.1
+    assert (join.cycle, join.members) == ((True, False), odd)
+    assert join.contains(member) and not join.contains(next_odd)
+    start = time.perf_counter()
+    meet = IndexSet.cofinite({member}).intersection(IndexSet.residue_class(2, 1))
+    assert time.perf_counter() - start < 0.1
+    assert (meet.cycle, meet.members) == ((False, True), odd)
+    assert not meet.contains(member) and meet.contains(next_odd)
 
 
 @given(ep_sets, ep_sets)
@@ -170,3 +189,66 @@ def test_describe_is_rendered_once_per_set():
     for s, text in zip(sets, texts):
         first = s.describe()
         assert first == text and s.describe() is first
+
+
+# A reference for describe() and ==: the minimized (pre bits, cycle bits)
+# form, in which sets were once stored and combined bit by bit over their
+# joint window. Random sets are drawn as expressions, and each expression
+# is evaluated both as an index set and as a reference form.
+set_exprs = st.recursive(
+    st.one_of(
+        st.tuples(
+            st.just("periodic"),
+            st.lists(st.booleans(), max_size=6),
+            st.lists(st.booleans(), min_size=1, max_size=12),
+        ),
+        st.tuples(st.sampled_from(["finite", "cofinite"]), members),
+    ),
+    lambda inner: st.one_of(
+        st.tuples(st.just("complement"), inner),
+        st.tuples(st.sampled_from(["union", "intersection"]), inner, inner),
+    ),
+    max_leaves=6,
+)
+
+
+def evaluate(expr):
+    """(index set, reference form) of a drawn expression."""
+    op, *args = expr
+    if op == "periodic":
+        pre, cycle = args
+        return IndexSet.eventually_periodic(pre, cycle), minimize(tuple(pre), tuple(cycle))
+    if op in ("finite", "cofinite"):
+        (listed,) = args
+        inside = op == "finite"
+        head = max(listed) + 1 if listed else 0
+        form = minimize(tuple((n in listed) == inside for n in range(head)), (not inside,))
+        return getattr(IndexSet, op)(listed), form
+    if op == "complement":
+        s, (pre, cycle) = evaluate(args[0])
+        return s.complement(), (tuple(not b for b in pre), tuple(not b for b in cycle))
+    (a, fa), (b, fb) = evaluate(args[0]), evaluate(args[1])
+    head, bits = aligned([Unrolled(*fa), Unrolled(*fb)], or_ if op == "union" else and_)
+    return getattr(a, op)(b), minimize(bits[:head], bits[head:])
+
+
+def reference_text(form):
+    pre, cycle = form
+    if cycle == (False,):
+        return "finite={%s}" % ",".join(str(n) for n, b in enumerate(pre) if b)
+    if cycle == (True,):
+        return "cofinite={%s}" % ",".join(str(n) for n, b in enumerate(pre) if not b)
+    text = "cycle=[%s]" % ",".join("1" if b else "0" for b in cycle)
+    return "pre=[%s] %s" % (",".join("1" if b else "0" for b in pre), text) if pre else text
+
+
+@given(set_exprs, set_exprs)
+def test_describe_and_equality_match_the_minimized_pre_cycle_form(x, y):
+    (a, fa), (b, fb) = evaluate(x), evaluate(y)
+    assert a.describe() == reference_text(fa)
+    assert b.describe() == reference_text(fb)
+    assert (a == b) == (fa == fb)
+    # a rebuilt from its parts on either side of b: equal, and hashed alike
+    c, fc = evaluate(("union", ("intersection", x, y), ("intersection", x, ("complement", y))))
+    assert fc == fa and c == a and hash(c) == hash(a)
+    assert c.describe() == reference_text(fc)
