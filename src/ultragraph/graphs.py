@@ -11,15 +11,20 @@ tip. Whether a tip is "really" the end of a one-ended path is the input
 author's responsibility and is deliberately not checked here.
 
 Graphs of rank omega-arrow or omega cannot list their infinitely many
-layers, so they carry a layer scheme: a uniform template instantiated on
-demand. The omega layer (omega-nodes owning omega-arrow tips) is either
-declared explicitly or generated by the graded scheme, whose j-th
-omega-node embraces the rank-j node of the tower as its exceptional
-element. No graph here has omega-arrow nodes.
+natural-rank layers, so they carry a layer scheme: a uniform template
+instantiated on demand. The omega layer (omega-nodes owning omega-arrow
+tips) is either declared explicitly or generated by the graded scheme,
+whose j-th omega-node embraces the rank-j node of the tower as its
+exceptional element. An explicit omega layer is one more stored layer:
+its nodes sit at rank OMEGA and its tips at rank OMEGA_ARROW in the same
+tables as the finite layers, so listing, owner lookup and validation
+treat it exactly like a finite one. Only the graded layer, being
+infinite, has code of its own. No graph here has omega-arrow nodes.
 
 Extremities of a graph at level mu are the raw material for higher nodes:
-the (mu-1)-tips together with the exceptional elements of the mu-nodes.
-Two extremities are shorted when the same mu-node contains both.
+the tips of rank ``tip_rank(mu)`` (mu-1 for a natural level, omega-arrow
+for omega) together with the exceptional elements of the mu-nodes. Two
+extremities are shorted when the same mu-node contains both.
 
 All structures are immutable after construction; layer materialization for
 schemes is cached and idempotent, so sharing between readers is safe.
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 from .errors import DuplicateId, NotAnExtremity, RankTooHigh
@@ -59,6 +65,11 @@ def rank_key(rank) -> tuple[int, int]:
 
 def rank_lt(a, b) -> bool:
     return rank_key(a) < rank_key(b)
+
+
+def tip_rank(level):
+    """The rank of the tips that the nodes of a level own."""
+    return OMEGA_ARROW if level is OMEGA else level - 1
 
 
 def rank_str(rank) -> str:
@@ -162,52 +173,48 @@ class StandardGraph:
         self.nodes0 = frozenset(nodes0)
         self.branches = dict(branches)
         self._tip_layers = {r: frozenset(ids) for r, ids in (tips or {}).items()}
-        self._node_layers: dict[int, dict[str, StandardNode]] = {}
+        self._node_layers: dict[object, dict[str, StandardNode]] = {}
         self.scheme = scheme
         self.graded_omega = graded_omega
         if isinstance(rank, _RankSentinel) and scheme is None:
             raise ValueError("graphs of unbounded rank need a layer scheme")
         if not isinstance(rank, _RankSentinel) and scheme is not None:
             raise ValueError("finite-rank graphs list their layers explicitly")
+        omega_nodes = tuple(omega_nodes)
+        if graded_omega and (omega_tips is not None or omega_nodes):
+            raise ValueError("a graded omega layer cannot also list omega-tips or omega-nodes")
+        if omega_tips:
+            self._tip_layers[OMEGA_ARROW] = frozenset(omega_tips)
         seen = set(self.nodes0)
-        for node in nodes:
+        for layer, node in chain(((n.rank, n) for n in nodes), ((OMEGA, n) for n in omega_nodes)):
             if node.ident in seen:
                 raise DuplicateId(f"node id {node.ident!r} declared twice")
             seen.add(node.ident)
-            self._node_layers.setdefault(node.rank, {})[node.ident] = node
-        self.omega_tips = None if omega_tips is None else frozenset(omega_tips)
-        self.omega_nodes: dict[str, StandardNode] = {}
-        for node in omega_nodes:
-            if node.ident in seen:
-                raise DuplicateId(f"node id {node.ident!r} declared twice")
-            seen.add(node.ident)
-            self.omega_nodes[node.ident] = node
-        if rank is OMEGA and not graded_omega and self.omega_tips is None:
-            self.omega_tips = frozenset()
+            self._node_layers.setdefault(layer, {})[node.ident] = node
         self._layer_cache: dict[int, dict[str, StandardNode]] = {}
-        self._owner_cache: dict[int, tuple[dict[str, str], dict[str, str]]] = {}
+        self._owner_cache: dict[object, tuple[dict[str, str], dict[str, str]]] = {}
 
     # -- layers ---------------------------------------------------------------
 
-    def layer_nodes(self, rank: int) -> dict[str, StandardNode]:
-        if rank < 1:
+    def layer_nodes(self, rank) -> dict[str, StandardNode]:
+        if rank_lt(rank, 1):
             raise ValueError("node layers start at rank 1")
-        if self.scheme is not None:
+        if self.scheme is not None and isinstance(rank, int):
             if rank not in self._layer_cache:
                 self._layer_cache[rank] = self.scheme.nodes_at(rank)
             return self._layer_cache[rank]
-        if rank > self.rank:
+        if rank_lt(self.rank, rank):
             raise RankTooHigh(f"graph {self.name} has rank {rank_str(self.rank)}")
         return self._node_layers.get(rank, {})
 
-    def layer_tips(self, rank: int) -> frozenset:
-        if rank < 0:
+    def layer_tips(self, rank) -> frozenset:
+        if rank_lt(rank, 0):
             raise ValueError("tip layers start at rank 0")
-        if self.scheme is not None:
+        if self.scheme is not None and isinstance(rank, int):
             return self.scheme.tips_at(rank)
-        if not isinstance(self.rank, int) or rank >= self.rank:
+        if not rank_lt(rank, self.rank):
             raise RankTooHigh(
-                f"graph {self.name} of rank {rank_str(self.rank)} has no rank-{rank} tips"
+                f"graph {self.name} of rank {rank_str(self.rank)} has no rank-{rank_str(rank)} tips"
             )
         return self._tip_layers.get(rank, frozenset())
 
@@ -217,8 +224,6 @@ class StandardGraph:
         for r, layer in self._node_layers.items():
             if ident in layer:
                 return r
-        if ident in self.omega_nodes:
-            return OMEGA
         if self.scheme is not None:
             r = self.scheme.node_rank(ident)
             if r is not None:
@@ -226,11 +231,6 @@ class StandardGraph:
             if self.graded_omega and _ONODE_RE.match(ident):
                 return OMEGA
         return None
-
-    # -- the omega layer ---------------------------------------------------------
-
-    def omega_layer_explicit(self) -> bool:
-        return self.rank is OMEGA and not self.graded_omega
 
     def omega_node_at(self, j: int) -> StandardNode:
         if not self.graded_omega:
@@ -257,23 +257,14 @@ class StandardGraph:
         """All extremities at the level, sorted; for a generated omega layer a
         bound on the layer index is required."""
         self._check_level(level)
-        out: list[Extremity] = []
-        if level is OMEGA:
-            if self.omega_layer_explicit():
-                for t in self.omega_tips:
-                    out.append(Extremity("tip", t, OMEGA_ARROW))
-                nodes = self.omega_nodes.values()
-            else:
-                if bound is None:
-                    raise RankTooHigh(
-                        "the generated omega layer is unbounded; pass a bound"
-                    )
-                out.extend(
-                    Extremity("tip", f"T_{j}", OMEGA_ARROW) for j in range(bound)
-                )
-                nodes = [self.omega_node_at(j) for j in range(bound)]
+        if level is OMEGA and self.graded_omega:
+            if bound is None:
+                raise RankTooHigh("the generated omega layer is unbounded; pass a bound")
+            out = [Extremity("tip", f"T_{j}", OMEGA_ARROW) for j in range(bound)]
+            nodes = [self.omega_node_at(j) for j in range(bound)]
         else:
-            out.extend(Extremity("tip", t, level - 1) for t in self.layer_tips(level - 1))
+            rank = tip_rank(level)
+            out = [Extremity("tip", t, rank) for t in self.layer_tips(rank)]
             nodes = self.layer_nodes(level).values()
         for node in nodes:
             if node.exceptional is not None:
@@ -285,38 +276,26 @@ class StandardGraph:
     def owner_of(self, e: Extremity, level) -> str:
         """The ident of the level-node containing the extremity."""
         self._check_level(level)
-        if level is OMEGA:
-            return self._omega_owner(e)
+        if level is OMEGA and self.graded_omega:
+            return self._graded_omega_owner(e)
         tips, exceptional = self._owner_index(level)
         if e.kind == "tip":
-            if e.ident in self.layer_tips(level - 1):
-                owner = tips.get(e.ident)
-                if owner is not None:
-                    return owner
-            raise NotAnExtremity(
-                f"{e.describe()} is not an owned rank-{level - 1} tip of graph {self.name}"
-            )
+            owner = tips.get(e.ident)
+            if owner is None:
+                raise NotAnExtremity(
+                    f"{e.describe()} is not an owned rank-{rank_str(tip_rank(level))} tip "
+                    f"of graph {self.name}"
+                )
+            return owner
         owner = exceptional.get(e.ident)
         if owner is None:
             raise NotAnExtremity(
                 f"{e.describe()} is not the exceptional element of any "
-                f"rank-{level} node of graph {self.name}"
+                f"rank-{rank_str(level)} node of graph {self.name}"
             )
         return owner
 
-    def _omega_owner(self, e: Extremity) -> str:
-        if self.omega_layer_explicit():
-            if e.kind == "tip":
-                for node in self.omega_nodes.values():
-                    if e.ident in node.tips:
-                        return node.ident
-            else:
-                for node in self.omega_nodes.values():
-                    if node.exceptional == e.ident:
-                        return node.ident
-            raise NotAnExtremity(
-                f"{e.describe()} is not an omega extremity of graph {self.name}"
-            )
+    def _graded_omega_owner(self, e: Extremity) -> str:
         if e.kind == "tip":
             m = _OTIP_RE.match(e.ident)
             if m:
@@ -329,20 +308,23 @@ class StandardGraph:
             f"{e.describe()} is not an omega extremity of graph {self.name}"
         )
 
-    def _owner_index(self, level: int) -> tuple[dict[str, str], dict[str, str]]:
-        """(tip -> owner, exceptional element -> owner) at a finite level;
-        built once per level, since graphs do not change after construction."""
+    def _owner_index(self, level) -> tuple[dict[str, str], dict[str, str]]:
+        """(declared tip -> owner, exceptional element -> owner) at a level
+        with a stored or scheme layer; built once per level, since graphs do
+        not change after construction."""
         index = self._owner_cache.get(level)
         if index is None:
             index = self._owner_cache[level] = self._build_owner_index(level)
         return index
 
-    def _build_owner_index(self, level: int) -> tuple[dict[str, str], dict[str, str]]:
+    def _build_owner_index(self, level) -> tuple[dict[str, str], dict[str, str]]:
+        declared = self.layer_tips(tip_rank(level))
         tips: dict[str, str] = {}
         exceptional: dict[str, str] = {}
         for node in self.layer_nodes(level).values():
             for t in node.tips:
-                tips.setdefault(t, node.ident)
+                if t in declared:
+                    tips.setdefault(t, node.ident)
             if node.exceptional is not None:
                 exceptional[node.exceptional] = node.ident
         return tips, exceptional
@@ -355,22 +337,17 @@ class StandardGraph:
             rank_str(self.rank),
             tuple(sorted(self.nodes0)),
             tuple(sorted((b, u, v) for b, (u, v) in self.branches.items())),
-            tuple(sorted((r, tuple(sorted(ids))) for r, ids in self._tip_layers.items())),
+            tuple(
+                sorted((rank_key(r), tuple(sorted(ids))) for r, ids in self._tip_layers.items())
+            ),
             tuple(
                 sorted(
-                    (r, n.ident, tuple(sorted(n.tips)), n.exceptional)
+                    (rank_key(r), n.ident, tuple(sorted(n.tips)), n.exceptional)
                     for r, layer in self._node_layers.items()
                     for n in layer.values()
                 )
             ),
             self.scheme.params() if self.scheme else None,
-            tuple(sorted(self.omega_tips)) if self.omega_tips is not None else None,
-            tuple(
-                sorted(
-                    (n.ident, tuple(sorted(n.tips)), n.exceptional)
-                    for n in self.omega_nodes.values()
-                )
-            ),
             self.graded_omega,
         )
 
@@ -423,82 +400,74 @@ def validate(graph: StandardGraph) -> ValidationReport:
         for end in (u, v):
             if end not in graph.nodes0:
                 bad(Violation("branch-endpoint", f"branch {bid} endpoint {end} is not a 0-node"))
-    if isinstance(graph.rank, int):
-        levels = list(range(1, graph.rank + 1))
-        if graph.rank >= 1 and not graph.layer_nodes(graph.rank):
-            bad(
-                Violation(
-                    "layer-empty-top",
-                    f"rank-{graph.rank} graph has no rank-{graph.rank} nodes",
-                )
-            )
-        for r in graph._node_layers:
-            if not isinstance(r, int) or r < 1 or r > graph.rank:
-                bad(Violation("rank-range", f"node layer at invalid rank {rank_str(r)}"))
-        for r in graph._tip_layers:
-            if r < 0 or r >= graph.rank:
-                bad(Violation("rank-range", f"tip layer at invalid rank {r}"))
-    else:
-        levels = list(range(1, _PROBE_DEPTH + 1))
+    schemed = not isinstance(graph.rank, int)
+    levels = list(range(1, (_PROBE_DEPTH if schemed else graph.rank) + 1))
+    if graph.rank is OMEGA and not graph.graded_omega:
+        levels.append(OMEGA)
+    if levels and levels[-1] == graph.rank and not graph.layer_nodes(graph.rank):
+        top = rank_str(graph.rank)
+        bad(Violation("layer-empty-top", f"rank-{top} graph has no {_words(graph.rank)[2]}s"))
+    if schemed:
         report.notes.append(
             f"scheme layers spot-checked up to rank {_PROBE_DEPTH}; the template "
             "repeats uniformly beyond"
         )
+    else:
+        for r in graph._node_layers:
+            if not isinstance(r, int) or r < 1 or r > graph.rank:
+                bad(Violation("rank-range", f"node layer at invalid rank {rank_str(r)}"))
+        for r in graph._tip_layers:
+            if not isinstance(r, int) or r < 0 or r >= graph.rank:
+                bad(Violation("rank-range", f"tip layer at invalid rank {rank_str(r)}"))
     for level in levels:
         _check_layer(graph, level, report)
-    if graph.rank is OMEGA:
-        _check_omega_layer(graph, report)
+    if graph.graded_omega and graph.rank is OMEGA:
+        _check_graded_omega(graph, report)
     report.notes.append("tip path-consistency: not checked (tips are primitive identifiers)")
     return report
 
 
-def _tip_universe(graph: StandardGraph, rank: int) -> frozenset:
-    if rank == -1:
-        return frozenset()
-    return graph.layer_tips(rank)
+def _words(level) -> tuple[str, str, str]:
+    """How violations name a node of the level, a tip it owns, and a node of
+    the level where nodes of other ranks are about."""
+    if level is OMEGA:
+        return "omega-node", "omega-arrow tip", "omega-node"
+    return "node", f"rank-{level - 1} tip", f"rank-{level} node"
 
 
-def _check_layer(graph: StandardGraph, level: int, report: ValidationReport) -> None:
+def _check_layer(graph: StandardGraph, level, report: ValidationReport) -> None:
     bad = report.violations.append
-    universe = _tip_universe(graph, level - 1)
+    node_word, tip, owner = _words(level)
+    universe = graph.layer_tips(tip_rank(level))
     owners: dict[str, list[str]] = {}
     layer = graph.layer_nodes(level)
     for node in sorted(layer.values(), key=lambda n: n.ident):
         if not node.tips:
-            bad(Violation("node-empty", f"node {node.ident} owns no rank-{level - 1} tip"))
+            bad(Violation("node-empty", f"{node_word} {node.ident} owns no {tip}"))
         for t in sorted(node.tips):
             owners.setdefault(t, []).append(node.ident)
             if t not in universe:
                 bad(
                     Violation(
                         "unknown-tip",
-                        f"node {node.ident} references undeclared tip {t}",
+                        f"{node_word} {node.ident} references undeclared tip {t}",
                     )
                 )
         if node.exceptional is not None:
-            _check_exceptional(graph, node, level, report)
+            _check_exceptional(graph, node, report)
     for t in sorted(universe):
         who = owners.get(t, [])
         if not who:
-            bad(Violation("tip-unowned", f"rank-{level - 1} tip {t} belongs to no rank-{level} node"))
+            bad(Violation("tip-unowned", f"{tip} {t} belongs to no {owner}"))
         elif len(who) > 1:
-            bad(
-                Violation(
-                    "tip-shared",
-                    f"rank-{level - 1} tip {t} belongs to nodes {', '.join(who)}",
-                )
-            )
-    _check_shared_exceptional(layer.values(), report)
-
-
-def _check_shared_exceptional(nodes, report: ValidationReport) -> None:
+            bad(Violation("tip-shared", f"{tip} {t} belongs to nodes {', '.join(who)}"))
     shared: dict[str, list[str]] = {}
-    for node in nodes:
+    for node in layer.values():
         if node.exceptional is not None:
             shared.setdefault(node.exceptional, []).append(node.ident)
     for target, who in sorted(shared.items()):
         if len(who) > 1:
-            report.violations.append(
+            bad(
                 Violation(
                     "exceptional-shared",
                     f"node {target} is the exceptional element of {', '.join(sorted(who))}",
@@ -506,7 +475,7 @@ def _check_shared_exceptional(nodes, report: ValidationReport) -> None:
             )
 
 
-def _check_exceptional(graph, node, level, report) -> None:
+def _check_exceptional(graph, node, report) -> None:
     bad = report.violations.append
     target_rank = graph.node_rank(node.exceptional)
     if target_rank is None:
@@ -526,40 +495,17 @@ def _check_exceptional(graph, node, level, report) -> None:
         )
 
 
-def _check_omega_layer(graph, report) -> None:
-    bad = report.violations.append
-    if graph.omega_layer_explicit():
-        universe = graph.omega_tips
-        owners: dict[str, list[str]] = {}
-        for node in sorted(graph.omega_nodes.values(), key=lambda n: n.ident):
-            if not node.tips:
-                bad(Violation("node-empty", f"omega-node {node.ident} owns no omega-arrow tip"))
-            for t in sorted(node.tips):
-                owners.setdefault(t, []).append(node.ident)
-                if t not in universe:
-                    bad(Violation("unknown-tip", f"omega-node {node.ident} references undeclared tip {t}"))
-            if node.exceptional is not None:
-                _check_exceptional(graph, node, OMEGA, report)
-        for t in sorted(universe):
-            who = owners.get(t, [])
-            if not who:
-                bad(Violation("tip-unowned", f"omega-arrow tip {t} belongs to no omega-node"))
-            elif len(who) > 1:
-                bad(Violation("tip-shared", f"omega-arrow tip {t} belongs to nodes {', '.join(who)}"))
-        _check_shared_exceptional(graph.omega_nodes.values(), report)
-    else:
-        for j in range(_PROBE_DEPTH):
-            node = graph.omega_node_at(j)
-            if node.exceptional is not None and graph.node_rank(node.exceptional) is None:
-                bad(
-                    Violation(
-                        "exceptional-missing",
-                        f"omega-node {node.ident} embraces unknown node {node.exceptional}",
-                    )
+def _check_graded_omega(graph, report) -> None:
+    for j in range(_PROBE_DEPTH):
+        node = graph.omega_node_at(j)
+        if node.exceptional is not None and graph.node_rank(node.exceptional) is None:
+            report.violations.append(
+                Violation(
+                    "exceptional-missing",
+                    f"omega-node {node.ident} embraces unknown node {node.exceptional}",
                 )
-        report.notes.append(
-            f"generated omega layer spot-checked up to index {_PROBE_DEPTH}"
-        )
+            )
+    report.notes.append(f"generated omega layer spot-checked up to index {_PROBE_DEPTH}")
 
 
 def truncate(graph: StandardGraph, new_rank) -> StandardGraph:

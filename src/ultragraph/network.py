@@ -116,8 +116,19 @@ class StandardNetwork:
             raise InvariantBreach(
                 f"branch data does not match the graph: missing {missing}, extra {extra}"
             )
+        _check_endpoints(graph)
         self.graph = graph
         self.data = dict(data)
+
+
+def _check_endpoints(graph: StandardGraph) -> None:
+    """Every branch joins two 0-nodes; nodal analysis has no row for any other end."""
+    for bid, ends in sorted(graph.branches.items()):
+        for end in ends:
+            if end not in graph.nodes0:
+                raise InvariantBreach(
+                    f"graph {graph.name}: branch {bid} endpoint {end} is not a 0-node"
+                )
 
 
 @dataclass
@@ -324,6 +335,7 @@ class NsNetwork:
                     f"prototype {g.name} has branches {sorted(g.branches)}, "
                     f"expected exactly {sorted(bids)}"
                 )
+            _check_endpoints(g)
         for bid, (r_seq, e_seq) in data.items():
             for seq in (r_seq, e_seq):
                 if not isinstance(seq, (PeriodicSeq, GeneratedSeq)):

@@ -15,8 +15,8 @@ line flag). '#' starts a comment. Grammar:
     branch ID FROM TO
     tips R = ID ...            # the declared rank-R tip universe
     node ID rank=R tips={ID, ...} [exceptional=ID]
-    omega-tips ID ...          # explicit omega layer only
-    omega-node ID tips={ID, ...} [exceptional=ID]
+    omega-tips ID ...          # the omega layer of a rank=omega graph
+    omega-node ID tips={ID, ...} [exceptional=ID]   # without omega=graded
   }
 
   family NAME {
@@ -69,7 +69,9 @@ from .graphs import (
     StandardNode,
     TowerScheme,
     parse_rank,
+    rank_key,
     rank_str,
+    tip_rank,
 )
 from .indexsets import IndexSet
 from .oracle import FilterOracle, Membership
@@ -429,8 +431,7 @@ class Project:
 def _resolve_ref(ref, graph: StandardGraph, level, qname: str) -> Extremity:
     kind, ident = ref
     if kind == "tip":
-        rank = OMEGA_ARROW if level is OMEGA else level - 1
-        return Extremity("tip", ident, rank)
+        return Extremity("tip", ident, tip_rank(level))
     rank = graph.node_rank(ident)
     if rank is None:
         raise UnresolvedReference(
@@ -871,28 +872,22 @@ def _render_graph(graph: StandardGraph) -> list[str]:
     for bid in sorted(graph.branches):
         u, v = graph.branches[bid]
         lines.append(f"  branch {bid} {u} {v}")
-    for rank in sorted(graph._tip_layers):
-        ids = graph._tip_layers[rank]
+    for rank in sorted(graph._tip_layers, key=rank_key):
+        ids = " ".join(sorted(graph._tip_layers[rank]))
         if ids:
-            lines.append(f"  tips {rank} = " + " ".join(sorted(ids)))
-    explicit_nodes = sorted(
-        (node for layer in graph._node_layers.values() for node in layer.values()),
-        key=lambda n: (n.rank, n.ident),
-    )
-    for node in explicit_nodes:
-        lines.append("  " + _render_node(node, "node", with_rank=True))
-    if graph.omega_layer_explicit() and graph.omega_tips:
-        lines.append("  omega-tips " + " ".join(sorted(graph.omega_tips)))
-    for ident in sorted(graph.omega_nodes):
-        lines.append("  " + _render_node(graph.omega_nodes[ident], "omega-node", False))
+            lines.append(f"  omega-tips {ids}" if rank is OMEGA_ARROW else f"  tips {rank} = {ids}")
+    for rank in sorted(graph._node_layers, key=rank_key):
+        layer = graph._node_layers[rank]
+        lines.extend("  " + _render_node(layer[ident], rank) for ident in sorted(layer))
     lines.append("}")
     return lines
 
 
-def _render_node(node: StandardNode, keyword: str, with_rank: bool) -> str:
-    parts = [keyword, node.ident]
-    if with_rank:
-        parts.append(f"rank={node.rank}")
+def _render_node(node: StandardNode, layer) -> str:
+    if layer is OMEGA:
+        parts = ["omega-node", node.ident]
+    else:
+        parts = ["node", node.ident, f"rank={node.rank}"]
     parts.append("tips={%s}" % ", ".join(sorted(node.tips)))
     if node.exceptional is not None:
         parts.append(f"exceptional={node.exceptional}")

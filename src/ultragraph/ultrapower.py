@@ -44,6 +44,7 @@ from .graphs import (
     Extremity,
     StandardGraph,
     rank_str,
+    tip_rank,
 )
 from .indexsets import IndexSet
 from .oracle import Membership, FilterOracle
@@ -324,7 +325,7 @@ def classify(ext: NsExtremity, oracle: FilterOracle, check_upto: int = 64) -> Ex
     """
     verdict = oracle.decide(ext.kind_tip_set, context=f"tip-kind of {ext.label}")
     if verdict is Membership.IN:
-        rank = OMEGA_ARROW if ext.level is OMEGA else ext.level - 1
+        rank = tip_rank(ext.level)
         return ExtremityClass(
             "tip", rank, True, f"tip of rank {rank_str(rank)}"
         )

@@ -36,6 +36,7 @@ GOLDEN_CASES = [
     ),
     ("solve_divider", ["solve", "projects/divider.ug"]),
     ("build_tower", ["build", "projects/tower.ug"]),
+    ("report_omega", ["report", "projects/omega.ug"]),
 ]
 
 
@@ -105,6 +106,42 @@ def test_fault_projects_map_to_exit_codes(fault, code):
     assert proc.returncode == code, (proc.stdout, proc.stderr)
     if code != 3:
         assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["validate", "solve", "report"])
+def test_a_branch_endpoint_that_is_not_a_0_node_exits_3(command):
+    proc = run_cli(command, str(FAULTS / "fault_endpoint.ug"))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: graph g: branch b2 endpoint c is not a 0-node\n"
+
+
+OMEGA_LAYER = """
+graph T rank=omega scheme=tower width=2{graded} {{
+  nodes0 a b
+  branch b1 a b
+{layer}}}
+"""
+
+
+def test_a_graded_omega_layer_that_also_lists_one_exits_2(tmp_path):
+    project = tmp_path / "both.ug"
+    project.write_text(
+        OMEGA_LAYER.format(graded=" omega=graded", layer="  omega-tips T0\n")
+    )
+    proc = run_cli("validate", str(project))
+    assert proc.returncode == 2
+    assert "graded omega layer cannot also list" in proc.stderr
+
+
+def test_a_rank_omega_graph_without_omega_nodes_exits_3(tmp_path):
+    project = tmp_path / "empty.ug"
+    project.write_text(OMEGA_LAYER.format(graded="", layer=""))
+    proc = run_cli("validate", str(project))
+    assert proc.returncode == 3
+    assert "  [layer-empty-top] rank-omega graph has no omega-nodes" in proc.stdout.split("\n")
+    project.write_text(OMEGA_LAYER.format(graded="", layer="").replace("rank=omega", "rank=omega-arrow"))
+    assert run_cli("validate", str(project)).returncode == 0
 
 
 def test_validation_problems_are_data_not_just_an_exit_code():

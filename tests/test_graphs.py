@@ -48,24 +48,131 @@ def test_shared_exceptional_is_a_violation():
         ],
     )
     assert "exceptional-shared" in codes(validate(g))
+    # owner lookup still answers: the node declared last
+    assert g.owner_of(Extremity("node", "z", 0), 2) == "y2"
 
 
-def test_shared_exceptional_on_an_explicit_omega_layer_is_a_violation():
-    g = StandardGraph(
+def explicit_omega_graph(omega_tips=("T0", "T1"), omega_nodes=None):
+    if omega_nodes is None:
+        omega_nodes = [
+            StandardNode.make("W0", OMEGA, ("T0",), "x1_0"),
+            StandardNode.make("W1", OMEGA, ("T1",), "x2_0"),
+        ]
+    return StandardGraph(
         "T",
         OMEGA,
         nodes0=["a", "b"],
         branches={"b1": ("a", "b")},
         scheme=TowerScheme(2),
-        omega_tips=["T0", "T1"],
+        omega_tips=omega_tips,
+        omega_nodes=omega_nodes,
+    )
+
+
+def test_shared_exceptional_on_an_explicit_omega_layer_is_a_violation():
+    g = explicit_omega_graph(
         omega_nodes=[
             StandardNode.make("W0", OMEGA, ("T0",), "x1_0"),
             StandardNode.make("W1", OMEGA, ("T1",), "x1_0"),
-        ],
+        ]
     )
     report = validate(g)
     assert codes(report) == ["exceptional-shared"]
     assert report.violations[0].detail == "node x1_0 is the exceptional element of W0, W1"
+    # resolved as on a finite layer
+    assert g.owner_of(Extremity("node", "x1_0", 1), OMEGA) == "W1"
+
+
+def test_an_explicit_omega_layer_is_stored_with_the_finite_layers():
+    g = explicit_omega_graph()
+    assert sorted(g.layer_nodes(OMEGA)) == ["W0", "W1"]
+    assert g.layer_tips(OMEGA_ARROW) == frozenset({"T0", "T1"})
+    assert g.node_rank("W1") is OMEGA
+    assert validate(g).passed
+    assert [(e.describe(), e.rank) for e in extremities(g, OMEGA)] == [
+        ("node:x1_0", 1),
+        ("node:x2_0", 2),
+        ("tip:T0", OMEGA_ARROW),
+        ("tip:T1", OMEGA_ARROW),
+    ]
+    assert g.owner_of(Extremity("node", "x2_0", 2), OMEGA) == "W1"
+    assert g.owner_of(Extremity("tip", "T0", OMEGA_ARROW), OMEGA) == "W0"
+
+
+def test_an_omega_nodes_entry_lands_in_the_omega_layer_whatever_its_rank():
+    g = explicit_omega_graph(omega_nodes=[StandardNode.make("W0", 3, ("T0", "T1"))])
+    assert list(g.layer_nodes(OMEGA)) == ["W0"]
+    assert g.node_rank("W0") is OMEGA
+
+
+def test_an_empty_explicit_omega_layer_is_an_empty_top_layer():
+    # a graph without omega-nodes is declared rank omega-arrow instead
+    g = explicit_omega_graph(omega_tips=None, omega_nodes=[])
+    report = validate(g)
+    assert codes(report) == ["layer-empty-top"]
+    assert report.violations[0].detail == "rank-omega graph has no omega-nodes"
+    arrow = StandardGraph(
+        "T", OMEGA_ARROW, nodes0=["a", "b"], branches={"b1": ("a", "b")},
+        scheme=TowerScheme(2),
+    )
+    assert validate(arrow).passed
+
+
+def test_explicit_omega_violations_name_omega_nodes_and_arrow_tips():
+    g = explicit_omega_graph(
+        omega_tips=["T0", "T1", "T2", "T3"],
+        omega_nodes=[
+            StandardNode.make("W0", OMEGA, ("T0", "T9")),
+            StandardNode.make("W1", OMEGA, ("T0",)),
+            StandardNode.make("W2", OMEGA, ()),
+            StandardNode.make("W3", OMEGA, ("T3",), "nowhere"),
+        ],
+    )
+    assert [v.render() for v in validate(g).violations] == [
+        "[unknown-tip] omega-node W0 references undeclared tip T9",
+        "[node-empty] omega-node W2 owns no omega-arrow tip",
+        "[exceptional-missing] node W3 embraces unknown node nowhere",
+        "[tip-shared] omega-arrow tip T0 belongs to nodes W0, W1",
+        "[tip-unowned] omega-arrow tip T1 belongs to no omega-node",
+        "[tip-unowned] omega-arrow tip T2 belongs to no omega-node",
+    ]
+
+
+def test_an_undeclared_omega_tip_is_not_an_extremity():
+    g = explicit_omega_graph(
+        omega_nodes=[StandardNode.make("W0", OMEGA, ("T0", "T1", "T9"))]
+    )
+    assert g.owner_of(Extremity("tip", "T1", OMEGA_ARROW), OMEGA) == "W0"
+    with pytest.raises(NotAnExtremity) as err:
+        g.owner_of(Extremity("tip", "T9", OMEGA_ARROW), OMEGA)
+    assert str(err.value) == "tip:T9 is not an owned rank-omega-arrow tip of graph T"
+    with pytest.raises(NotAnExtremity) as err:
+        g.owner_of(Extremity("node", "x1_0", 1), OMEGA)
+    assert str(err.value) == (
+        "node:x1_0 is not the exceptional element of any rank-omega node of graph T"
+    )
+
+
+def test_an_omega_layer_on_a_finite_graph_is_out_of_range():
+    g = StandardGraph(
+        "g", 1, nodes0=["a", "b"], branches={"b1": ("a", "b")},
+        tips={0: ["p"]}, nodes=[StandardNode.make("x", 1, ("p",))],
+        omega_tips=["T0"], omega_nodes=[StandardNode.make("W0", OMEGA, ("T0",))],
+    )
+    assert [v.render() for v in validate(g).violations] == [
+        "[rank-range] node layer at invalid rank omega",
+        "[rank-range] tip layer at invalid rank omega-arrow",
+    ]
+
+
+def test_a_graded_omega_layer_cannot_also_be_listed():
+    for listed in ({"omega_tips": ["T0"]}, {"omega_tips": []},
+                   {"omega_nodes": [StandardNode.make("W0", OMEGA, ("T0",))]}):
+        with pytest.raises(ValueError, match="graded omega layer"):
+            StandardGraph(
+                "T", OMEGA, nodes0=["a", "b"], branches={"b1": ("a", "b")},
+                scheme=TowerScheme(2), graded_omega=True, **listed,
+            )
 
 
 def test_tipless_node_is_a_violation():

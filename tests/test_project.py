@@ -2,6 +2,7 @@
 
 import re
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -160,6 +161,22 @@ def test_serialize_round_trips():
     assert serialize(again) == text
     # resolution agrees too, not just the text
     assert again.network("net").data["b1"][0] == proj.network("net").data["b1"][0]
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SHIPPED = sorted(ROOT.glob("projects/*.ug")) + [
+    path for path in sorted(ROOT.glob("tests/data/*.ug")) if path.name != "fault_syntax.ug"
+]
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=[p.name for p in SHIPPED])
+def test_serialize_is_a_fixed_point_on_every_shipped_project(path):
+    original = parse_project(path.read_text())
+    text = serialize(original)
+    again = parse_project(text)
+    assert serialize(again) == text
+    assert again.graphs == original.graphs
+    assert again == original
 
 
 def test_serialized_form_is_canonically_sorted():
