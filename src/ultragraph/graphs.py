@@ -205,6 +205,8 @@ class StandardGraph:
             return self._layer_cache[rank]
         if rank_lt(self.rank, rank):
             raise RankTooHigh(f"graph {self.name} has rank {rank_str(self.rank)}")
+        if rank is OMEGA and self.graded_omega:
+            raise RankTooHigh(f"graph {self.name}: the generated omega layer is infinite")
         return self._node_layers.get(rank, {})
 
     def layer_tips(self, rank) -> frozenset:
@@ -216,6 +218,8 @@ class StandardGraph:
             raise RankTooHigh(
                 f"graph {self.name} of rank {rank_str(self.rank)} has no rank-{rank_str(rank)} tips"
             )
+        if rank is OMEGA_ARROW and self.graded_omega:
+            raise RankTooHigh(f"graph {self.name}: the generated omega-arrow tips are infinite")
         return self._tip_layers.get(rank, frozenset())
 
     def node_rank(self, ident: str):
@@ -412,17 +416,18 @@ def validate(graph: StandardGraph) -> ValidationReport:
             f"scheme layers spot-checked up to rank {_PROBE_DEPTH}; the template "
             "repeats uniformly beyond"
         )
-    else:
-        for r in graph._node_layers:
-            if not isinstance(r, int) or r < 1 or r > graph.rank:
-                bad(Violation("rank-range", f"node layer at invalid rank {rank_str(r)}"))
-        for r in graph._tip_layers:
-            if not isinstance(r, int) or r < 0 or r >= graph.rank:
-                bad(Violation("rank-range", f"tip layer at invalid rank {rank_str(r)}"))
+    # A stored layer counts only within the rank and where no scheme
+    # generates the layer instead.
+    for r in graph._node_layers:
+        if rank_lt(r, 1) or rank_lt(graph.rank, r) or (schemed and isinstance(r, int)):
+            bad(Violation("rank-range", f"node layer at invalid rank {rank_str(r)}"))
+    for r in graph._tip_layers:
+        if rank_lt(r, 0) or not rank_lt(r, graph.rank) or (schemed and isinstance(r, int)):
+            bad(Violation("rank-range", f"tip layer at invalid rank {rank_str(r)}"))
     for level in levels:
         _check_layer(graph, level, report)
     if graph.graded_omega and graph.rank is OMEGA:
-        _check_graded_omega(graph, report)
+        report.notes.append(f"generated omega layer spot-checked up to index {_PROBE_DEPTH}")
     report.notes.append("tip path-consistency: not checked (tips are primitive identifiers)")
     return report
 
@@ -493,19 +498,6 @@ def _check_exceptional(graph, node, report) -> None:
                 f"{node.exceptional} of rank {rank_str(target_rank)}",
             )
         )
-
-
-def _check_graded_omega(graph, report) -> None:
-    for j in range(_PROBE_DEPTH):
-        node = graph.omega_node_at(j)
-        if node.exceptional is not None and graph.node_rank(node.exceptional) is None:
-            report.violations.append(
-                Violation(
-                    "exceptional-missing",
-                    f"omega-node {node.ident} embraces unknown node {node.exceptional}",
-                )
-            )
-    report.notes.append(f"generated omega layer spot-checked up to index {_PROBE_DEPTH}")
 
 
 def truncate(graph: StandardGraph, new_rank) -> StandardGraph:

@@ -179,22 +179,6 @@ class IndexSet:
     def intersection(self, other: "IndexSet") -> "IndexSet":
         return self._combine(other, and_)
 
-    # -- residue-class containment (used by the filter oracle) --------------
-
-    def class_inside(self, residue: int, modulus: int) -> bool:
-        """Does this set contain {n : n = residue (mod modulus)} up to
-        finitely many exceptions?
-
-        Requires the set's own period to divide ``modulus`` so membership is
-        constant along the class outside the exceptions.
-        """
-        if self.kind == SAMPLED:
-            raise BeyondHorizon("class containment is only decidable for exact sets")
-        p = len(self.cycle)
-        if modulus % p != 0:
-            raise ValueError("modulus must be a multiple of the set's period")
-        return self.cycle[residue % p]
-
     # -- comparisons and rendering ------------------------------------------
 
     def window_agrees(self, other: "IndexSet", upto: int) -> bool:

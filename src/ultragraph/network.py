@@ -639,7 +639,8 @@ class LawReport:
 
 
 def _spanning_tree(graph: StandardGraph):
-    """Tree edges as {branch id: +-1 orientation consistent with BFS}, chords."""
+    """The tree branches as {branch id: (from, to)} in traversal order, each
+    ``from`` reached before its ``to``, and the chords."""
     adj: dict[str, list[tuple[str, str]]] = {w: [] for w in graph.nodes0}
     for bid, (u, v) in sorted(graph.branches.items()):
         adj[u].append((bid, v))
@@ -663,32 +664,6 @@ def _spanning_tree(graph: StandardGraph):
     return tree, chords
 
 
-def _potential_steps(graph: StandardGraph, tree) -> list[tuple]:
-    """The order in which the branch voltages along the spanning tree fix
-    the potentials: ``(y, None, None, None)`` pins component root y to 0.0,
-    ``(y, x, bid, forward)`` sets phi[y] = phi[x] - drop, the drop being
-    v(bid) when the tree branch runs x -> y and -v(bid) otherwise. The
-    order depends on the graph alone, never on the data."""
-    known: set[str] = set()
-    steps: list[tuple] = []
-    for root in sorted(graph.nodes0):
-        if root in known:
-            continue
-        known.add(root)
-        steps.append((root, None, None, None))
-        changed = True
-        while changed:
-            changed = False
-            for bid in tree:
-                u, v = graph.branches[bid]
-                for x, y, forward in ((u, v, True), (v, u, False)):
-                    if x in known and y not in known:
-                        known.add(y)
-                        steps.append((y, x, bid, forward))
-                        changed = True
-    return steps
-
-
 def _law_residuals(graph: StandardGraph, bids: list, width: int, i, v, r, e):
     """Yield (law, subject, residual column, divisor column) for one
     prototype, the columns running over that prototype's indices.
@@ -710,12 +685,14 @@ def _law_residuals(graph: StandardGraph, bids: list, width: int, i, v, r, e):
         yield "KCL", f"node {w}", flow[w], divisor
     del flow
     tree, chords = _spanning_tree(graph)
-    phi: dict[str, list] = {}
-    for y, x, bid, forward in _potential_steps(graph, tree):
-        if x is None:
-            phi[y] = [0.0] * width
-        else:
-            phi[y] = list(map(sub, phi[x], v[bid] if forward else map(neg, v[bid])))
+    # Each component root sits at 0.0; every tree branch then fixes the
+    # potential of its far end, phi[y] = phi[x] - drop, where the drop is
+    # v(bid) when the branch runs x -> y and -v(bid) otherwise.
+    reached = {y for _, y in tree.values()}
+    phi = {w: [0.0] * width for w in graph.nodes0 if w not in reached}
+    for bid, (x, y) in tree.items():
+        forward = graph.branches[bid][0] == x
+        phi[y] = list(map(sub, phi[x], v[bid] if forward else map(neg, v[bid])))
     for bid in chords:
         a, b = graph.branches[bid]
         yield "KVL", f"loop of {bid}", map(sub, v[bid], map(sub, phi[a], phi[b])), divisor

@@ -11,24 +11,26 @@ tower, the ultrafilter laws (complementarity, closure under supersets and
 intersections, rejection of every finite set) hold unconditionally, even
 after pinning.
 
-Pins let the user steer toward a different ultrafilter. A pin on an exact
-set is translated into a constraint on the tower: the set of admissible
-residues modulo the lcm of all pin periods. Pinning is rejected with
-``InconsistentPin`` when no residue survives, which is exactly the finite
-intersection property check (the intersection of all required-in sets must
-be infinite). The effective tower is re-derived deterministically as the
-smallest admissible integer, preferring integers that agree with the
-configured base residues. It is found by a first-hit scan: first over the
-integers that agree with the base residues, then, only if none of those
-is admissible, over every residue below the lcm. No list of admissible
-residues is kept, so memory does not grow with the lcm; the time of the
-scan does when the first hit lies far out. Base residues merge by
-the closed-form Chinese remainder theorem.
+Pins let the user steer toward a different ultrafilter. A pin names an
+exact set and is a constraint on the tower: a residue modulo the lcm of
+all pin periods is admissible when every pinned set's cycle reads the
+pinned verdict there, the same read ``decide`` makes. An oracle is built
+in one step: the constructor merges the tower, stores the pins and
+selects the tower once, and ``pin`` builds a new oracle from the same
+base plus one more pin. Construction raises ``InconsistentPin`` when no
+residue is admissible, which is exactly the finite intersection property
+check (the intersection of all required-in sets must be infinite). The
+selected integer is the smallest admissible one, preferring integers
+that agree with the configured base residues. It is found by a first-hit
+scan: first over the integers that agree with the base residues, then,
+only if none of those is admissible, over every residue below the lcm.
+No list of admissible residues is kept, so memory does not grow with the
+lcm; the time of the scan does when the first hit lies far out. Base
+residues merge by the closed-form Chinese remainder theorem.
 
-Pins on sampled sets cannot constrain the tower; they are kept as literal
-overrides, matched by pointwise agreement up to the sampled horizon, and
-their consistency is checked only on that window. That trust boundary is
-the same one sampled sets carry everywhere else.
+A sampled set is never pinned. It decides when it agrees with a pinned
+set, or with that set's complement, on its own sampled window; that trust
+boundary is the same one sampled sets carry everywhere else.
 
 Concurrency: oracles are cheap immutable values. ``pin`` returns a new
 oracle; configure first, then share freely between readers.
@@ -36,7 +38,6 @@ oracle; configure first, then share freely between readers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from math import gcd, lcm
@@ -60,8 +61,7 @@ class Membership(Enum):
         return Membership.OUT if self is Membership.IN else Membership.IN
 
 
-@dataclass(frozen=True)
-class Pin:
+class Pin(NamedTuple):
     target: IndexSet
     verdict: Membership
 
@@ -100,59 +100,39 @@ class FilterOracle:
         pins: Iterable[tuple[IndexSet, Membership]] = (),
         audit: list[AuditEntry] | None = None,
     ):
-        self._base_mod, self._base_res = 1, 0
+        base_mod, base_res = 1, 0
         for modulus, residue in tower:
             if modulus < 1:
                 raise IncompatibleTower(f"modulus {modulus} must be positive")
-            self._base_mod, self._base_res = _crt_merge(
-                self._base_mod, self._base_res, modulus, residue % modulus
-            )
-        self._exact_pins: tuple[Pin, ...] = ()
-        self._sampled_pins: tuple[Pin, ...] = ()
+            base_mod, base_res = _crt_merge(base_mod, base_res, modulus, residue % modulus)
+        self._base_mod, self._base_res = base_mod, base_res
+        self._pins = tuple(Pin(target, verdict) for target, verdict in pins)
+        if any(pin.target.kind == SAMPLED for pin in self._pins):
+            raise ValueError("pins name exact index sets")
         self.audit = audit
         self._refresh()
-        for target, verdict in pins:
-            self._absorb_pin(Pin(target, verdict))
 
     # -- configuration -------------------------------------------------------
 
     def pin(self, target: IndexSet, verdict: Membership) -> "FilterOracle":
         """Return a new oracle honoring the pin; raise InconsistentPin if the
         pin cannot coexist with the existing ones."""
-        clone = FilterOracle.__new__(FilterOracle)
-        clone._base_mod, clone._base_res = self._base_mod, self._base_res
-        clone._exact_pins = self._exact_pins
-        clone._sampled_pins = self._sampled_pins
-        clone.audit = self.audit
-        clone._absorb_pin(Pin(target, verdict))
-        return clone
-
-    def _absorb_pin(self, pin: Pin) -> None:
-        if pin.target.kind == SAMPLED:
-            self._sampled_pins = self._sampled_pins + (pin,)
-        else:
-            self._exact_pins = self._exact_pins + (pin,)
-        try:
-            self._refresh()
-            self._check_sampled_fip()
-        except InconsistentPin:
-            if pin.target.kind == SAMPLED:
-                self._sampled_pins = self._sampled_pins[:-1]
-            else:
-                self._exact_pins = self._exact_pins[:-1]
-            self._refresh()
-            raise
+        return FilterOracle(
+            [(self._base_mod, self._base_res)],
+            self._pins + (Pin(target, verdict),),
+            self.audit,
+        )
 
     def _refresh(self) -> None:
-        """Recompute the selected tower: the first admissible integer that
-        agrees with the base residues, else the first admissible one."""
+        """Select the tower: the first admissible integer that agrees with
+        the base residues, else the first admissible one."""
         modulus = self._base_mod
-        for pin in self._exact_pins:
+        for pin in self._pins:
             modulus = lcm(modulus, len(pin.target.cycle))
-        wanted = [(pin.target, pin.verdict is Membership.IN) for pin in self._exact_pins]
+        wanted = [(pin.target.cycle, pin.verdict is Membership.IN) for pin in self._pins]
 
         def admissible(r: int) -> bool:
-            return all(target.class_inside(r, modulus) == inside for target, inside in wanted)
+            return all(cycle[r % len(cycle)] == inside for cycle, inside in wanted)
 
         candidates = chain(range(self._base_res, modulus, self._base_mod), range(modulus))
         selected = next(filter(admissible, candidates), None)
@@ -163,23 +143,6 @@ class FilterOracle:
             )
         self._modulus = modulus
         self._selected = selected
-
-    def _check_sampled_fip(self) -> None:
-        """Windowed finite-intersection check once sampled pins participate."""
-        if not self._sampled_pins:
-            return
-        required: list[IndexSet] = []
-        for pin in self._exact_pins + self._sampled_pins:
-            required.append(
-                pin.target if pin.verdict is Membership.IN else pin.target.complement()
-            )
-        window = min(s.horizon for s in required if s.kind == SAMPLED)
-        for n in range(window + 1):
-            if all(s.contains(n) for s in required):
-                return
-        raise InconsistentPin(
-            f"pinned sets have empty intersection on the checkable window [0, {window}]"
-        )
 
     # -- queries --------------------------------------------------------------
 
@@ -203,7 +166,7 @@ class FilterOracle:
         Exact sets always decide, by Łoś's theorem at the selected index:
         a set is large exactly when its cycle holds there. Sampled sets
         decide only when they (or their complements) match a pin pointwise
-        on the shared window; otherwise ``Undecidable`` is raised.
+        on their sampled window; otherwise ``Undecidable`` is raised.
         """
         if subject.kind == SAMPLED:
             verdict = self._match_sampled(subject)
@@ -221,13 +184,10 @@ class FilterOracle:
 
     def _match_sampled(self, subject: IndexSet) -> Membership | None:
         comp = subject.complement()
-        for pin in self._sampled_pins + self._exact_pins:
-            window = subject.horizon
-            if pin.target.kind == SAMPLED:
-                window = min(window, pin.target.horizon)
-            if subject.window_agrees(pin.target, window):
+        for pin in self._pins:
+            if subject.window_agrees(pin.target, subject.horizon):
                 return pin.verdict
-            if comp.window_agrees(pin.target, window):
+            if comp.window_agrees(pin.target, subject.horizon):
                 return pin.verdict.flipped()
         return None
 
@@ -269,7 +229,7 @@ class FilterOracle:
 
     def describe(self) -> str:
         bits = [f"tower={self._selected} (mod {self._modulus})"]
-        for pin in self._exact_pins + self._sampled_pins:
+        for pin in self._pins:
             bits.append(f"pin {pin.verdict.value} {pin.target.describe()}")
         return "; ".join(bits)
 

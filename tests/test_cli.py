@@ -144,6 +144,25 @@ def test_a_rank_omega_graph_without_omega_nodes_exits_3(tmp_path):
     assert run_cli("validate", str(project)).returncode == 0
 
 
+def test_stored_layers_that_a_scheme_graph_ignores_exit_3(tmp_path):
+    project = tmp_path / "stored.ug"
+    project.write_text(
+        OMEGA_LAYER.format(graded="", layer="  tips 0 = zz\n  node q rank=1 tips={zz}\n")
+    )
+    proc = run_cli("validate", str(project))
+    assert proc.returncode == 3
+    lines = proc.stdout.split("\n")
+    assert "  [rank-range] node layer at invalid rank 1" in lines
+    assert "  [rank-range] tip layer at invalid rank 0" in lines
+    listed = "  omega-tips T0\n  omega-node W0 tips={T0}\n"
+    project.write_text(OMEGA_LAYER.format(graded="", layer=listed).replace("rank=omega", "rank=omega-arrow"))
+    proc = run_cli("validate", str(project))
+    assert proc.returncode == 3
+    lines = proc.stdout.split("\n")
+    assert "  [rank-range] node layer at invalid rank omega" in lines
+    assert "  [rank-range] tip layer at invalid rank omega-arrow" in lines
+
+
 def test_validation_problems_are_data_not_just_an_exit_code():
     proc = run_cli("validate", str(FAULTS / "fault_graph.ug"))
     assert proc.returncode == 3

@@ -165,6 +165,41 @@ def test_an_omega_layer_on_a_finite_graph_is_out_of_range():
     ]
 
 
+def test_stored_natural_layers_on_a_scheme_graph_are_out_of_range():
+    g = StandardGraph(
+        "G", OMEGA, nodes0=["a", "b"], branches={"b1": ("a", "b")},
+        tips={0: ["zz"]}, nodes=[StandardNode.make("q", 1, ("zz",))],
+        scheme=TowerScheme(2),
+        omega_tips=["T0"], omega_nodes=[StandardNode.make("W0", OMEGA, ("T0",))],
+    )
+    assert sorted(g.layer_nodes(1)) == ["x1_0", "x1_1"]
+    assert [v.render() for v in validate(g).violations] == [
+        "[rank-range] node layer at invalid rank 1",
+        "[rank-range] tip layer at invalid rank 0",
+    ]
+
+
+def test_an_omega_layer_on_a_rank_omega_arrow_graph_is_out_of_range():
+    g = StandardGraph(
+        "G", OMEGA_ARROW, nodes0=["a", "b"], branches={"b1": ("a", "b")},
+        scheme=TowerScheme(2),
+        omega_tips=["T0"], omega_nodes=[StandardNode.make("W0", OMEGA, ("T0",))],
+    )
+    assert [v.render() for v in validate(g).violations] == [
+        "[rank-range] node layer at invalid rank omega",
+        "[rank-range] tip layer at invalid rank omega-arrow",
+    ]
+
+
+def test_a_graded_omega_layer_is_not_listed_as_one_layer():
+    g = tower_omega_graph()
+    with pytest.raises(RankTooHigh):
+        g.layer_nodes(OMEGA)
+    with pytest.raises(RankTooHigh):
+        g.layer_tips(OMEGA_ARROW)
+    assert validate(g).passed
+
+
 def test_a_graded_omega_layer_cannot_also_be_listed():
     for listed in ({"omega_tips": ["T0"]}, {"omega_tips": []},
                    {"omega_nodes": [StandardNode.make("W0", OMEGA, ("T0",))]}):

@@ -87,25 +87,6 @@ def test_sampled_reports_horizon_and_refuses_beyond():
         s.contains(51)
 
 
-def test_class_inside():
-    evens = IndexSet.residue_class(2, 0)
-    assert evens.class_inside(0, 2)
-    assert not evens.class_inside(1, 2)
-    # refining the modulus keeps the answer consistent
-    assert evens.class_inside(2, 4) and not evens.class_inside(3, 4)
-
-
-@given(ep_sets, st.integers(1, 4), st.integers(-50, 50))
-def test_class_inside_matches_a_read_at_the_first_class_index_past_the_preperiod(s, k, residue):
-    # The preperiod ends just past the last n (all below 400 here) whose
-    # membership differs from that one period on.
-    period = len(s.cycle)
-    head = 1 + max((n for n in range(400) if s.contains(n) != s.contains(n + period)), default=-1)
-    modulus = period * k
-    n0 = head + ((residue - head) % modulus)
-    assert s.class_inside(residue, modulus) == s.contains(n0)
-
-
 def test_window_agrees():
     a = IndexSet.residue_class(2, 1)
     b = IndexSet.sampled(lambda n: n % 2 == 1, 32)

@@ -198,12 +198,14 @@ def full_scan_selection(base_mod, base_res, pins):
     for pin in pins:
         period = len(pin.target.cycle) if pin.target.kind == PERIODIC else 1
         modulus = lcm(modulus, period)
+    def late_member(target, r):
+        # An index of the class r (mod modulus) past every exception.
+        return target.contains(r + modulus * (max(target.members, default=0) // modulus + 1))
+
     allowed = [
         r
         for r in range(modulus)
-        if all(
-            pin.target.class_inside(r, modulus) == (pin.verdict is IN) for pin in pins
-        )
+        if all(late_member(pin.target, r) == (pin.verdict is IN) for pin in pins)
     ]
     if not allowed:
         raise InconsistentPin(
@@ -257,7 +259,7 @@ def test_first_hit_selection_matches_full_scan(moduli, c, pins):
         orc._base_mod, orc._base_res, ()
     )
     for target, verdict in pins:
-        tried = orc._exact_pins + (Pin(target, verdict),)
+        tried = orc._pins + (Pin(target, verdict),)
         try:
             expected = full_scan_selection(orc._base_mod, orc._base_res, tried)
         except InconsistentPin as exc:
@@ -266,3 +268,54 @@ def test_first_hit_selection_matches_full_scan(moduli, c, pins):
             continue
         orc = orc.pin(target, verdict)
         assert (orc._modulus, orc._selected) == expected
+
+
+pin_lists = st.lists(st.tuples(small_ep_sets, st.sampled_from([IN, OUT])), max_size=4)
+
+
+@given(st.lists(st.integers(min_value=1, max_value=6), max_size=3), st.integers(0, 59), pin_lists)
+def test_one_step_construction_matches_successive_pins(moduli, c, pins):
+    tower = [(m, c % m) for m in moduli]
+    probes = [IndexSet.residue_class(k, r) for k in range(1, 7) for r in range(k)]
+    try:
+        built = FilterOracle(tower, pins)
+    except InconsistentPin as exc:
+        message = str(exc)
+        built = None
+    stepped = FilterOracle(tower)
+    for target, verdict in pins:
+        before = [stepped.decide(p) for p in probes]
+        try:
+            stepped = stepped.pin(target, verdict)
+        except InconsistentPin as exc:
+            assert built is None and str(exc) == message
+            assert [stepped.decide(p) for p in probes] == before
+            return
+    assert built is not None
+    assert (built._modulus, built._selected) == (stepped._modulus, stepped._selected)
+    assert built.describe() == stepped.describe()
+
+
+def test_pins_on_sampled_sets_are_refused():
+    sampled = IndexSet.sampled(lambda n: n % 2 == 1, 64)
+    with pytest.raises(ValueError, match="pins name exact index sets"):
+        FilterOracle((), [(sampled, IN)])
+    with pytest.raises(ValueError, match="pins name exact index sets"):
+        FilterOracle().pin(sampled, IN)
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 5])
+def test_one_construction_selects_the_tower_once(monkeypatch, count):
+    calls = []
+    refresh = FilterOracle._refresh
+
+    def counting_refresh(self):
+        calls.append(self)
+        return refresh(self)
+
+    monkeypatch.setattr(FilterOracle, "_refresh", counting_refresh)
+    pins = [(IndexSet.residue_class(k + 2, 1), IN) for k in range(count)]
+    FilterOracle([(3, 1)], pins)
+    assert len(calls) == 1
+    FilterOracle().pin(IndexSet.residue_class(2, 1), IN)
+    assert len(calls) == 3

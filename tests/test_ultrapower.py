@@ -656,10 +656,10 @@ def short_window_owner(values, label):
 
 
 def window_pins(oracle, *members):
-    """Pin, for each run of members, a sampled set holding exactly those
-    indices on [0, 5] and every index from 6 to 100."""
+    """Pin, for each run of members, the exact set holding exactly those
+    indices on [0, 5] and every index from 6 on."""
     for chosen in members:
-        target = IndexSet.sampled(lambda n, c=chosen: n in c or n >= 6, 100)
+        target = IndexSet.eventually_periodic([n in chosen for n in range(6)], [True])
         oracle = oracle.pin(target, Membership.IN)
     return oracle
 
