@@ -19,6 +19,10 @@ The pieces, bottom up:
   nonstandard operating points, circuit-law verification;
 * :mod:`ultragraph.project` / :mod:`ultragraph.cli` — the project file
   format and the command line driver.
+
+:mod:`ultragraph.network` loads on first use: reading it, or one of its
+names below, from the package imports it, so building and classifying
+never do (and numpy loads only when a network is solved).
 """
 
 from .errors import (
@@ -87,19 +91,33 @@ from .ultrapower import (
     omega_exceptional_query,
     omega_tip_query,
 )
-from .network import (
-    Branch,
-    LawReport,
-    NsNetwork,
-    OperatingPoint,
-    StandardNetwork,
-    StandardSolution,
-    operating_point,
-    solve_standard,
-    verify_laws,
-)
 from .project import Project, parse_project, serialize
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_NETWORK_NAMES = (
+    "Branch",
+    "LawReport",
+    "NsNetwork",
+    "OperatingPoint",
+    "StandardNetwork",
+    "StandardSolution",
+    "operating_point",
+    "solve_standard",
+    "verify_laws",
+)
+
+
+def __getattr__(name: str):
+    """The network module and its public names, imported on first use."""
+    if name == "network" or name in _NETWORK_NAMES:
+        from importlib import import_module
+
+        network = import_module(".network", __name__)
+        return network if name == "network" else getattr(network, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = sorted(
+    {name for name in dir() if not name.startswith("_")} | {"network", *_NETWORK_NAMES}
+)

@@ -11,15 +11,19 @@ Commands:
 All output is byte-deterministic for a given project file and flags: names
 are sorted, floats rendered via repr, and no timestamps or file paths
 appear. The oracle audit trail is appended with each decision listed
-exactly once. Exit codes: 0 success, 2 unreadable project or flag
-value out of range, 3 structural or validation failure, 4 undecidable
-question, 5 solver failure.
+exactly once. Exit codes: 0 success, 2 unreadable project, flag value
+out of range or unwritable ``--json`` file, 3 structural or validation
+failure, 4 undecidable question, 5 solver failure.
+
+A command imports only what it runs: :mod:`ultragraph.network` only to
+resolve a network (``validate``, ``solve`` and ``report`` on a project
+with networks), numpy only to solve one, and ``json`` only to write
+``--json``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -39,7 +43,6 @@ from .graphs import OMEGA, rank_str, validate
 from .hyperreal import Hypernatural, Hyperreal, MagnitudeClass
 from .oracle import FilterOracle
 from .project import Project, parse_project
-from .network import operating_point, verify_laws
 from .ultrapower import build_ns_graph, classify
 
 _EXIT_OK = 0
@@ -144,12 +147,12 @@ def main(argv: list[str] | None = None) -> int:
         code = _exit_code_for(exc)
         print(f"error: {exc}", file=sys.stderr)
         if args.json:
-            _write_json(args.json, args.command, [f"error: {exc}"], code)
+            code = _write_json(args.json, args.command, [f"error: {exc}"], code)
         return code
     lines.extend(_audit_lines(audit))
     _write_lines(lines, sys.stdout)
     if args.json:
-        _write_json(args.json, args.command, lines, code)
+        code = _write_json(args.json, args.command, lines, code)
     return code
 
 
@@ -169,9 +172,18 @@ def _write_lines(lines: list[str], out) -> None:
         step = max(1, min(2 * step, step * _CHUNK // (len(text) + 1)))
 
 
-def _write_json(path: str, command: str, lines: list[str], code: int) -> None:
+def _write_json(path: str, command: str, lines: list[str], code: int) -> int:
+    """Write the lines and exit code as JSON; the exit code, which becomes 2
+    when the file cannot be written."""
+    import json
+
     payload = {"command": command, "exit": code, "lines": lines}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    try:
+        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    except OSError as exc:
+        print(f"error: cannot write --json file: {exc.strerror}", file=sys.stderr)
+        return _EXIT_PARSE
+    return code
 
 
 def _audit_lines(audit: list) -> list[str]:
@@ -321,6 +333,10 @@ def _advisory_class(value: Hyperreal) -> Hyperreal:
 
 
 def _solve_section(project: Project, oracle: FilterOracle, args) -> list[str]:
+    if not project.networks:
+        return ["== solve ==", "(no networks)"]
+    from .network import operating_point, verify_laws
+
     lines: list[str] = []
     for name in sorted(project.networks):
         network = project.network(name)
@@ -340,8 +356,6 @@ def _solve_section(project: Project, oracle: FilterOracle, args) -> list[str]:
         lines.append(f"laws: {'all hold' if report.ok else 'VIOLATIONS FOUND'} (tol {report.tol:g})")
         lines.extend(f"  {text}" for text in report.render_lines())
         lines.extend(f"note: {note}" for note in op.notes)
-    if not project.networks:
-        lines.extend(["== solve ==", "(no networks)"])
     return lines
 
 

@@ -33,9 +33,8 @@ schemes is cached and idempotent, so sharing between readers is safe.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from itertools import chain
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DuplicateId, NotAnExtremity, RankTooHigh
 
@@ -84,8 +83,7 @@ def parse_rank(text: str):
     return int(text)
 
 
-@dataclass(frozen=True)
-class Extremity:
+class Extremity(NamedTuple):
     """A (level-1)-tip or the exceptional node of a level-node."""
 
     kind: str  # "tip" or "node"
@@ -99,8 +97,7 @@ class Extremity:
         return (self.kind, self.ident)
 
 
-@dataclass(frozen=True)
-class StandardNode:
+class StandardNode(NamedTuple):
     ident: str
     rank: object
     tips: frozenset
@@ -370,8 +367,7 @@ class StandardGraph:
 # -- operations ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     code: str
     detail: str
 
@@ -379,11 +375,13 @@ class Violation:
         return f"[{self.code}] {self.detail}"
 
 
-@dataclass
 class ValidationReport:
-    graph: str
-    violations: list[Violation] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("graph", "violations", "notes")
+
+    def __init__(self, graph: str):
+        self.graph = graph
+        self.violations: list[Violation] = []
+        self.notes: list[str] = []
 
     @property
     def passed(self) -> bool:

@@ -74,10 +74,10 @@ first index where it occurs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import repeat
 from operator import add, mul, neg, sub, truediv
+from typing import NamedTuple
 
 from ._periodic import joint_window
 from .errors import EmptyNetwork, InvariantBreach, NumericalFailure, SolverFailure, Undecidable
@@ -102,8 +102,7 @@ _BLOCK = 256
 _HORIZON = 1_000_000  # last index the generated route solves
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(NamedTuple):
     resistance: float
     emf: float = 0.0
 
@@ -131,11 +130,20 @@ def _check_endpoints(graph: StandardGraph) -> None:
                 )
 
 
-@dataclass
 class StandardSolution:
-    potentials: dict[str, float]
-    currents: dict[str, float]
-    voltages: dict[str, float]
+    __slots__ = ("potentials", "currents", "voltages")
+
+    def __init__(
+        self, potentials: dict[str, float], currents: dict[str, float], voltages: dict[str, float]
+    ):
+        self.potentials = potentials
+        self.currents = currents
+        self.voltages = voltages
+
+    def __eq__(self, other):
+        if not isinstance(other, StandardSolution):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
 
 def _components(nodes: list[str], branches: dict) -> dict[str, str]:
@@ -370,16 +378,29 @@ class NsNetwork:
         return all(isinstance(seq, PeriodicSeq) for seq in self.descriptors())
 
 
-@dataclass
 class OperatingPoint:
-    network: NsNetwork
-    oracle: FilterOracle
-    route: str  # "periodic" or "generated"
-    currents: dict[str, Hyperreal]
-    voltages: dict[str, Hyperreal]
-    potentials: dict[str, Hyperreal]
-    horizon: int | float
-    notes: list[str] = field(default_factory=list)
+    __slots__ = (
+        "network", "oracle", "route", "currents", "voltages", "potentials", "horizon", "notes"
+    )
+
+    def __init__(
+        self,
+        network: NsNetwork,
+        oracle: FilterOracle,
+        route: str,  # "periodic" or "generated"
+        currents: dict[str, Hyperreal],
+        voltages: dict[str, Hyperreal],
+        potentials: dict[str, Hyperreal],
+        horizon: int | float,
+    ):
+        self.network = network
+        self.oracle = oracle
+        self.route = route
+        self.currents = currents
+        self.voltages = voltages
+        self.potentials = potentials
+        self.horizon = horizon
+        self.notes: list[str] = []
 
 
 def operating_point(net: NsNetwork, oracle: FilterOracle) -> OperatingPoint:
@@ -435,7 +456,6 @@ def _read_cells(seq, indices: range, failed: dict, convert) -> list:
     return cells
 
 
-@dataclass
 class _Solved:
     """The standard solutions over ``indices`` as columns: node or branch
     id -> its values over the range. ``failed`` maps each index that has no
@@ -445,11 +465,19 @@ class _Solved:
     ``voltages`` is first read: only the periodic route reads them, as the
     generated route derives its voltages as ``r*i - e``."""
 
-    indices: range
-    potentials: dict[str, list]
-    currents: dict[str, list]
-    failed: dict
-    voltage_rows: object  # numpy array, index x branch (sorted)
+    def __init__(
+        self,
+        indices: range,
+        potentials: dict[str, list],
+        currents: dict[str, list],
+        failed: dict,
+        voltage_rows,  # numpy array, index x branch (sorted)
+    ):
+        self.indices = indices
+        self.potentials = potentials
+        self.currents = currents
+        self.failed = failed
+        self.voltage_rows = voltage_rows
 
     @cached_property
     def voltages(self) -> dict[str, list]:
@@ -607,14 +635,24 @@ def _generated_operating_point(net, oracle, shared_nodes) -> OperatingPoint:
 # -- verification -----------------------------------------------------------------------
 
 
-@dataclass
 class LawCheck:
-    law: str
-    subject: str
-    worst: float
-    ok: bool
-    witness: int
-    class_verdict: str | None = None
+    __slots__ = ("law", "subject", "worst", "ok", "witness", "class_verdict")
+
+    def __init__(
+        self,
+        law: str,
+        subject: str,
+        worst: float,
+        ok: bool,
+        witness: int,
+        class_verdict: str | None = None,
+    ):
+        self.law = law
+        self.subject = subject
+        self.worst = worst
+        self.ok = ok
+        self.witness = witness
+        self.class_verdict = class_verdict
 
     def render(self) -> str:
         state = "ok" if self.ok else "VIOLATED"
@@ -625,12 +663,14 @@ class LawCheck:
         )
 
 
-@dataclass
 class LawReport:
-    ok: bool
-    tol: float
-    checks: list[LawCheck]
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("ok", "tol", "checks", "notes")
+
+    def __init__(self, ok: bool, tol: float, checks: list[LawCheck], notes: list[str]):
+        self.ok = ok
+        self.tol = tol
+        self.checks = checks
+        self.notes = notes
 
     def render_lines(self) -> list[str]:
         lines = [c.render() for c in self.checks]

@@ -53,8 +53,7 @@ sorted statement bodies), and parsing that form yields an equal project.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     DuplicateId,
@@ -83,8 +82,10 @@ from .ultrapower import (
     omega_exceptional_query,
     omega_tip_query,
 )
-from .network import NsNetwork
 from .sequences import constant as constant_seq
+
+if TYPE_CHECKING:
+    from .network import NsNetwork
 
 _DEFAULT_GEN_HORIZON = 100_000
 
@@ -217,8 +218,7 @@ class _Parser:
 # -- spec values ------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SetSpec:
+class SetSpec(NamedTuple):
     kind: str  # "finite" | "cofinite" | "mod" | "bits"
     members: tuple = ()
     modulus: int = 0
@@ -249,8 +249,7 @@ class SetSpec:
         return cyc
 
 
-@dataclass(frozen=True)
-class OracleSpec:
+class OracleSpec(NamedTuple):
     name: str
     residues: tuple = ()  # of (modulus, residue)
     pins: tuple = ()  # of (verdict "in"/"out", SetSpec)
@@ -262,8 +261,7 @@ class OracleSpec:
         return FilterOracle(self.residues, pins, audit=audit)
 
 
-@dataclass(frozen=True)
-class SeqSpec:
+class SeqSpec(NamedTuple):
     kind: str  # "ep" | "gen"
     pre: tuple = ()
     cycle: tuple = ()
@@ -286,12 +284,11 @@ class SeqSpec:
         return f"gen={head} nmax={self.nmax}"
 
 
-@dataclass(frozen=True)
-class ExtSpec:
+class ExtSpec(NamedTuple):
     kind: str  # "ep" | "gen"
     pre: tuple = ()  # of ("tip"/"node", ident)
     cycle: tuple = ()
-    gen: str = ""
+    gen: str = ""  # a str where SeqSpec's is a tuple, so the two never compare equal
     nmax: int = 0
 
     def render(self) -> str:
@@ -309,35 +306,39 @@ class ExtSpec:
         return out
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     name: str
     prototypes: tuple
     assignment: SeqSpec
 
 
-@dataclass(frozen=True)
-class NetworkSpec:
+class NetworkSpec(NamedTuple):
     name: str
     family: str
     entries: tuple  # of (("r"|"e", branch), SeqSpec), sorted
 
 
-@dataclass(frozen=True)
-class QuerySpec:
+class QuerySpec(NamedTuple):
     name: str
     family: str
     level: object
     extremity: ExtSpec
 
 
-@dataclass
 class Project:
-    oracles: dict = field(default_factory=dict)
-    graphs: dict = field(default_factory=dict)
-    families: dict = field(default_factory=dict)
-    networks: dict = field(default_factory=dict)
-    queries: dict = field(default_factory=dict)
+    __slots__ = ("oracles", "graphs", "families", "networks", "queries")
+
+    def __init__(self):
+        self.oracles: dict = {}
+        self.graphs: dict = {}
+        self.families: dict = {}
+        self.networks: dict = {}
+        self.queries: dict = {}
+
+    def __eq__(self, other):
+        if not isinstance(other, Project):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
 
     # -- resolution -----------------------------------------------------------
 
@@ -403,6 +404,8 @@ class Project:
             e_spec = entries.get(("e", bid))
             e_seq = e_spec.to_seq() if e_spec is not None else constant_seq(0.0)
             data[bid] = (r_spec.to_seq(), e_seq)
+        from .network import NsNetwork
+
         return NsNetwork(name, family, data)
 
     def query(self, name: str) -> NsExtremity:

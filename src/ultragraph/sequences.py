@@ -56,10 +56,9 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 from operator import eq, ge, gt, le, lt, sub
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, NamedTuple
 
 from ._periodic import Unrolled, aligned, minimize, unrolled
 from .errors import BeyondHorizon, TraitViolated
@@ -71,8 +70,7 @@ INJECTIVE_BEYOND = "injective-beyond"
 TRAITS = frozenset({MONOTONE, UNBOUNDED, INJECTIVE_BEYOND})
 
 
-@dataclass(frozen=True)
-class PeriodicSeq:
+class PeriodicSeq(NamedTuple):
     pre: tuple
     cycle: tuple
 
@@ -88,21 +86,33 @@ class PeriodicSeq:
         return cyc
 
 
-@dataclass(frozen=True, eq=False)
 class GeneratedSeq:
-    fn: Callable[[int], Any]
-    n_max: int
-    traits: frozenset = frozenset()
-    limit: Any = None
-    key: tuple | None = None
-    label: str | None = None
+    """Immutable: its fields are set once, by the constructor."""
 
-    def __post_init__(self):
-        bad = self.traits - TRAITS
+    __slots__ = ("fn", "n_max", "traits", "limit", "key", "label", "__weakref__")
+
+    def __init__(
+        self,
+        fn: Callable[[int], Any],
+        n_max: int,
+        traits: frozenset = frozenset(),
+        limit: Any = None,
+        key: tuple | None = None,
+        label: str | None = None,
+    ):
+        bad = traits - TRAITS
         if bad:
             raise ValueError(f"unknown traits: {sorted(bad)}")
-        if self.n_max < 1:
+        if n_max < 1:
             raise ValueError("n_max must be at least 1")
+        for name, value in zip(self.__slots__, (fn, n_max, traits, limit, key, label)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a GeneratedSeq")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a GeneratedSeq")
 
     def __eq__(self, other):
         if not isinstance(other, GeneratedSeq):
@@ -241,10 +251,12 @@ def _relation_set(a: SeqDescriptor, b: SeqDescriptor, rel) -> IndexSet:
     return IndexSet.sampled(lambda n: rel(value_at(a, n), value_at(b, n)), upto)
 
 
-@dataclass
 class TraitReport:
-    ok: bool
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("ok", "notes")
+
+    def __init__(self, ok: bool, notes: list[str]):
+        self.ok = ok
+        self.notes = notes
 
 
 def trait_check(seq: SeqDescriptor) -> TraitReport:

@@ -32,9 +32,9 @@ the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import eq
+from typing import NamedTuple
 
 from ._periodic import Unrolled, aligned, joint_window
 from .errors import InvariantBreach, NotAnExtremity, RankTooHigh, Undecidable
@@ -303,8 +303,7 @@ def _require_graded(family: GraphFamily) -> None:
 # -- classification ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtremityClass:
+class ExtremityClass(NamedTuple):
     kind: str  # "tip" or "node"
     rank: object  # int, omega-arrow, or a Hypernatural
     standard_rank: bool
@@ -438,12 +437,20 @@ def ns_shorted(a: NsExtremity, b: NsExtremity, oracle: FilterOracle) -> bool:
     return verdict is Membership.IN
 
 
-@dataclass
 class NsNode:
-    ident: str
-    level: object
-    members: tuple[NsExtremity, ...]
-    classes: tuple[ExtremityClass, ...]
+    __slots__ = ("ident", "level", "members", "classes")
+
+    def __init__(
+        self,
+        ident: str,
+        level,
+        members: tuple[NsExtremity, ...],
+        classes: tuple[ExtremityClass, ...],
+    ):
+        self.ident = ident
+        self.level = level
+        self.members = members
+        self.classes = classes
 
     def tip_count(self) -> int:
         return sum(1 for c in self.classes if c.kind == "tip")
@@ -456,11 +463,13 @@ class NsNode:
         return f"{self.ident} [level {level}] {{ {inner} }}"
 
 
-@dataclass
 class NsLayer:
-    level: object
-    nodes: list[NsNode]
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("level", "nodes", "notes")
+
+    def __init__(self, level, nodes: list[NsNode], notes: list[str]):
+        self.level = level
+        self.nodes = nodes
+        self.notes = notes
 
 
 def build_ns_nodes(
@@ -660,14 +669,24 @@ def _audit_pointwise(nodes: list[NsNode], upto: int, notes: list[str]) -> None:
 # -- whole-graph assembly ---------------------------------------------------------------
 
 
-@dataclass
 class NsGraph:
-    name: str
-    family: GraphFamily
-    zero_classes: tuple[str, ...]
-    branch_classes: tuple[str, ...]
-    layers: dict  # level -> NsLayer
-    notes: list[str] = field(default_factory=list)
+    __slots__ = ("name", "family", "zero_classes", "branch_classes", "layers", "notes")
+
+    def __init__(
+        self,
+        name: str,
+        family: GraphFamily,
+        zero_classes: tuple[str, ...],
+        branch_classes: tuple[str, ...],
+        layers: dict,  # level -> NsLayer
+        notes: list[str],
+    ):
+        self.name = name
+        self.family = family
+        self.zero_classes = zero_classes
+        self.branch_classes = branch_classes
+        self.layers = layers
+        self.notes = notes
 
     def layer(self, level) -> NsLayer:
         for key, value in self.layers.items():

@@ -5,6 +5,7 @@ Regenerate a golden file after an intentional output change with, e.g.
     python3 -m ultragraph report projects/loop.ug > tests/golden/report_loop.txt
 """
 
+import ast
 import json
 import subprocess
 import sys
@@ -221,30 +222,64 @@ def test_solve_respects_the_tolerance_flag():
     assert "laws:" in strict.stdout and "all hold" not in strict.stdout
 
 
-def test_build_and_classify_do_not_import_numpy():
-    # Only solving needs numpy; the exact commands must not pay its import.
+def test_json_to_an_unwritable_path_exits_2_and_keeps_stdout(tmp_path):
+    target = tmp_path / "no" / "such" / "dir" / "out.json"
+    proc = run_cli("build", "projects/tower.ug", "--json", str(target))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write --json file: No such file or directory\n"
+    assert proc.stdout == (GOLDEN / "build_tower.txt").read_text()
+    assert not target.exists()
+
+
+def test_json_to_an_unwritable_path_after_a_failure_exits_2(tmp_path):
+    # the solver failure alone exits 5; the file that cannot be written wins
+    proc = run_cli("solve", str(FAULTS / "fault_solver.ug"), "--json", str(tmp_path))
+    assert proc.returncode == 2
+    first, second = proc.stderr.splitlines()
+    assert first.startswith("error: ") and "--json" not in first
+    assert second == "error: cannot write --json file: Is a directory"
+    assert proc.stdout == ""
+
+
+def modules_loaded_by(commands, pattern="*.ug") -> set:
+    """The modules that running ``commands`` on the shipped projects that
+    match ``pattern`` loads in a fresh interpreter, beyond those loaded
+    before the script's imports."""
     script = (
-        "import contextlib, io, sys\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import contextlib, io\n"
         "from pathlib import Path\n"
         "from ultragraph import cli\n"
-        "for path in sorted(Path('projects').glob('*.ug')):\n"
-        "    for command in ('build', 'classify'):\n"
+        f"for path in sorted(Path('projects').glob({pattern!r})):\n"
+        f"    for command in {tuple(commands)!r}:\n"
         "        with contextlib.redirect_stdout(io.StringIO()):\n"
         "            cli.main([command, str(path)])\n"
-        "print('numpy' in sys.modules)\n"
+        "print(sorted(set(sys.modules) - before))\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, cwd=ROOT
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
-    solved = subprocess.run(
-        [sys.executable, "-c", script.replace("('build', 'classify')", "('solve',)")],
-        capture_output=True,
-        text=True,
-        cwd=ROOT,
-    )
-    assert solved.stdout == "True\n"
+    return set(ast.literal_eval(proc.stdout))
+
+
+def test_build_and_classify_do_not_import_numpy():
+    # Only solving needs numpy, and only networks need the network module;
+    # the exact commands must not pay for them, nor for dataclasses or json.
+    loaded = modules_loaded_by(("build", "classify"))
+    assert "ultragraph.ultrapower" in loaded
+    assert not loaded & {"numpy", "ultragraph.network", "dataclasses", "json"}
+    assert {"numpy", "ultragraph.network"} <= modules_loaded_by(("solve",))
+
+
+def test_a_project_without_networks_never_loads_the_network_module():
+    proc = run_cli("solve", "projects/tower.ug")
+    assert proc.returncode == 0
+    assert proc.stdout == "== solve ==\n(no networks)\n"
+    loaded = modules_loaded_by(("validate", "solve", "report"), "tower.ug")
+    assert "ultragraph.project" in loaded
+    assert "ultragraph.network" not in loaded
 
 
 class Recorder:
