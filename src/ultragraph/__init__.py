@@ -47,7 +47,7 @@ from .errors import (
     UnresolvedReference,
 )
 from .indexsets import IndexSet
-from .oracle import AuditEntry, FilterOracle, Membership
+from .oracle import FilterOracle, Membership
 from .sequences import (
     INJECTIVE_BEYOND,
     MONOTONE,

@@ -10,10 +10,14 @@ Commands:
 
 All output is byte-deterministic for a given project file and flags: names
 are sorted, floats rendered via repr, and no timestamps or file paths
-appear. The oracle audit trail is appended with each decision listed
-exactly once. Exit codes: 0 success, 2 unreadable project, flag value
+appear. The audit trail follows: the lines the oracle recorded, one per
+decision, with each distinct line listed once in the order first
+recorded. Exit codes: 0 success, 2 unreadable project, flag value
 out of range or unwritable ``--json`` file, 3 structural or validation
-failure, 4 undecidable question, 5 solver failure.
+failure, 4 undecidable question, 5 solver failure. Once the flags
+parse, ``--json`` gets the command, exit code and lines on every exit, an
+unreadable project included, so no file from an earlier run is left
+behind.
 
 A command imports only what it runs: :mod:`ultragraph.network` only to
 resolve a network (``validate``, ``solve`` and ``report`` on a project
@@ -136,9 +140,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         text = Path(args.file).read_text()
     except OSError as exc:
-        print(f"error: cannot read project: {exc.strerror}", file=sys.stderr)
+        message = f"error: cannot read project: {exc.strerror}"
+        print(message, file=sys.stderr)
+        if args.json:
+            return _write_json(args.json, args.command, [message], _EXIT_PARSE)
         return _EXIT_PARSE
-    audit: list = []
+    audit: list[str] = []
     try:
         project = parse_project(text)
         oracle = project.oracle(extra=args.oracle, audit=audit)
@@ -186,16 +193,11 @@ def _write_json(path: str, command: str, lines: list[str], code: int) -> int:
     return code
 
 
-def _audit_lines(audit: list) -> list[str]:
+def _audit_lines(audit: list[str]) -> list[str]:
     """Each distinct audit line once, in the order first recorded."""
-    # ``AuditEntry.render``'s layout, inlined: one method call per entry
-    # costs more than the f-string, and ``str.format`` more still.
-    rendered = dict.fromkeys(
-        f"  {context}: {subject} -> {verdict}" for subject, verdict, context in audit
-    )
-    if not rendered:
+    if not audit:
         return []
-    return ["", "== audit ==", *rendered]
+    return ["", "== audit ==", *map("  ".__add__, dict.fromkeys(audit))]
 
 
 def _run(command: str, project: Project, oracle: FilterOracle, args) -> tuple[list[str], int]:

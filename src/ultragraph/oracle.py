@@ -32,6 +32,12 @@ A sampled set is never pinned. It decides when it agrees with a pinned
 set, or with that set's complement, on its own sampled window; that trust
 boundary is the same one sampled sets carry everywhere else.
 
+The audit is a list of lines. An oracle given an ``audit`` list appends
+one ``"CONTEXT: SET -> in|out"`` line to it for every decision, and
+``decide`` is its only writer: partition selection, shorting, kind and
+rank all reach the audit by deciding, so the trail is the record of the
+ultrafilter decisions a run made, one line each.
+
 Concurrency: oracles are cheap immutable values. ``pin`` returns a new
 oracle; configure first, then share freely between readers.
 """
@@ -66,18 +72,6 @@ class Pin(NamedTuple):
     verdict: Membership
 
 
-class AuditEntry(NamedTuple):
-    """One oracle decision that influenced a verdict."""
-
-    subject: str
-    verdict: str
-    context: str
-
-    def render(self) -> str:
-        subject, verdict, context = self
-        return f"{context}: {subject} -> {verdict}"
-
-
 def _crt_merge(mod_a: int, res_a: int, mod_b: int, res_b: int) -> tuple[int, int]:
     g = gcd(mod_a, mod_b)
     if (res_a - res_b) % g != 0:
@@ -98,7 +92,7 @@ class FilterOracle:
         self,
         tower: Iterable[tuple[int, int]] = (),
         pins: Iterable[tuple[IndexSet, Membership]] = (),
-        audit: list[AuditEntry] | None = None,
+        audit: list[str] | None = None,
     ):
         base_mod, base_res = 1, 0
         for modulus, residue in tower:
@@ -153,12 +147,10 @@ class FilterOracle:
         return self._selected % modulus
 
     def _record(self, subject: IndexSet, verdict: Membership, context: str) -> None:
-        # Every entry is made here, without the NamedTuple's Python-level
-        # ``__new__``: a build can record tens of thousands.
+        # The one place an audit line is laid out. A build records tens of
+        # thousands; a ``str`` is not tracked by the garbage collector.
         if self.audit is not None:
-            self.audit.append(
-                tuple.__new__(AuditEntry, (subject.describe(), verdict._value_, context))
-            )
+            self.audit.append(f"{context}: {subject.describe()} -> {verdict._value_}")
 
     def decide(self, subject: IndexSet, context: str = "decide") -> Membership:
         """Is the set a member of the chosen ultrafilter?

@@ -218,6 +218,14 @@ class _Parser:
 # -- spec values ------------------------------------------------------------------------
 
 
+def _render_pre_cycle(pre: tuple, cycle: tuple, fmt) -> str:
+    """The ``[pre=[...]] cycle=[...]`` form, each item rendered by ``fmt``."""
+    cyc = "cycle=[%s]" % ", ".join(map(fmt, cycle))
+    if pre:
+        return "pre=[%s] %s" % (", ".join(map(fmt, pre)), cyc)
+    return cyc
+
+
 class SetSpec(NamedTuple):
     kind: str  # "finite" | "cofinite" | "mod" | "bits"
     members: tuple = ()
@@ -243,10 +251,7 @@ class SetSpec(NamedTuple):
             return f"{self.kind}={{{inner}}}"
         if self.kind == "mod":
             return f"mod={self.modulus} : {self.residue}"
-        cyc = "cycle=[%s]" % ", ".join(str(b) for b in self.cycle)
-        if self.pre:
-            return "pre=[%s] %s" % (", ".join(str(b) for b in self.pre), cyc)
-        return cyc
+        return _render_pre_cycle(self.pre, self.cycle, str)
 
 
 class OracleSpec(NamedTuple):
@@ -254,7 +259,7 @@ class OracleSpec(NamedTuple):
     residues: tuple = ()  # of (modulus, residue)
     pins: tuple = ()  # of (verdict "in"/"out", SetSpec)
 
-    def to_oracle(self, audit: list | None = None) -> FilterOracle:
+    def to_oracle(self, audit: list[str] | None = None) -> FilterOracle:
         pins = [
             (spec.to_indexset(), Membership(verdict)) for verdict, spec in self.pins
         ]
@@ -275,10 +280,7 @@ class SeqSpec(NamedTuple):
 
     def render(self) -> str:
         if self.kind == "ep":
-            cyc = "cycle=[%s]" % ", ".join(_fmt(v) for v in self.cycle)
-            if self.pre:
-                return "pre=[%s] %s" % (", ".join(_fmt(v) for v in self.pre), cyc)
-            return cyc
+            return _render_pre_cycle(self.pre, self.cycle, _fmt)
         name, *args = self.gen
         head = name if not args else "%s(%s)" % (name, ", ".join(_fmt(a) for a in args))
         return f"gen={head} nmax={self.nmax}"
@@ -293,13 +295,7 @@ class ExtSpec(NamedTuple):
 
     def render(self) -> str:
         if self.kind == "ep":
-            def ref(r):
-                return f"{r[0]}:{r[1]}"
-
-            cyc = "cycle=[%s]" % ", ".join(ref(r) for r in self.cycle)
-            if self.pre:
-                return "pre=[%s] %s" % (", ".join(ref(r) for r in self.pre), cyc)
-            return cyc
+            return _render_pre_cycle(self.pre, self.cycle, ":".join)
         out = f"gen={self.gen}"
         if self.nmax:
             out += f" nmax={self.nmax}"
@@ -351,7 +347,7 @@ class Project:
         self,
         name: str | None = None,
         extra: str | None = None,
-        audit: list | None = None,
+        audit: list[str] | None = None,
     ) -> FilterOracle:
         if name is None:
             name = self.default_oracle_name()
@@ -529,13 +525,7 @@ def _parse_set(p: _Parser) -> SetSpec:
     if p.at_name("finite") or p.at_name("cofinite"):
         kind = p.take_name()
         p.take_punct("=")
-        p.take_punct("{")
-        members: list[int] = []
-        while not p.at_punct("}"):
-            members.append(p.take_int())
-            if p.at_punct(","):
-                p.take_punct(",")
-        p.take_punct("}")
+        members = _parse_list(p, _Parser.take_int, "{}")
         return SetSpec(kind, members=tuple(sorted(set(members))))
     if p.at_name("mod"):
         p.take_name("mod")
@@ -571,14 +561,17 @@ def _parse_bracketed_pair(p: _Parser, take_item) -> tuple[tuple, tuple]:
     return tuple(pre), tuple(cycle)
 
 
-def _parse_list(p: _Parser, take_item) -> list:
-    p.take_punct("[")
+def _parse_list(p: _Parser, take_item, brackets: str = "[]") -> list:
+    """The items ``take_item`` reads between the two brackets, each one
+    optionally followed by a comma."""
+    opening, closing = brackets
+    p.take_punct(opening)
     items: list = []
-    while not p.at_punct("]"):
+    while not p.at_punct(closing):
         items.append(take_item(p))
         if p.at_punct(","):
             p.take_punct(",")
-    p.take_punct("]")
+    p.take_punct(closing)
     return items
 
 
@@ -587,14 +580,7 @@ def _parse_seq(p: _Parser) -> SeqSpec:
         p.take_name("gen")
         p.take_punct("=")
         name = p.take_name()
-        args: list = []
-        if p.at_punct("("):
-            p.take_punct("(")
-            while not p.at_punct(")"):
-                args.append(p.take_number())
-                if p.at_punct(","):
-                    p.take_punct(",")
-            p.take_punct(")")
+        args = _parse_list(p, _Parser.take_number, "()") if p.at_punct("(") else []
         p.take_name("nmax")
         p.take_punct("=")
         nmax = p.take_int()
@@ -725,13 +711,7 @@ def _parse_node_stmt(p: _Parser, forced_rank) -> StandardNode:
         rank = forced_rank
     p.take_name("tips")
     p.take_punct("=")
-    p.take_punct("{")
-    owned: list[str] = []
-    while not p.at_punct("}"):
-        owned.append(p.take_name())
-        if p.at_punct(","):
-            p.take_punct(",")
-    p.take_punct("}")
+    owned = _parse_list(p, _Parser.take_name, "{}")
     exceptional = None
     if p.at_name("exceptional"):
         p.take_name("exceptional")

@@ -398,10 +398,6 @@ def _first_other_level(exts: list[NsExtremity]) -> int:
     )
 
 
-# The agreement pattern of two periodic owners that share no value: nowhere.
-_NOWHERE = (0, (False,))
-
-
 def _sharing_partners(exts: list[NsExtremity]) -> list[set[int] | None]:
     """Per extremity, the positions of the periodic owners that share a
     value with its periodic owner: any other pair of periodic owners agrees
@@ -481,18 +477,17 @@ def build_ns_nodes(
 ) -> NsLayer:
     """Partition the extremities into nonstandard nodes by decided shorting.
 
-    Each pair is decided and audited as ``ns_shorted`` decides it, in pair
-    order. Two periodic owner sequences are compared over their unrolled
-    window only when they share an owner value, and the oracle decides each
-    distinct agreement set once per call; later pairs with the same set
-    record the same verdict. A row walks its partners, the columns that
-    share an owner value with it or have an owner that is not periodic, in
-    order; the runs of pairs between them agree nowhere and record that
-    one decision. By Łoś
-    such a verdict is the equality of the two owners at the selected
-    index, so shorting among periodic owners is an equivalence. Only pairs
-    with a generated or sampled owner can break transitivity, and only a
-    universe holding such a pair is checked for it.
+    Every pair is decided by the oracle, and so audited, as ``ns_shorted``
+    decides it, in pair order. Two periodic owner sequences are compared
+    over their unrolled window only when they share an owner value, and
+    each distinct agreement pattern becomes an index set once per call. A
+    row walks its partners, the columns that share an owner value with it
+    or have an owner that is not periodic, in order; the pairs between
+    them agree nowhere and are decided on the empty set. By Łoś such a
+    verdict is the equality of the two owners at the selected index, so
+    shorting among periodic owners is an equivalence. Only pairs with a
+    generated or sampled owner can break transitivity, and only a universe
+    holding such a pair is checked for it.
     """
     exts = list(extremities)
     classes = [classify(e, oracle) for e in exts]
@@ -504,9 +499,9 @@ def build_ns_nodes(
     near = _sharing_partners(exts)
     mixed = None in owners
     labels = [e.label for e in exts]
-    record, decide = oracle._record, oracle.decide
-    settled: dict[tuple[int, tuple], tuple[IndexSet, Membership]] = {}
-    by_set: dict[IndexSet, tuple[IndexSet, Membership]] = {}
+    decide = oracle.decide
+    settled: dict[tuple[int, tuple], IndexSet] = {}  # agreement pattern -> its set
+    nowhere = IndexSet.empty()
     distinct: list[tuple[int, int]] = []  # pairs declared apart that a chain may join
     parent = list(range(n))
 
@@ -516,19 +511,8 @@ def build_ns_nodes(
             i = parent[i]
         return i
 
-    def first_decision(pattern: tuple[int, tuple], context: str):
-        head, bits = pattern
-        agree = IndexSet.eventually_periodic(bits[:head], bits[head:])
-        known = by_set.get(agree)
-        if known is None:
-            known = by_set[agree] = (agree, decide(agree, context))
-        else:
-            record(known[0], known[1], context)
-        return known
-
     IN = Membership.IN
     irregular = [j for j, o in enumerate(owners) if o is None]
-    nowhere = None  # the decision shared by every pair that shares no owner value
     for i in range(n):
         a, ua, shared = exts[i], owners[i], near[i]
         prefix = f"shorting {a.label} with "
@@ -544,13 +528,8 @@ def build_ns_nodes(
             if start < j:
                 # Pairs start .. j - 1 share no owner value, so they agree
                 # nowhere, a finite set: declared apart.
-                k = start
-                if nowhere is None:
-                    nowhere = first_decision(_NOWHERE, prefix + labels[k])
-                    k += 1
-                subject, verdict = nowhere
-                for label in labels[k:j]:
-                    record(subject, verdict, prefix + label)
+                for label in labels[start:j]:
+                    decide(nowhere, prefix + label)
                 if mixed:
                     distinct.extend((i, m) for m in range(start, j))
             if j == stop:
@@ -559,16 +538,16 @@ def build_ns_nodes(
             context = prefix + labels[j]
             ub = owners[j]
             if ua is None or ub is None:
-                verdict = decide(agreement_set(a.owner_rep, exts[j].owner_rep), context)
+                agree = agreement_set(a.owner_rep, exts[j].owner_rep)
             else:
                 pattern = aligned((ua, ub), eq)
-                known = settled.get(pattern)
-                if known is None:
-                    known = settled[pattern] = first_decision(pattern, context)
-                else:
-                    record(known[0], known[1], context)
-                verdict = known[1]
-            if verdict is IN:
+                agree = settled.get(pattern)
+                if agree is None:
+                    head, bits = pattern
+                    agree = settled[pattern] = IndexSet.eventually_periodic(
+                        bits[:head], bits[head:]
+                    )
+            if decide(agree, context) is IN:
                 parent[find(i)] = find(j)
             elif mixed:
                 distinct.append((i, j))

@@ -132,6 +132,13 @@ def random_network(rng: random.Random, max_branches=12):
     return plain, net
 
 
+def audit_fields(line: str) -> tuple[str, str, str]:
+    """The context, subject and verdict of one oracle audit line."""
+    rest, verdict = line.rsplit(" -> ", 1)
+    context, subject = rest.rsplit(": ", 1)
+    return context, subject, verdict
+
+
 def outcome(call):
     """The value a call returns, or the type and text of what it raises."""
     try:

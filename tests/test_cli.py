@@ -92,6 +92,19 @@ def test_missing_file_is_a_parse_failure():
     assert proc.stderr.startswith("error:")
 
 
+def test_missing_file_replaces_a_stale_json_sidecar(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_text('{"stale": true}\n')
+    proc = run_cli("build", "no/such/project.ug", "--json", str(out))
+    assert proc.returncode == 2
+    assert json.loads(out.read_text()) == {
+        "command": "build",
+        "exit": 2,
+        "lines": ["error: cannot read project: No such file or directory"],
+    }
+    assert proc.stderr == "error: cannot read project: No such file or directory\n"
+
+
 @pytest.mark.parametrize(
     "fault,code",
     [

@@ -13,6 +13,8 @@ from ultragraph.errors import IncompatibleTower, InconsistentPin, NotAPartition,
 from ultragraph.indexsets import PERIODIC
 from ultragraph.oracle import Pin, _crt_merge
 
+from conftest import audit_fields
+
 ep_sets = st.builds(
     IndexSet.eventually_periodic,
     st.lists(st.booleans(), max_size=4),
@@ -117,9 +119,8 @@ def test_audit_records_context_and_verdict():
     audit = []
     orc = FilterOracle(audit=audit)
     orc.decide(IndexSet.residue_class(2, 0), context="parity check")
-    assert len(audit) == 1
-    line = audit[0].render()
-    assert "parity check" in line and "in" in line
+    assert audit == ["parity check: cycle=[1,0] -> in"]
+    assert audit_fields(audit[0]) == ("parity check", "cycle=[1,0]", "in")
 
 
 # -- ultrafilter laws ---------------------------------------------------------
