@@ -14,10 +14,10 @@ appear. The audit trail follows: the lines the oracle recorded, one per
 decision, with each distinct line listed once in the order first
 recorded. Exit codes: 0 success, 2 unreadable project, flag value
 out of range or unwritable ``--json`` file, 3 structural or validation
-failure, 4 undecidable question, 5 solver failure. Once the flags
-parse, ``--json`` gets the command, exit code and lines on every exit, an
-unreadable project included, so no file from an earlier run is left
-behind.
+failure, 4 undecidable question, 5 solver failure. ``--json`` gets the
+command, exit code and lines on every exit, so no file from an earlier run
+is left behind: a command line argparse rejects writes argparse's error
+line, and an unreadable project its ``error:`` line.
 
 A command imports only what it runs: :mod:`ultragraph.network` only to
 resolve a network (``validate``, ``solve`` and ``report`` on a project
@@ -57,6 +57,14 @@ _EXIT_SOLVER = 5
 
 _CHUNK = 1 << 16  # characters of output written at once
 
+_COMMANDS = {
+    "validate": "check graph axioms and references",
+    "build": "assemble nonstandard node layers per family",
+    "classify": "classify query extremities",
+    "solve": "compute operating points and verify circuit laws",
+    "report": "full report: validate, build, classify, solve",
+}
+
 
 def _exit_code_for(exc: Exception) -> int:
     if isinstance(exc, ProjectError):
@@ -68,6 +76,18 @@ def _exit_code_for(exc: Exception) -> int:
     if isinstance(exc, (UltragraphError, ValueError)):
         return _EXIT_VALIDATION
     raise exc
+
+
+class _Rejected(Exception):
+    """argparse refused the command line: the refusing parser and its message."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose refusal raises ``_Rejected`` instead of exiting, so
+    that ``main`` can still write ``--json``."""
+
+    def error(self, message):
+        raise _Rejected(self, message)
 
 
 def _checked(convert, ok, bound: str):
@@ -84,19 +104,13 @@ def _checked(convert, ok, bound: str):
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ultragraph",
         description="sequences of transfinite graphs, their nonstandard limits, "
         "and hyperreal operating points",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, help_text in (
-        ("validate", "check graph axioms and references"),
-        ("build", "assemble nonstandard node layers per family"),
-        ("classify", "classify query extremities"),
-        ("solve", "compute operating points and verify circuit laws"),
-        ("report", "full report: validate, build, classify, solve"),
-    ):
+    for command, help_text in _COMMANDS.items():
         cmd = sub.add_parser(command, help=help_text)
         cmd.add_argument("file", help="project file")
         cmd.add_argument(
@@ -121,10 +135,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument(
             "--mu-max",
-            type=int,
+            type=_checked(int, lambda m: m >= 0, "must be at least 0"),
             default=4,
             metavar="MU",
-            help="highest finite level to build (default 4)",
+            help="highest finite level to build, at least 0 (default 4)",
         )
         cmd.add_argument(
             "--json",
@@ -136,7 +150,19 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_arg_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    try:
+        args = build_arg_parser().parse_args(argv)
+    except _Rejected as exc:
+        parser, message = exc.args
+        parser.print_usage(sys.stderr)
+        line = f"{parser.prog}: error: {message}"
+        print(line, file=sys.stderr)
+        path = _json_path(argv)
+        if path:
+            command = argv[0] if argv[0] in _COMMANDS else None
+            _write_json(path, command, [line], _EXIT_PARSE)
+        return _EXIT_PARSE
     try:
         text = Path(args.file).read_text()
     except OSError as exc:
@@ -161,6 +187,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         code = _write_json(args.json, args.command, lines, code)
     return code
+
+
+def _json_path(argv: list[str]) -> str | None:
+    """The ``--json`` value of a rejected command line, read by a parser that
+    knows no other flag; None when it has none."""
+    probe = _ArgumentParser(add_help=False)
+    probe.add_argument("--json")
+    try:
+        return probe.parse_known_args(argv)[0].json
+    except _Rejected:
+        return None
 
 
 def _write_lines(lines: list[str], out) -> None:

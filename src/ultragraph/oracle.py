@@ -34,9 +34,11 @@ boundary is the same one sampled sets carry everywhere else.
 
 The audit is a list of lines. An oracle given an ``audit`` list appends
 one ``"CONTEXT: SET -> in|out"`` line to it for every decision, and
-``decide`` is its only writer: partition selection, shorting, kind and
-rank all reach the audit by deciding, so the trail is the record of the
-ultrafilter decisions a run made, one line each.
+``decide`` is its only writer: kind, rank and owner selection (one line
+per part of the partition), the pairwise shorting that remains for
+generated, sampled or unhashable owners, and every other question reach
+the audit by deciding, so the trail is the record of the ultrafilter
+decisions a run made, one line each.
 
 Concurrency: oracles are cheap immutable values. ``pin`` returns a new
 oracle; configure first, then share freely between readers.

@@ -17,22 +17,24 @@ sequences carry descriptors built from the same rule, tagged with symbolic
 keys so that two constructions known to be identical compare equal on all
 of N rather than on a sampled window.
 
-Nonstandard nodes are the shorting classes of a universe of extremities.
-Between periodic owner sequences shorting is an equivalence by Łoś's
-theorem: the verdict is the equality of the two owners at the index the
-oracle selects. ``build_ns_nodes`` therefore decides each distinct
-agreement set once, and checks transitivity only in a universe that holds
-a generated or sampled owner, whose decisions rest on pins over a window.
-It also checks the node axioms (at least one tip per node, at most one
-exceptional class per node, no exceptional class shared between nodes); a
-failure is an :class:`~ultragraph.errors.InvariantBreach`, signalling that
-the supplied prototypes or queries were malformed rather than a fault of
-the oracle.
+Nonstandard nodes are the shorting classes of a universe of extremities:
+the node containing *e is the class of the node sequence that owns e_n.
+When every owner is periodic, ``build_ns_nodes`` makes one partition
+decision per extremity, selecting its owner from the partition of N by
+the owner's values, and groups extremities by the selected owner; by
+Łoś's theorem that is exactly pairwise shorting. A universe holding a
+generated or sampled owner, or an owner value that cannot be hashed, is
+decided pair by pair and checked for transitivity, since a generated
+owner's decisions rest on pins over a window. The builder also checks the
+node axioms (at least one tip per node, at most one exceptional class per
+node, no exceptional class shared between nodes); a failure is an
+:class:`~ultragraph.errors.InvariantBreach`, signalling that the supplied
+prototypes or queries were malformed rather than a fault of the oracle.
 """
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import combinations
 from operator import eq
 from typing import NamedTuple
 
@@ -361,13 +363,8 @@ def _select_periodic_rank(ext: NsExtremity, oracle: FilterOracle) -> int:
                 f"{ext.label}: exceptional element {e.ident} has nonfinite rank"
             )
     distinct = sorted({k for k in keys if k != "tip"})
-    parts: list[IndexSet] = []
-    for rank in distinct:
-        bits = [k == rank for k in keys]
-        parts.append(IndexSet.eventually_periodic(bits[:head], bits[head:]))
-    if "tip" in keys:
-        bits = [k == "tip" for k in keys]
-        parts.append(IndexSet.eventually_periodic(bits[:head], bits[head:]))
+    order = [*distinct, "tip"] if "tip" in keys else distinct
+    parts = _value_partition(keys, head, order)
     chosen = oracle.select_from_partition(parts, context=f"rank of {ext.label}")
     if chosen >= len(distinct):
         raise InvariantBreach(
@@ -376,51 +373,25 @@ def _select_periodic_rank(ext: NsExtremity, oracle: FilterOracle) -> int:
     return distinct[chosen]
 
 
+def _value_partition(values, head: int, distinct) -> list[IndexSet]:
+    """The parts {n : x_n = v}, one per v in ``distinct`` and in its order,
+    of the periodic sequence x whose preperiod is ``values[:head]`` and
+    whose cycle is ``values[head:]``."""
+    parts = []
+    for v in distinct:
+        bits = [x == v for x in values]
+        parts.append(IndexSet.eventually_periodic(bits[:head], bits[head:]))
+    return parts
+
+
 # -- shorting and node building --------------------------------------------------------
 
 
-def _same_level(a: NsExtremity, b: NsExtremity) -> bool:
-    return a.level is b.level or a.level == b.level
-
-
 def _require_same_level(a: NsExtremity, b: NsExtremity) -> None:
-    if not _same_level(a, b):
+    if not (a.level is b.level or a.level == b.level):
         raise RankTooHigh(
             f"cannot short across levels {rank_str(a.level)} and {rank_str(b.level)}"
         )
-
-
-def _first_other_level(exts: list[NsExtremity]) -> int:
-    """The first position whose level differs from the first extremity's,
-    or ``len(exts)`` when all share one level."""
-    return next(
-        (j for j in range(1, len(exts)) if not _same_level(exts[0], exts[j])), len(exts)
-    )
-
-
-def _sharing_partners(exts: list[NsExtremity]) -> list[set[int] | None]:
-    """Per extremity, the positions of the periodic owners that share a
-    value with its periodic owner: any other pair of periodic owners agrees
-    nowhere. An owner whose values cannot be hashed is a partner of every
-    owner. None where the owner is not periodic or cannot be hashed."""
-    by_value: dict[object, list[int]] = {}
-    values: list[set | None] = []
-    wild: set[int] = set()
-    for k, e in enumerate(exts):
-        seen = None
-        if isinstance(e.owner_rep, PeriodicSeq):
-            try:
-                seen = {*e.owner_rep.pre, *e.owner_rep.cycle}
-            except TypeError:
-                wild.add(k)
-            else:
-                for v in seen:
-                    by_value.setdefault(v, []).append(k)
-        values.append(seen)
-    return [
-        None if seen is None else wild.union(*(by_value[v] for v in seen))
-        for seen in values
-    ]
 
 
 def ns_shorted(a: NsExtremity, b: NsExtremity, oracle: FilterOracle) -> bool:
@@ -475,94 +446,30 @@ def build_ns_nodes(
     oracle: FilterOracle,
     audit_upto: int = 64,
 ) -> NsLayer:
-    """Partition the extremities into nonstandard nodes by decided shorting.
+    """Partition the extremities into nonstandard nodes.
 
-    Every pair is decided by the oracle, and so audited, as ``ns_shorted``
-    decides it, in pair order. Two periodic owner sequences are compared
-    over their unrolled window only when they share an owner value, and
-    each distinct agreement pattern becomes an index set once per call. A
-    row walks its partners, the columns that share an owner value with it
-    or have an owner that is not periodic, in order; the pairs between
-    them agree nowhere and are decided on the empty set. By Łoś such a
-    verdict is the equality of the two owners at the selected index, so
-    shorting among periodic owners is an equivalence. Only pairs with a
-    generated or sampled owner can break transitivity, and only a universe
-    holding such a pair is checked for it.
+    The node containing *e is the class of the node sequence that owns e_n.
+    When every owner is periodic with hashable values, each extremity's
+    owner is selected once, from the partition of N by its owner values
+    (audited as ``owner of LABEL``), and extremities whose selected owners
+    are equal share a node: by Łoś two periodic owners agree on a large set
+    exactly when they agree at the selected index. Any other universe, one
+    holding a generated or sampled owner or an unhashable owner value, is
+    decided pair by pair through ``ns_shorted``, in pair order, merged, and
+    checked for transitivity, since a generated owner's decisions rest on
+    pins over a window. Both paths classify every extremity first and
+    refuse a universe that spans two levels before any shorting decision.
     """
     exts = list(extremities)
     classes = [classify(e, oracle) for e in exts]
-    n = len(exts)
-    owners = [
-        Unrolled(o.pre, o.cycle) if isinstance(o, PeriodicSeq) else None
-        for o in (e.owner_rep for e in exts)
-    ]
-    near = _sharing_partners(exts)
-    mixed = None in owners
-    labels = [e.label for e in exts]
-    decide = oracle.decide
-    settled: dict[tuple[int, tuple], IndexSet] = {}  # agreement pattern -> its set
-    nowhere = IndexSet.empty()
-    distinct: list[tuple[int, int]] = []  # pairs declared apart that a chain may join
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    IN = Membership.IN
-    irregular = [j for j, o in enumerate(owners) if o is None]
-    for i in range(n):
-        a, ua, shared = exts[i], owners[i], near[i]
-        prefix = f"shorting {a.label} with "
-        # Level equality is an equivalence, so the first pair across levels
-        # is in row 0.
-        stop = n if i else _first_other_level(exts)
-        if ua is None or shared is None:
-            partners = range(i + 1, stop)
-        else:
-            partners = sorted(j for j in chain(shared, irregular) if i < j < stop)
-        start = i + 1
-        for j in chain(partners, (stop,)):
-            if start < j:
-                # Pairs start .. j - 1 share no owner value, so they agree
-                # nowhere, a finite set: declared apart.
-                for label in labels[start:j]:
-                    decide(nowhere, prefix + label)
-                if mixed:
-                    distinct.extend((i, m) for m in range(start, j))
-            if j == stop:
-                break
-            start = j + 1
-            context = prefix + labels[j]
-            ub = owners[j]
-            if ua is None or ub is None:
-                agree = agreement_set(a.owner_rep, exts[j].owner_rep)
-            else:
-                pattern = aligned((ua, ub), eq)
-                agree = settled.get(pattern)
-                if agree is None:
-                    head, bits = pattern
-                    agree = settled[pattern] = IndexSet.eventually_periodic(
-                        bits[:head], bits[head:]
-                    )
-            if decide(agree, context) is IN:
-                parent[find(i)] = find(j)
-            elif mixed:
-                distinct.append((i, j))
-        if stop < n:
-            _require_same_level(a, exts[stop])
-    for i, j in distinct:
-        if find(i) == find(j):
-            raise InvariantBreach(
-                f"shorting decisions are not transitive: {exts[i].label} and "
-                f"{exts[j].label} were declared distinct yet share a node"
-            )
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    ordered = sorted(groups.values(), key=lambda idx: min(exts[i].label for i in idx))
+    for e in exts[1:]:
+        _require_same_level(exts[0], e)
+    owner_values = _periodic_owner_values(exts)
+    if owner_values is None:
+        groups = _short_pairwise(exts, oracle)
+    else:
+        groups = _group_by_selected_owner(exts, owner_values, oracle)
+    ordered = sorted(groups, key=lambda idx: min(exts[i].label for i in idx))
     notes: list[str] = []
     nodes: list[NsNode] = []
     for k, idx in enumerate(ordered):
@@ -579,6 +486,66 @@ def build_ns_nodes(
     _audit_exceptionals(nodes, oracle, notes)
     _audit_pointwise(nodes, audit_upto, notes)
     return NsLayer(level, nodes, notes)
+
+
+def _periodic_owner_values(exts: list[NsExtremity]) -> list[list] | None:
+    """Per extremity, the distinct values of its periodic owner in order of
+    first occurrence; None when some owner is not periodic or has a value
+    that cannot be hashed."""
+    values = []
+    for e in exts:
+        owner = e.owner_rep
+        if not isinstance(owner, PeriodicSeq):
+            return None
+        try:
+            values.append(list(dict.fromkeys((*owner.pre, *owner.cycle))))
+        except TypeError:
+            return None
+    return values
+
+
+def _group_by_selected_owner(
+    exts: list[NsExtremity], owner_values: list[list], oracle: FilterOracle
+) -> list[list[int]]:
+    """Positions of the extremities grouped by the owner value the oracle
+    selects for each."""
+    groups: dict[object, list[int]] = {}
+    for i, (e, distinct) in enumerate(zip(exts, owner_values)):
+        owner = e.owner_rep
+        parts = _value_partition((*owner.pre, *owner.cycle), len(owner.pre), distinct)
+        chosen = oracle.select_from_partition(parts, context=f"owner of {e.label}")
+        groups.setdefault(distinct[chosen], []).append(i)
+    return list(groups.values())
+
+
+def _short_pairwise(exts: list[NsExtremity], oracle: FilterOracle) -> list[list[int]]:
+    """Positions of the extremities grouped by one ``ns_shorted`` decision
+    per pair, in pair order; a pair declared apart that ends up in one group
+    breaks transitivity."""
+    parent = list(range(len(exts)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    apart: list[tuple[int, int]] = []
+    for i, j in combinations(range(len(exts)), 2):
+        if ns_shorted(exts[i], exts[j], oracle):
+            parent[find(i)] = find(j)
+        else:
+            apart.append((i, j))
+    for i, j in apart:
+        if find(i) == find(j):
+            raise InvariantBreach(
+                f"shorting decisions are not transitive: {exts[i].label} and "
+                f"{exts[j].label} were declared distinct yet share a node"
+            )
+    groups: dict[int, list[int]] = {}
+    for i in range(len(exts)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
 
 
 def _audit_exceptionals(nodes: list[NsNode], oracle: FilterOracle, notes: list[str]) -> None:

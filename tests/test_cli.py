@@ -51,7 +51,14 @@ def test_output_matches_golden(name, args):
 
 @pytest.mark.parametrize(
     "flag,value",
-    [("--horizon", "0"), ("--horizon", "-5"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf")],
+    [
+        ("--horizon", "0"),
+        ("--horizon", "-5"),
+        ("--tol", "-1"),
+        ("--tol", "nan"),
+        ("--tol", "inf"),
+        ("--mu-max", "-3"),
+    ],
 )
 def test_out_of_range_flag_values_are_rejected_with_exit_2(flag, value):
     proc = run_cli("solve", "projects/divider.ug", flag, value)
@@ -103,6 +110,24 @@ def test_missing_file_replaces_a_stale_json_sidecar(tmp_path):
         "lines": ["error: cannot read project: No such file or directory"],
     }
     assert proc.stderr == "error: cannot read project: No such file or directory\n"
+
+
+@pytest.mark.parametrize(
+    "flags,line",
+    [
+        (["--horizon", "0"], "ultragraph build: error: argument --horizon: must be at least 1, got '0'"),
+        (["--bogus"], "ultragraph: error: unrecognized arguments: --bogus"),
+    ],
+    ids=["out-of-range", "unknown-flag"],
+)
+def test_rejected_command_line_replaces_a_stale_json_sidecar(tmp_path, flags, line):
+    out = tmp_path / "side.json"
+    out.write_text('{"stale": true}\n')
+    proc = run_cli("build", "projects/tower.ug", *flags, "--json", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("usage: ") and proc.stderr.endswith(f"\n{line}\n")
+    assert json.loads(out.read_text()) == {"command": "build", "exit": 2, "lines": [line]}
 
 
 @pytest.mark.parametrize(

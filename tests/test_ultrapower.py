@@ -36,10 +36,10 @@ from ultragraph import (
     periodic,
     truncate,
 )
-from ultragraph import ultrapower
 from ultragraph._periodic import joint_window
 from ultragraph.errors import InconsistentPin, InvariantBreach, RankTooHigh, Undecidable
-from ultragraph.sequences import agreement_set, generated, horizon, value_at
+from ultragraph.graphs import rank_str
+from ultragraph.sequences import PeriodicSeq, agreement_set, generated, horizon, value_at
 from ultragraph.ultrapower import _audit_pointwise, _pairs
 
 from conftest import (
@@ -398,11 +398,18 @@ def test_generated_assignment_makes_shorting_undecidable(oracle):
 
 
 def pairwise_partition(exts, oracle):
-    """What ``build_ns_nodes`` decides, the former way: classify every
-    extremity, then one ``ns_shorted`` call per pair, merged by union-find,
-    then every pair declared apart checked against the merged nodes."""
+    """What ``build_ns_nodes`` decides, the plain way: classify every
+    extremity, refuse a universe spanning two levels, then one
+    ``ns_shorted`` call per pair, merged by union-find, then every pair
+    declared apart checked against the merged nodes."""
     for e in exts:
         classify(e, oracle)
+    for e in exts[1:]:
+        first = exts[0].level
+        if not (e.level is first or e.level == first):
+            raise RankTooHigh(
+                f"cannot short across levels {rank_str(first)} and {rank_str(e.level)}"
+            )
     parent = list(range(len(exts)))
 
     def find(i):
@@ -426,6 +433,52 @@ def pairwise_partition(exts, oracle):
     for i, e in enumerate(exts):
         groups.setdefault(find(i), []).append(e.label)
     return sorted(tuple(sorted(g)) for g in groups.values())
+
+
+def owner_values(ext):
+    """The distinct values of a periodic owner; TypeError if one cannot be hashed."""
+    return {*ext.owner_rep.pre, *ext.owner_rep.cycle}
+
+
+def pairwise_path(exts):
+    """Whether ``build_ns_nodes`` shorts the universe pair by pair: some
+    owner is generated or sampled, or has a value that cannot be hashed."""
+    for e in exts:
+        if not isinstance(e.owner_rep, PeriodicSeq):
+            return True
+        try:
+            owner_values(e)
+        except TypeError:
+            return True
+    return False
+
+
+def check_audit(exts, audit_new, audit_old, raised):
+    """The build's audit against the pairwise reference's. On the pairwise
+    path they are identical. Otherwise the build makes no shorting decision
+    and its other lines are the reference's other lines; where it did not
+    raise, it holds one owner selection per extremity, in order: one line
+    per owner value, in order of first occurrence, on the set where the
+    owner takes it, and exactly one of them in."""
+    if pairwise_path(exts):
+        assert audit_new == audit_old
+        return
+    owner = [f for f in map(audit_fields, audit_new) if f[0].startswith("owner of ")]
+    assert [line for line in audit_new if not line.startswith("owner of ")] == [
+        line for line in audit_old if not line.startswith("shorting ")
+    ]
+    if raised:
+        assert owner == []
+        return
+    expected = []
+    for e in exts:
+        o = e.owner_rep
+        for v in dict.fromkeys((*o.pre, *o.cycle)):
+            part = IndexSet.eventually_periodic([x == v for x in o.pre], [x == v for x in o.cycle])
+            expected.append((f"owner of {e.label}", part.describe()))
+    assert [(c, s) for c, s, _ in owner] == expected
+    for e in exts:
+        assert [v for c, _, v in owner if c == f"owner of {e.label}"].count("in") == 1
 
 
 def tip_family(tips, groupings, assignment):
@@ -563,6 +616,7 @@ def test_build_matches_pairwise_shorting(universe, modulus, residue, pins):
         record(self, subject, verdict, context)
 
     audit_new, audit_old = [], []
+    raised = True
     try:
         with mock.patch.object(FilterOracle, "_record", counted):
             layer = build_ns_nodes(family, 1, exts, oracle(audit_new))
@@ -570,10 +624,11 @@ def test_build_matches_pairwise_shorting(universe, modulus, residue, pins):
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             pairwise_partition(exts, oracle(audit_old))
     else:
+        raised = False
         got = sorted(tuple(m.label for m in node.members) for node in layer.nodes)
         assert got == pairwise_partition(exts, oracle(audit_old))
-    # entry for entry, and every entry made by ``_record``
-    assert audit_new == audit_old
+    check_audit(exts, audit_new, audit_old, raised)
+    # every entry made by ``_record``
     assert len(recorded) == len(audit_new)
 
 
@@ -602,7 +657,7 @@ def test_constant_extremities_equal_the_derived_ones(family):
 
 def edge_universe(case):
     """Universes over one two-prototype family whose periodic owners share
-    values in ways the pairs must still be compared for."""
+    values in ways a pairwise comparison must still look at."""
     tips = ["t0", "t1", "t2", "t3"]
     family = tip_family(tips, [[0, 0, 1, 2], [0, 1, 1, 3]], periodic((1,), (0, 1)))
     exts = [constant_extremity(family, 1, Extremity("tip", t, 0)) for t in tips]
@@ -612,9 +667,10 @@ def edge_universe(case):
         # x0 and x1 shared with t1's owner, never at the same index
         "never-coincide": periodic((), ("x1", "x0")),
         "finite-and-cofinite": periodic(("x3", "x0"), ("x0",)),
-        "unhashable": periodic((), (["x0"], ["x1"])),
-        "unhashable-twin": periodic((), (["x0"], ["x1"])),
     }
+    if case == "unhashable":
+        own["unhashable"] = periodic((), (["x0"], ["x1"]))
+        own["unhashable-twin"] = periodic((), (["x0"], ["x1"]))
     if case == "mixed-levels":
         stray = owned_extremity(family, "lv2", periodic((), ("x0",)), level=2)
         return family, [*exts[:2], stray, *exts[2:]]
@@ -624,7 +680,7 @@ def edge_universe(case):
     return family, [*exts, *(owned_extremity(family, label, o) for label, o in own.items())]
 
 
-@pytest.mark.parametrize("case", ["shared-values", "mixed-levels", "generated"])
+@pytest.mark.parametrize("case", ["shared-values", "unhashable", "mixed-levels", "generated"])
 @pytest.mark.parametrize("odds", [False, True])
 def test_build_matches_pairwise_shorting_on_edge_universes(case, odds):
     family, exts = edge_universe(case)
@@ -634,28 +690,32 @@ def test_build_matches_pairwise_shorting_on_edge_universes(case, odds):
         return orc.pin(IndexSet.residue_class(2, 1), Membership.IN) if odds else orc
 
     audit_new, audit_old = [], []
+    raised = True
     try:
         layer = build_ns_nodes(family, 1, exts, oracle(audit_new))
     except (Undecidable, RankTooHigh) as exc:
-        assert case != "shared-values"
+        assert case in ("mixed-levels", "generated")
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             pairwise_partition(exts, oracle(audit_old))
     else:
+        raised = False
         assert case != "mixed-levels"
         got = sorted(tuple(m.label for m in node.members) for node in layer.nodes)
         assert got == pairwise_partition(exts, oracle(audit_old))
-    assert audit_new == audit_old
-    shorting = [
-        (context, subject)
+    check_audit(exts, audit_new, audit_old, raised)
+    assert pairwise_path(exts) == (case in ("unhashable", "generated"))
+    contexts = [context for context, _, _ in map(audit_fields, audit_new)]
+    subjects = {
+        subject
         for context, subject, _ in map(audit_fields, audit_new)
         if context.startswith("shorting ")
-    ]
-    if case == "shared-values":
+    }
+    if case == "unhashable":
         # the shared values still gave finite, empty and cofinite sets
-        assert {"finite={0}", "finite={}", "cofinite={0}"} <= {s for _, s in shorting}
+        assert {"finite={0}", "finite={}", "cofinite={0}"} <= subjects
     if case == "mixed-levels":
-        # row 0 is decided up to the extremity across levels
-        assert [c for c, _ in shorting] == ["shorting tip:t0 with tip:t1"]
+        # levels are checked once, after classification and before shorting
+        assert contexts and all(c.startswith("tip-kind of ") for c in contexts)
 
 
 def short_window_owner(values, label):
@@ -704,11 +764,12 @@ def test_build_on_a_shipped_project_audits_lines_the_collector_does_not_track():
     oracle = project.oracle(audit=audit)
     for name in project.families:
         build_ns_graph(project.family(name), oracle)
-    assert any(line.startswith("shorting ") for line in audit)
+    assert any(line.startswith("owner of ") for line in audit)
+    assert not any(line.startswith("shorting ") for line in audit)
     assert all(type(line) is str and not gc.is_tracked(line) for line in audit)
 
 
-def test_shorting_canonicalizes_each_pattern_once_and_owners_are_indexed_once(monkeypatch):
+def test_owner_selection_decides_each_owner_value_once_and_owners_are_indexed_once(monkeypatch):
     tips = [f"t{k}" for k in range(24)]
     groupings = [[k // 2 for k in range(24)], [k // 3 for k in range(24)], [k % 5 for k in range(24)]]
     family = tip_family(tips, groupings, periodic((1,), (0, 2, 1, 2, 0, 0)))
@@ -720,67 +781,27 @@ def test_shorting_canonicalizes_each_pattern_once_and_owners_are_indexed_once(mo
         indexed[(id(self), level)] += 1
         return build_index(self, level)
 
-    monkeypatch.setattr(StandardGraph, "_build_owner_index", counting_build_index)
-    exts = [constant_extremity(family, 1, Extremity("tip", t, 0)) for t in tips]
-    exts.append(ns_extremity(family, 1, periodic((), tuple(Extremity("tip", t, 0) for t in tips[:5]))))
-    assert indexed and max(indexed.values()) == 1
-
-    canonicalized = []
-    canonical = IndexSet.eventually_periodic
-
-    def counting_canonical(pre, cycle):
-        canonicalized.append((tuple(pre), tuple(cycle)))
-        return canonical(pre, cycle)
-
-    monkeypatch.setattr(IndexSet, "eventually_periodic", staticmethod(counting_canonical))
-
     decided = []
     decide = FilterOracle.decide
 
     def counting_decide(self, subject, context="decide"):
-        if context.startswith("shorting "):
-            decided.append(subject)
+        decided.append(context)
         return decide(self, subject, context)
 
-    compared = []
-    pattern = ultrapower.aligned
-
-    def counting_pattern(columns, fn):
-        a, b = columns
-        compared.append(((tuple(a.values[: a.head]), a.cycle), (tuple(b.values[: b.head]), b.cycle)))
-        return pattern(columns, fn)
-
+    monkeypatch.setattr(StandardGraph, "_build_owner_index", counting_build_index)
     monkeypatch.setattr(FilterOracle, "decide", counting_decide)
-    monkeypatch.setattr(ultrapower, "aligned", counting_pattern)
-    audit = []
-    layer = build_ns_nodes(family, 1, exts, FilterOracle(audit=audit))
+    exts = [constant_extremity(family, 1, Extremity("tip", t, 0)) for t in tips]
+    exts.append(ns_extremity(family, 1, periodic((), tuple(Extremity("tip", t, 0) for t in tips[:5]))))
+    assert len(exts) == 25
+    layer = build_ns_nodes(family, 1, exts, FilterOracle())
     monkeypatch.undo()
-    pairs = list(itertools.combinations(exts, 2))
-    shorting = [
-        (context, subject)
-        for context, subject, _ in map(audit_fields, audit)
-        if context.startswith("shorting ")
-    ]
-    assert [c for c, _ in shorting] == [f"shorting {a.label} with {b.label}" for a, b in pairs]
-    assert len(canonicalized) == len(set(canonicalized))
-    assert len(canonicalized) < len(pairs) // 10
-    assert layer.nodes
-    # One decision per pair, on that pair's own agreement set.
-    agreements = [agreement_set(a.owner_rep, b.owner_rep) for a, b in pairs]
-    assert decided == agreements
-    assert [s for _, s in shorting] == [s.describe() for s in agreements]
-
-    # Owners are compared position by position only where they share a value.
-    def values(owner):
-        return set(owner.pre) | set(owner.cycle)
-
-    sharing = [
-        ((a.pre, a.cycle), (b.pre, b.cycle))
-        for a, b in ((a.owner_rep, b.owner_rep) for a, b in pairs)
-        if values(a) & values(b)
-    ]
-    assert compared == sharing
-    assert 0 < len(sharing) < len(pairs)
+    assert indexed and max(indexed.values()) == 1
+    owner = [c for c in decided if c.startswith("owner of ")]
+    assert len(owner) == sum(len(owner_values(e)) for e in exts)
+    assert len(owner) < len(exts) * (len(exts) - 1) // 2
+    assert not any(c.startswith("shorting ") for c in decided)
+    got = sorted(tuple(m.label for m in node.members) for node in layer.nodes)
+    assert got == pairwise_partition(exts, FilterOracle())
 
 
 def reference_audit_pointwise(nodes, upto, notes):
