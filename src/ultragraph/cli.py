@@ -43,7 +43,7 @@ from .errors import (
     Undecidable,
 )
 from . import sequences as sq
-from .graphs import OMEGA, rank_str, validate
+from .graphs import validate
 from .hyperreal import Hypernatural, Hyperreal, MagnitudeClass
 from .oracle import FilterOracle
 from .project import Project, parse_project
@@ -276,7 +276,7 @@ def _validate_section(project: Project) -> tuple[list[str], bool]:
     for name in sorted(project.families):
         family = project.family(name)
         lines.append(
-            f"family {name}: ok (rank {rank_str(family.rank)}, "
+            f"family {name}: ok (rank {family.rank}, "
             f"{len(family.prototypes)} prototype(s))"
         )
     for name in sorted(project.networks):
@@ -285,7 +285,7 @@ def _validate_section(project: Project) -> tuple[list[str], bool]:
     for name in sorted(project.queries):
         spec = project.queries[name]
         project.query(name)
-        lines.append(f"query {name}: ok (level {rank_str(spec.level)})")
+        lines.append(f"query {name}: ok (level {spec.level})")
     return lines, all_ok
 
 
@@ -316,14 +316,13 @@ def _build_section(project: Project, oracle: FilterOracle, args) -> list[str]:
         lines.append("0-node classes: " + (", ".join(ns_graph.zero_classes) or "(none)"))
         lines.append("branch classes: " + (", ".join(ns_graph.branch_classes) or "(none)"))
         for level, layer in ns_graph.layers.items():
-            lines.append(f"level {rank_str(level)}: {len(layer.nodes)} node(s)")
+            lines.append(f"level {level}: {len(layer.nodes)} node(s)")
             for node in layer.nodes:
                 lines.append(f"  {node.describe()}")
             lines.extend(f"  note: {note}" for note in layer.notes)
         lines.extend(f"note: {note}" for note in ns_graph.notes)
-        built = set(map(rank_str, ns_graph.layers))
-        for level in sorted(map(rank_str, queries)):
-            if level not in built:
+        for level in sorted(queries):
+            if level not in ns_graph.layers:
                 lines.append(
                     f"note: queries at level {level} ignored (beyond --mu-max "
                     "or the family rank)"

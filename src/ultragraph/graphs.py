@@ -10,6 +10,12 @@ never share their exceptional element, and every node owns at least one
 tip. Whether a tip is "really" the end of a one-ended path is the input
 author's responsibility and is deliberately not checked here.
 
+Ranks are plain values. A natural rank is an ``int``; omega-arrow and
+omega are the two :class:`Transfinite` constants ``OMEGA_ARROW`` and
+``OMEGA``, which sit above every natural rank, omega-arrow below omega.
+Ranks compare with ``<``, sort with ``sorted``, test with ``==``, key
+dicts, and print in the project-file spelling.
+
 Graphs of rank omega-arrow or omega cannot list their infinitely many
 natural-rank layers, so they carry a layer scheme: a uniform template
 instantiated on demand. The omega layer (omega-nodes owning omega-arrow
@@ -33,46 +39,49 @@ schemes is cached and idempotent, so sharing between readers is safe.
 from __future__ import annotations
 
 import re
+from functools import total_ordering
 from itertools import chain
 from typing import Iterable, NamedTuple
 
 from .errors import DuplicateId, NotAnExtremity, RankTooHigh
 
 
-class _RankSentinel:
-    __slots__ = ("_name", "_order")
+@total_ordering
+class Transfinite:
+    """A rank above every natural one: ``OMEGA_ARROW`` < ``OMEGA``.
 
-    def __init__(self, name: str, order: int):
-        self._name = name
+    Equal by value, so a pickled or copied rank still equals the constant;
+    printed in the project-file spelling.
+    """
+
+    __slots__ = ("_order", "_name")
+
+    def __init__(self, order: int, name: str):
         self._order = order
+        self._name = name
+
+    def __eq__(self, other):
+        return isinstance(other, Transfinite) and self._order == other._order
+
+    def __hash__(self):
+        return hash(self._order)
+
+    def __lt__(self, other):
+        if isinstance(other, Transfinite):
+            return self._order < other._order
+        return False if isinstance(other, int) else NotImplemented
 
     def __repr__(self):
         return self._name
 
 
-OMEGA_ARROW = _RankSentinel("omega-arrow", 1)
-OMEGA = _RankSentinel("omega", 2)
-
-Rank = "int | _RankSentinel"
-
-
-def rank_key(rank) -> tuple[int, int]:
-    if isinstance(rank, int):
-        return (0, rank)
-    return (rank._order, 0)
-
-
-def rank_lt(a, b) -> bool:
-    return rank_key(a) < rank_key(b)
+OMEGA_ARROW = Transfinite(1, "omega-arrow")
+OMEGA = Transfinite(2, "omega")
 
 
 def tip_rank(level):
     """The rank of the tips that the nodes of a level own."""
-    return OMEGA_ARROW if level is OMEGA else level - 1
-
-
-def rank_str(rank) -> str:
-    return repr(rank) if isinstance(rank, _RankSentinel) else str(rank)
+    return OMEGA_ARROW if level == OMEGA else level - 1
 
 
 def parse_rank(text: str):
@@ -173,9 +182,9 @@ class StandardGraph:
         self._node_layers: dict[object, dict[str, StandardNode]] = {}
         self.scheme = scheme
         self.graded_omega = graded_omega
-        if isinstance(rank, _RankSentinel) and scheme is None:
+        if isinstance(rank, Transfinite) and scheme is None:
             raise ValueError("graphs of unbounded rank need a layer scheme")
-        if not isinstance(rank, _RankSentinel) and scheme is not None:
+        if not isinstance(rank, Transfinite) and scheme is not None:
             raise ValueError("finite-rank graphs list their layers explicitly")
         omega_nodes = tuple(omega_nodes)
         if graded_omega and (omega_tips is not None or omega_nodes):
@@ -194,28 +203,26 @@ class StandardGraph:
     # -- layers ---------------------------------------------------------------
 
     def layer_nodes(self, rank) -> dict[str, StandardNode]:
-        if rank_lt(rank, 1):
+        if rank < 1:
             raise ValueError("node layers start at rank 1")
         if self.scheme is not None and isinstance(rank, int):
             if rank not in self._layer_cache:
                 self._layer_cache[rank] = self.scheme.nodes_at(rank)
             return self._layer_cache[rank]
-        if rank_lt(self.rank, rank):
-            raise RankTooHigh(f"graph {self.name} has rank {rank_str(self.rank)}")
-        if rank is OMEGA and self.graded_omega:
+        if self.rank < rank:
+            raise RankTooHigh(f"graph {self.name} has rank {self.rank}")
+        if rank == OMEGA and self.graded_omega:
             raise RankTooHigh(f"graph {self.name}: the generated omega layer is infinite")
         return self._node_layers.get(rank, {})
 
     def layer_tips(self, rank) -> frozenset:
-        if rank_lt(rank, 0):
+        if rank < 0:
             raise ValueError("tip layers start at rank 0")
         if self.scheme is not None and isinstance(rank, int):
             return self.scheme.tips_at(rank)
-        if not rank_lt(rank, self.rank):
-            raise RankTooHigh(
-                f"graph {self.name} of rank {rank_str(self.rank)} has no rank-{rank_str(rank)} tips"
-            )
-        if rank is OMEGA_ARROW and self.graded_omega:
+        if rank >= self.rank:
+            raise RankTooHigh(f"graph {self.name} of rank {self.rank} has no rank-{rank} tips")
+        if rank == OMEGA_ARROW and self.graded_omega:
             raise RankTooHigh(f"graph {self.name}: the generated omega-arrow tips are infinite")
         return self._tip_layers.get(rank, frozenset())
 
@@ -241,15 +248,15 @@ class StandardGraph:
     # -- extremities ----------------------------------------------------------------
 
     def _check_level(self, level) -> None:
-        if level is OMEGA_ARROW:
+        if level == OMEGA_ARROW:
             raise RankTooHigh("there are no omega-arrow nodes, hence no such level")
-        if level is OMEGA:
-            if self.rank is not OMEGA:
-                raise RankTooHigh(f"graph {self.name} has rank {rank_str(self.rank)}")
+        if level == OMEGA:
+            if self.rank != OMEGA:
+                raise RankTooHigh(f"graph {self.name} has rank {self.rank}")
             return
         if not isinstance(level, int) or level < 1:
             raise RankTooHigh(f"{level!r} is not a node level")
-        if isinstance(self.rank, int) and level > self.rank:
+        if level > self.rank:
             raise RankTooHigh(
                 f"level {level} exceeds the rank {self.rank} of graph {self.name}"
             )
@@ -258,7 +265,7 @@ class StandardGraph:
         """All extremities at the level, sorted; for a generated omega layer a
         bound on the layer index is required."""
         self._check_level(level)
-        if level is OMEGA and self.graded_omega:
+        if level == OMEGA and self.graded_omega:
             if bound is None:
                 raise RankTooHigh("the generated omega layer is unbounded; pass a bound")
             out = [Extremity("tip", f"T_{j}", OMEGA_ARROW) for j in range(bound)]
@@ -277,14 +284,14 @@ class StandardGraph:
     def owner_of(self, e: Extremity, level) -> str:
         """The ident of the level-node containing the extremity."""
         self._check_level(level)
-        if level is OMEGA and self.graded_omega:
+        if level == OMEGA and self.graded_omega:
             return self._graded_omega_owner(e)
         tips, exceptional = self._owner_index(level)
         if e.kind == "tip":
             owner = tips.get(e.ident)
             if owner is None:
                 raise NotAnExtremity(
-                    f"{e.describe()} is not an owned rank-{rank_str(tip_rank(level))} tip "
+                    f"{e.describe()} is not an owned rank-{tip_rank(level)} tip "
                     f"of graph {self.name}"
                 )
             return owner
@@ -292,7 +299,7 @@ class StandardGraph:
         if owner is None:
             raise NotAnExtremity(
                 f"{e.describe()} is not the exceptional element of any "
-                f"rank-{rank_str(level)} node of graph {self.name}"
+                f"rank-{level} node of graph {self.name}"
             )
         return owner
 
@@ -335,15 +342,13 @@ class StandardGraph:
     def _canonical(self) -> tuple:
         return (
             self.name,
-            rank_str(self.rank),
+            self.rank,
             tuple(sorted(self.nodes0)),
             tuple(sorted((b, u, v) for b, (u, v) in self.branches.items())),
-            tuple(
-                sorted((rank_key(r), tuple(sorted(ids))) for r, ids in self._tip_layers.items())
-            ),
+            tuple(sorted((r, tuple(sorted(ids))) for r, ids in self._tip_layers.items())),
             tuple(
                 sorted(
-                    (rank_key(r), n.ident, tuple(sorted(n.tips)), n.exceptional)
+                    (r, n.ident, tuple(sorted(n.tips)), n.exceptional)
                     for r, layer in self._node_layers.items()
                     for n in layer.values()
                 )
@@ -361,7 +366,7 @@ class StandardGraph:
         return hash(self._canonical())
 
     def __repr__(self):
-        return f"StandardGraph({self.name}, rank {rank_str(self.rank)})"
+        return f"StandardGraph({self.name}, rank {self.rank})"
 
 
 # -- operations ---------------------------------------------------------------------
@@ -404,11 +409,10 @@ def validate(graph: StandardGraph) -> ValidationReport:
                 bad(Violation("branch-endpoint", f"branch {bid} endpoint {end} is not a 0-node"))
     schemed = not isinstance(graph.rank, int)
     levels = list(range(1, (_PROBE_DEPTH if schemed else graph.rank) + 1))
-    if graph.rank is OMEGA and not graph.graded_omega:
+    if graph.rank == OMEGA and not graph.graded_omega:
         levels.append(OMEGA)
     if levels and levels[-1] == graph.rank and not graph.layer_nodes(graph.rank):
-        top = rank_str(graph.rank)
-        bad(Violation("layer-empty-top", f"rank-{top} graph has no {_words(graph.rank)[2]}s"))
+        bad(Violation("layer-empty-top", f"rank-{graph.rank} graph has no {_words(graph.rank)[2]}s"))
     if schemed:
         report.notes.append(
             f"scheme layers spot-checked up to rank {_PROBE_DEPTH}; the template "
@@ -417,14 +421,14 @@ def validate(graph: StandardGraph) -> ValidationReport:
     # A stored layer counts only within the rank and where no scheme
     # generates the layer instead.
     for r in graph._node_layers:
-        if rank_lt(r, 1) or rank_lt(graph.rank, r) or (schemed and isinstance(r, int)):
-            bad(Violation("rank-range", f"node layer at invalid rank {rank_str(r)}"))
+        if r < 1 or graph.rank < r or (schemed and isinstance(r, int)):
+            bad(Violation("rank-range", f"node layer at invalid rank {r}"))
     for r in graph._tip_layers:
-        if rank_lt(r, 0) or not rank_lt(r, graph.rank) or (schemed and isinstance(r, int)):
-            bad(Violation("rank-range", f"tip layer at invalid rank {rank_str(r)}"))
+        if r < 0 or r >= graph.rank or (schemed and isinstance(r, int)):
+            bad(Violation("rank-range", f"tip layer at invalid rank {r}"))
     for level in levels:
         _check_layer(graph, level, report)
-    if graph.graded_omega and graph.rank is OMEGA:
+    if graph.graded_omega and graph.rank == OMEGA:
         report.notes.append(f"generated omega layer spot-checked up to index {_PROBE_DEPTH}")
     report.notes.append("tip path-consistency: not checked (tips are primitive identifiers)")
     return report
@@ -433,7 +437,7 @@ def validate(graph: StandardGraph) -> ValidationReport:
 def _words(level) -> tuple[str, str, str]:
     """How violations name a node of the level, a tip it owns, and a node of
     the level where nodes of other ranks are about."""
-    if level is OMEGA:
+    if level == OMEGA:
         return "omega-node", "omega-arrow tip", "omega-node"
     return "node", f"rank-{level - 1} tip", f"rank-{level} node"
 
@@ -488,25 +492,23 @@ def _check_exceptional(graph, node, report) -> None:
                 f"node {node.ident} embraces unknown node {node.exceptional}",
             )
         )
-    elif not rank_lt(target_rank, node.rank):
+    elif target_rank >= node.rank:
         bad(
             Violation(
                 "exceptional-rank",
-                f"node {node.ident} of rank {rank_str(node.rank)} embraces "
-                f"{node.exceptional} of rank {rank_str(target_rank)}",
+                f"node {node.ident} of rank {node.rank} embraces "
+                f"{node.exceptional} of rank {target_rank}",
             )
         )
 
 
 def truncate(graph: StandardGraph, new_rank) -> StandardGraph:
     """The graph cut down to the given rank; identical at shared layers."""
-    if rank_lt(graph.rank, new_rank):
-        raise RankTooHigh(
-            f"cannot truncate rank-{rank_str(graph.rank)} graph to {rank_str(new_rank)}"
-        )
-    if rank_key(new_rank) == rank_key(graph.rank):
+    if graph.rank < new_rank:
+        raise RankTooHigh(f"cannot truncate rank-{graph.rank} graph to {new_rank}")
+    if new_rank == graph.rank:
         return graph
-    if new_rank is OMEGA_ARROW:
+    if new_rank == OMEGA_ARROW:
         return StandardGraph(
             graph.name,
             OMEGA_ARROW,

@@ -68,8 +68,6 @@ from .graphs import (
     StandardNode,
     TowerScheme,
     parse_rank,
-    rank_key,
-    rank_str,
     tip_rank,
 )
 from .indexsets import IndexSet
@@ -834,7 +832,7 @@ def serialize(project: Project) -> str:
         spec = project.queries[name]
         lines.append(f"query {name} {{")
         lines.append(f"  family {spec.family}")
-        lines.append(f"  level {rank_str(spec.level)}")
+        lines.append(f"  level {spec.level}")
         lines.append(f"  extremity {spec.extremity.render()}")
         lines.append("}")
         lines.append("")
@@ -844,7 +842,7 @@ def serialize(project: Project) -> str:
 
 
 def _render_graph(graph: StandardGraph) -> list[str]:
-    header = f"graph {graph.name} rank={rank_str(graph.rank)}"
+    header = f"graph {graph.name} rank={graph.rank}"
     if graph.scheme is not None:
         header += f" scheme=tower width={graph.scheme.width}"
     if graph.graded_omega:
@@ -855,11 +853,11 @@ def _render_graph(graph: StandardGraph) -> list[str]:
     for bid in sorted(graph.branches):
         u, v = graph.branches[bid]
         lines.append(f"  branch {bid} {u} {v}")
-    for rank in sorted(graph._tip_layers, key=rank_key):
+    for rank in sorted(graph._tip_layers):
         ids = " ".join(sorted(graph._tip_layers[rank]))
         if ids:
-            lines.append(f"  omega-tips {ids}" if rank is OMEGA_ARROW else f"  tips {rank} = {ids}")
-    for rank in sorted(graph._node_layers, key=rank_key):
+            lines.append(f"  omega-tips {ids}" if rank == OMEGA_ARROW else f"  tips {rank} = {ids}")
+    for rank in sorted(graph._node_layers):
         layer = graph._node_layers[rank]
         lines.extend("  " + _render_node(layer[ident], rank) for ident in sorted(layer))
     lines.append("}")
@@ -867,7 +865,7 @@ def _render_graph(graph: StandardGraph) -> list[str]:
 
 
 def _render_node(node: StandardNode, layer) -> str:
-    if layer is OMEGA:
+    if layer == OMEGA:
         parts = ["omega-node", node.ident]
     else:
         parts = ["node", node.ident, f"rank={node.rank}"]

@@ -45,7 +45,6 @@ from .graphs import (
     OMEGA_ARROW,
     Extremity,
     StandardGraph,
-    rank_str,
     tip_rank,
 )
 from .indexsets import IndexSet
@@ -83,8 +82,7 @@ class GraphFamily:
     ):
         if not prototypes:
             raise ValueError("a family needs at least one prototype")
-        ranks = {repr(g.rank) if not isinstance(g.rank, int) else g.rank for g in prototypes}
-        if len(ranks) != 1:
+        if len({g.rank for g in prototypes}) != 1:
             raise ValueError("all prototypes in a family must share one rank")
         self.name = name
         self.prototypes = tuple(prototypes)
@@ -104,7 +102,7 @@ class GraphFamily:
         return self.prototypes[value_at(self.assignment, n)]
 
     def graded_omega(self) -> bool:
-        return self.rank is OMEGA and all(g.graded_omega for g in self.prototypes)
+        return self.rank == OMEGA and all(g.graded_omega for g in self.prototypes)
 
     def shared_zero_nodes(self) -> list[str]:
         shared = set(self.prototypes[0].nodes0)
@@ -132,7 +130,7 @@ class GraphFamily:
 
     def shared_extremities(self, level) -> list[Extremity]:
         """Extremities valid at the level in every prototype."""
-        if level is OMEGA and self.graded_omega():
+        if level == OMEGA and self.graded_omega():
             raise RankTooHigh(
                 "the generated omega layer has no finite shared-extremity list"
             )
@@ -143,7 +141,7 @@ class GraphFamily:
     def describe(self) -> str:
         names = ", ".join(g.name for g in self.prototypes)
         return (
-            f"family {self.name}: rank {rank_str(self.rank)}, prototypes [{names}], "
+            f"family {self.name}: rank {self.rank}, prototypes [{names}], "
             f"assignment {self.assignment.describe()}"
         )
 
@@ -327,9 +325,7 @@ def classify(ext: NsExtremity, oracle: FilterOracle, check_upto: int = 64) -> Ex
     verdict = oracle.decide(ext.kind_tip_set, context=f"tip-kind of {ext.label}")
     if verdict is Membership.IN:
         rank = tip_rank(ext.level)
-        return ExtremityClass(
-            "tip", rank, True, f"tip of rank {rank_str(rank)}"
-        )
+        return ExtremityClass("tip", rank, True, f"tip of rank {rank}")
     if isinstance(ext.rep, PeriodicSeq):
         rank = _select_periodic_rank(ext, oracle)
         return ExtremityClass(
@@ -388,10 +384,8 @@ def _value_partition(values, head: int, distinct) -> list[IndexSet]:
 
 
 def _require_same_level(a: NsExtremity, b: NsExtremity) -> None:
-    if not (a.level is b.level or a.level == b.level):
-        raise RankTooHigh(
-            f"cannot short across levels {rank_str(a.level)} and {rank_str(b.level)}"
-        )
+    if a.level != b.level:
+        raise RankTooHigh(f"cannot short across levels {a.level} and {b.level}")
 
 
 def ns_shorted(a: NsExtremity, b: NsExtremity, oracle: FilterOracle) -> bool:
@@ -423,11 +417,10 @@ class NsNode:
         return sum(1 for c in self.classes if c.kind == "tip")
 
     def describe(self) -> str:
-        level = rank_str(self.level)
         inner = "; ".join(
             f"{m.label} ({c.describe()})" for m, c in zip(self.members, self.classes)
         )
-        return f"{self.ident} [level {level}] {{ {inner} }}"
+        return f"{self.ident} [level {self.level}] {{ {inner} }}"
 
 
 class NsLayer:
@@ -476,7 +469,7 @@ def build_ns_nodes(
         idx_sorted = sorted(idx, key=lambda i: exts[i].label)
         members = tuple(exts[i] for i in idx_sorted)
         mcls = tuple(classes[i] for i in idx_sorted)
-        node = NsNode(f"*{rank_str(level)}.{k}", level, members, mcls)
+        node = NsNode(f"*{level}.{k}", level, members, mcls)
         if node.tip_count() == 0:
             raise InvariantBreach(
                 f"node {node.ident} contains no tip class; the supplied universe "
@@ -552,7 +545,7 @@ def _audit_exceptionals(nodes: list[NsNode], oracle: FilterOracle, notes: list[s
     tagged: list[tuple[str, NsExtremity]] = []
     for node in nodes:
         inside = [m for m, c in zip(node.members, node.classes) if c.kind == "node"]
-        for a, b in _pairs(inside):
+        for a, b in combinations(inside, 2):
             if not _same_element(a, b, oracle, notes):
                 raise InvariantBreach(
                     f"node {node.ident} embraces two distinct exceptional classes "
@@ -560,18 +553,12 @@ def _audit_exceptionals(nodes: list[NsNode], oracle: FilterOracle, notes: list[s
                 )
         if inside:
             tagged.append((node.ident, inside[0]))
-    for (ida, a), (idb, b) in _pairs(tagged):
+    for (ida, a), (idb, b) in combinations(tagged, 2):
         if _same_element(a, b, oracle, notes):
             raise InvariantBreach(
                 f"nodes {ida} and {idb} embrace the same exceptional class "
                 f"({a.label}); exceptional elements are never shared"
             )
-
-
-def _pairs(items):
-    for i in range(len(items)):
-        for j in range(i + 1, len(items)):
-            yield items[i], items[j]
 
 
 def _same_element(a: NsExtremity, b: NsExtremity, oracle: FilterOracle, notes: list[str]):
@@ -593,7 +580,7 @@ def _audit_pointwise(nodes: list[NsNode], upto: int, notes: list[str]) -> None:
     for node in nodes:
         if len(node.members) < 2:
             continue
-        for a, b in _pairs(node.members):
+        for a, b in combinations(node.members, 2):
             oa, ob = a.owner_rep, b.owner_rep
             window = int(min(upto, horizon(oa), horizon(ob)))
             if window <= 0:
@@ -635,10 +622,10 @@ class NsGraph:
         self.notes = notes
 
     def layer(self, level) -> NsLayer:
-        for key, value in self.layers.items():
-            if key == level or key is level:
-                return value
-        raise RankTooHigh(f"no level {rank_str(level)} in nonstandard graph {self.name}")
+        layer = self.layers.get(level)
+        if layer is None:
+            raise RankTooHigh(f"no level {level} in nonstandard graph {self.name}")
+        return layer
 
 
 def build_ns_graph(
@@ -654,6 +641,8 @@ def build_ns_graph(
     prototype (constant sequences of distinct identifiers never merge, so
     no decisions are needed there). Identifiers that are not shared name a
     partial universe and are reported in the notes rather than classified.
+    ``queries`` maps a level, keyed by rank (``OMEGA`` for the omega
+    layer), to extra extremities classified at that level.
     """
     queries = dict(queries or {})
     notes: list[str] = []
@@ -674,12 +663,12 @@ def build_ns_graph(
         levels = list(range(1, min(family.rank, mu_max) + 1))
     else:
         levels = list(range(1, mu_max + 1))
-        if family.rank is OMEGA:
+        if family.rank == OMEGA:
             levels.append(OMEGA)
     layers: dict = {}
     for level in levels:
         pool: list[NsExtremity] = []
-        if level is OMEGA and family.graded_omega():
+        if level == OMEGA and family.graded_omega():
             notes.append(
                 "omega layer is generated; only query extremities are classified there"
             )
@@ -689,8 +678,6 @@ def build_ns_graph(
                 for e in family.shared_extremities(level)
             )
         pool.extend(queries.get(level, ()))
-        if level is OMEGA:
-            pool.extend(queries.get("omega", ()))
         if not pool:
             layers[level] = NsLayer(level, [], ["no extremities at this level"])
             continue

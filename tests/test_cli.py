@@ -183,6 +183,25 @@ def test_a_rank_omega_graph_without_omega_nodes_exits_3(tmp_path):
     assert run_cli("validate", str(project)).returncode == 0
 
 
+def test_ignored_query_levels_are_noted_in_rank_order(tmp_path):
+    project = tmp_path / "deep.ug"
+    queries = "".join(
+        f"query q{level} {{\n  family f\n  level {level}\n  extremity cycle=[tip:t{level - 1}_0]\n}}\n"
+        for level in (10, 5)
+    )
+    project.write_text(
+        OMEGA_LAYER.format(graded="", layer="").replace("rank=omega ", "rank=omega-arrow ")
+        + "family f {\n  prototypes T\n  assignment cycle=[0]\n}\n"
+        + queries
+    )
+    proc = run_cli("build", str(project), "--mu-max", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert [line for line in proc.stdout.split("\n") if "ignored" in line] == [
+        f"note: queries at level {level} ignored (beyond --mu-max or the family rank)"
+        for level in (5, 10)
+    ]
+
+
 def test_stored_layers_that_a_scheme_graph_ignores_exit_3(tmp_path):
     project = tmp_path / "stored.ug"
     project.write_text(

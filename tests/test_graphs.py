@@ -1,5 +1,8 @@
 """Standard transfinite graphs: axioms, truncation, extremities, shorting."""
 
+import copy
+import pickle
+
 import pytest
 
 from ultragraph import (
@@ -15,6 +18,7 @@ from ultragraph import (
     validate,
 )
 from ultragraph.errors import NotAnExtremity, RankTooHigh
+from ultragraph.graphs import parse_rank
 
 from conftest import alternating_3graphs, ladder_1graph, loop_2graph, tower_omega_graph
 
@@ -151,6 +155,47 @@ def test_an_undeclared_omega_tip_is_not_an_extremity():
     assert str(err.value) == (
         "node:x1_0 is not the exceptional element of any rank-omega node of graph T"
     )
+
+
+ROUND_TRIPS = pytest.mark.parametrize(
+    "round_trip",
+    [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+    ids=["pickle", "deepcopy"],
+)
+
+
+@ROUND_TRIPS
+def test_a_round_tripped_omega_graph_keeps_its_omega_layer(round_trip):
+    g = explicit_omega_graph(omega_nodes=[StandardNode.make("W0", OMEGA, ("T0", "T9"))])
+    copied = round_trip(g)
+    assert copied == g
+    assert [v.render() for v in validate(g).violations] == [
+        "[unknown-tip] omega-node W0 references undeclared tip T9",
+        "[tip-unowned] omega-arrow tip T1 belongs to no omega-node",
+    ]
+    assert validate(copied).violations == validate(g).violations
+    assert copied.extremity_list(OMEGA, 3) == g.extremity_list(OMEGA, 3)
+
+
+@ROUND_TRIPS
+def test_a_round_tripped_rank_equals_the_constant(round_trip):
+    for rank in (OMEGA_ARROW, OMEGA):
+        copied = round_trip(rank)
+        assert copied == rank and hash(copied) == hash(rank)
+        assert str(copied) == str(rank)
+    assert round_trip(OMEGA) != OMEGA_ARROW
+
+
+def test_ranks_order_by_value():
+    assert sorted([OMEGA, 3, OMEGA_ARROW, 0, 10]) == [0, 3, 10, OMEGA_ARROW, OMEGA]
+    assert 10**9 < OMEGA_ARROW < OMEGA and OMEGA > OMEGA_ARROW >= 10**9
+    assert not OMEGA < 3 and OMEGA != 3 and OMEGA <= OMEGA
+
+
+def test_a_printed_rank_parses_back():
+    for rank in (0, 3, OMEGA_ARROW, OMEGA, copy.deepcopy(OMEGA)):
+        assert parse_rank(str(rank)) == rank
+        assert parse_rank(f"{rank}") == rank
 
 
 def test_an_omega_layer_on_a_finite_graph_is_out_of_range():

@@ -38,9 +38,8 @@ from ultragraph import (
 )
 from ultragraph._periodic import joint_window
 from ultragraph.errors import InconsistentPin, InvariantBreach, RankTooHigh, Undecidable
-from ultragraph.graphs import rank_str
 from ultragraph.sequences import PeriodicSeq, agreement_set, generated, horizon, value_at
-from ultragraph.ultrapower import _audit_pointwise, _pairs
+from ultragraph.ultrapower import _audit_pointwise
 
 from conftest import (
     alternating_3graphs,
@@ -408,7 +407,7 @@ def pairwise_partition(exts, oracle):
         first = exts[0].level
         if not (e.level is first or e.level == first):
             raise RankTooHigh(
-                f"cannot short across levels {rank_str(first)} and {rank_str(e.level)}"
+                f"cannot short across levels {first} and {e.level}"
             )
     parent = list(range(len(exts)))
 
@@ -809,7 +808,7 @@ def reference_audit_pointwise(nodes, upto, notes):
     for node in nodes:
         if len(node.members) < 2:
             continue
-        for a, b in _pairs(node.members):
+        for a, b in itertools.combinations(node.members, 2):
             window = int(min(upto, horizon(a.owner_rep), horizon(b.owner_rep)))
             hits = sum(
                 1 for n in range(window) if value_at(a.owner_rep, n) == value_at(b.owner_rep, n)
