@@ -419,9 +419,9 @@ def validate(graph: StandardGraph) -> ValidationReport:
             "repeats uniformly beyond"
         )
     # A stored layer counts only within the rank and where no scheme
-    # generates the layer instead.
+    # generates the layer instead; no graph has omega-arrow nodes.
     for r in graph._node_layers:
-        if r < 1 or graph.rank < r or (schemed and isinstance(r, int)):
+        if r < 1 or graph.rank < r or r == OMEGA_ARROW or (schemed and isinstance(r, int)):
             bad(Violation("rank-range", f"node layer at invalid rank {r}"))
     for r in graph._tip_layers:
         if r < 0 or r >= graph.rank or (schemed and isinstance(r, int)):

@@ -47,8 +47,9 @@ oracle; configure first, then share freely between readers.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain
+from itertools import chain, combinations
 from math import gcd, lcm
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -58,7 +59,8 @@ from .errors import (
     NotAPartition,
     Undecidable,
 )
-from .indexsets import COFINITE, SAMPLED, IndexSet
+from ._periodic import Unrolled, aligned
+from .indexsets import SAMPLED, IndexSet
 
 
 class Membership(Enum):
@@ -190,26 +192,32 @@ class FilterOracle:
     ) -> int:
         """Index of the unique part the ultrafilter accepts.
 
-        Parts must be pairwise disjoint (checked exactly on their periodic
-        representations) and must jointly cover all but finitely many
-        indices.
+        Parts must be pairwise disjoint and must jointly cover all but
+        finitely many indices. The exact parts are checked in one pass, in
+        list order: their cycles are counted residue by residue over the
+        running lcm of the cycle lengths seen so far, which is the largest
+        window ever laid out, and the pass stops at the first part that
+        counts a residue twice. Then membership is counted at each listed
+        exception. The parts are disjoint when no count exceeds one and,
+        all parts being exact, cover when every residue is counted. Only
+        when a check fails are the parts compared pair by pair, so a
+        failure names the first overlapping pair in list order, and an
+        overlap is reported before a gap, as a pairwise check would.
+        Sampled parts are left out of both checks.
         """
         if not parts:
             raise NotAPartition("no parts given")
         exact = [p for p in parts if p.exact]
-        for i in range(len(exact)):
-            for j in range(i + 1, len(exact)):
-                meet = exact[i].intersection(exact[j])
-                if not meet.is_empty():
-                    raise NotAPartition(
-                        f"parts overlap: {exact[i].describe()} and {exact[j].describe()}"
-                    )
-        if len(exact) == len(parts):
-            union = IndexSet.empty()
-            for p in parts:
-                union = union.union(p)
-            if union.kind != COFINITE:
-                raise NotAPartition("union of parts misses infinitely many indices")
+        counts = (0,)
+        for part in exact:
+            _, counts = aligned([Unrolled((), counts), Unrolled((), part.cycle)], add)
+            if 2 in counts:
+                _raise_first_overlap(exact)
+        exceptions = set().union(*(p.members for p in exact))
+        if any(sum(n in p for p in exact) > 1 for n in exceptions):
+            _raise_first_overlap(exact)
+        if len(exact) == len(parts) and 0 in counts:
+            raise NotAPartition("union of parts misses infinitely many indices")
         verdicts = [self.decide(p, context=context) for p in parts]
         winners = [i for i, v in enumerate(verdicts) if v is Membership.IN]
         if len(winners) != 1:
@@ -229,3 +237,12 @@ class FilterOracle:
 
     def __repr__(self):
         return f"FilterOracle({self.describe()})"
+
+
+def _raise_first_overlap(parts: list[IndexSet]) -> None:
+    """Raise ``NotAPartition`` naming the first pair of parts, in list
+    order, whose intersection is nonempty; only called once a count has
+    shown that such a pair exists."""
+    for a, b in combinations(parts, 2):
+        if not a.intersection(b).is_empty():
+            raise NotAPartition(f"parts overlap: {a.describe()} and {b.describe()}")

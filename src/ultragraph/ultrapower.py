@@ -360,7 +360,7 @@ def _select_periodic_rank(ext: NsExtremity, oracle: FilterOracle) -> int:
             )
     distinct = sorted({k for k in keys if k != "tip"})
     order = [*distinct, "tip"] if "tip" in keys else distinct
-    parts = _value_partition(keys, head, order)
+    parts = _value_partition(keys, head, order, {})
     chosen = oracle.select_from_partition(parts, context=f"rank of {ext.label}")
     if chosen >= len(distinct):
         raise InvariantBreach(
@@ -369,14 +369,19 @@ def _select_periodic_rank(ext: NsExtremity, oracle: FilterOracle) -> int:
     return distinct[chosen]
 
 
-def _value_partition(values, head: int, distinct) -> list[IndexSet]:
+def _value_partition(values, head: int, distinct, patterns: dict) -> list[IndexSet]:
     """The parts {n : x_n = v}, one per v in ``distinct`` and in its order,
     of the periodic sequence x whose preperiod is ``values[:head]`` and
-    whose cycle is ``values[head:]``."""
+    whose cycle is ``values[head:]``. ``patterns`` maps each ``(head,
+    bits)`` already built to its set, so a caller that keeps it across
+    partitions builds every repeated part once."""
     parts = []
     for v in distinct:
-        bits = [x == v for x in values]
-        parts.append(IndexSet.eventually_periodic(bits[:head], bits[head:]))
+        bits = tuple(x == v for x in values)
+        part = patterns.get((head, bits))
+        if part is None:
+            part = patterns[head, bits] = IndexSet.eventually_periodic(bits[:head], bits[head:])
+        parts.append(part)
     return parts
 
 
@@ -501,11 +506,15 @@ def _group_by_selected_owner(
     exts: list[NsExtremity], owner_values: list[list], oracle: FilterOracle
 ) -> list[list[int]]:
     """Positions of the extremities grouped by the owner value the oracle
-    selects for each."""
+    selects for each. Owners that repeat a pattern of positions share its
+    parts: each distinct part is built once per call."""
     groups: dict[object, list[int]] = {}
+    patterns: dict = {}
     for i, (e, distinct) in enumerate(zip(exts, owner_values)):
         owner = e.owner_rep
-        parts = _value_partition((*owner.pre, *owner.cycle), len(owner.pre), distinct)
+        parts = _value_partition(
+            (*owner.pre, *owner.cycle), len(owner.pre), distinct, patterns
+        )
         chosen = oracle.select_from_partition(parts, context=f"owner of {e.label}")
         groups.setdefault(distinct[chosen], []).append(i)
     return list(groups.values())

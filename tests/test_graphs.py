@@ -236,6 +236,18 @@ def test_an_omega_layer_on_a_rank_omega_arrow_graph_is_out_of_range():
     ]
 
 
+def test_a_stored_omega_arrow_node_layer_is_out_of_range():
+    g = StandardGraph(
+        "T", OMEGA, nodes0=["a", "b"], branches={"b1": ("a", "b")},
+        scheme=TowerScheme(2),
+        omega_tips=["T0"], omega_nodes=[StandardNode.make("W0", OMEGA, ("T0",))],
+        nodes=[StandardNode.make("V", OMEGA_ARROW, ("zz",))],
+    )
+    assert [v.render() for v in validate(g).violations] == [
+        "[rank-range] node layer at invalid rank omega-arrow",
+    ]
+
+
 def test_a_graded_omega_layer_is_not_listed_as_one_layer():
     g = tower_omega_graph()
     with pytest.raises(RankTooHigh):

@@ -5,15 +5,21 @@ import time
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultragraph import FilterOracle, IndexSet, Membership
-from ultragraph.errors import IncompatibleTower, InconsistentPin, NotAPartition, Undecidable
-from ultragraph.indexsets import PERIODIC
+from ultragraph.errors import (
+    IncompatibleTower,
+    InconsistentPin,
+    InvariantBreach,
+    NotAPartition,
+    Undecidable,
+)
+from ultragraph.indexsets import COFINITE, PERIODIC
 from ultragraph.oracle import Pin, _crt_merge
 
-from conftest import audit_fields
+from conftest import audit_fields, outcome
 
 ep_sets = st.builds(
     IndexSet.eventually_periodic,
@@ -173,6 +179,106 @@ def test_partition_chooses_exactly_one_part(bits):
     verdicts = [orc.decide(p) for p in parts]
     assert verdicts.count(IN) == 1
     assert verdicts.index(IN) == first
+
+
+# -- one-pass partition check against the pairwise check ---------------------
+
+
+def pairwise_select(oracle, parts, context="partition"):
+    """``select_from_partition`` the plain way: every pair of exact parts
+    intersected, then, when every part is exact, their union tested for
+    being cofinite."""
+    if not parts:
+        raise NotAPartition("no parts given")
+    exact = [p for p in parts if p.exact]
+    for i in range(len(exact)):
+        for j in range(i + 1, len(exact)):
+            if not exact[i].intersection(exact[j]).is_empty():
+                raise NotAPartition(
+                    f"parts overlap: {exact[i].describe()} and {exact[j].describe()}"
+                )
+    if len(exact) == len(parts):
+        union = IndexSet.empty()
+        for p in parts:
+            union = union.union(p)
+        if union.kind != COFINITE:
+            raise NotAPartition("union of parts misses infinitely many indices")
+    verdicts = [oracle.decide(p, context=context) for p in parts]
+    winners = [i for i, v in enumerate(verdicts) if v is IN]
+    if len(winners) != 1:
+        raise InvariantBreach(
+            f"partition selection found {len(winners)} accepted parts; "
+            "the inputs cannot form a partition"
+        )
+    return winners[0]
+
+
+small_numbers = st.lists(st.integers(0, 12), max_size=3)
+exact_parts = st.one_of(
+    st.builds(IndexSet.residue_class, st.integers(1, 6), st.integers(0, 5)),
+    st.builds(IndexSet.finite, small_numbers),
+    st.builds(IndexSet.cofinite, small_numbers),
+    st.builds(
+        IndexSet.eventually_periodic,
+        st.lists(st.booleans(), min_size=1, max_size=3),
+        st.lists(st.booleans(), min_size=1, max_size=6),
+    ),
+)
+
+
+@st.composite
+def value_partitions(draw):
+    """The parts {n : x_n = v} of a drawn periodic sequence x, which
+    partition the naturals, with a few indices moved from one part to
+    another as finite exceptions."""
+    values = st.integers(0, 3)
+    pre = draw(st.lists(values, max_size=3))
+    cycle = draw(st.lists(values, min_size=1, max_size=6))
+    xs = [*pre, *cycle]
+    moved = dict(draw(st.lists(st.tuples(st.integers(0, 12), values), max_size=3)))
+    parts = []
+    for v in dict.fromkeys(xs):
+        part = IndexSet.eventually_periodic([x == v for x in pre], [x == v for x in cycle])
+        gained = {n for n, w in moved.items() if w == v}
+        lost = {n for n, w in moved.items() if w != v}
+        parts.append(part.union(IndexSet.finite(gained)).intersection(IndexSet.cofinite(lost)))
+    return parts
+
+
+@st.composite
+def part_lists(draw):
+    """Partitions, partitions with one part dropped, repeated or added, and
+    free lists of exact parts, which mostly overlap or leave gaps."""
+    kind = draw(st.sampled_from(["partition", "drop", "repeat", "add", "free"]))
+    if kind == "free":
+        return draw(st.lists(exact_parts, max_size=4))
+    parts = draw(value_partitions())
+    if kind == "drop":
+        del parts[draw(st.integers(0, len(parts) - 1))]
+    elif kind == "repeat":
+        parts.append(parts[draw(st.integers(0, len(parts) - 1))])
+    elif kind == "add":
+        parts.insert(draw(st.integers(0, len(parts))), draw(exact_parts))
+    return parts
+
+
+@settings(max_examples=300, deadline=None)
+@given(part_lists(), st.integers(1, 12), st.integers(0, 11))
+def test_one_pass_partition_check_matches_the_pairwise_check(parts, modulus, residue):
+    audit_new, audit_old = [], []
+    tower = [(modulus, residue % modulus)]
+    new = outcome(lambda: FilterOracle(tower, audit=audit_new).select_from_partition(parts, "p"))
+    old = outcome(lambda: pairwise_select(FilterOracle(tower, audit=audit_old), parts, "p"))
+    assert new == old
+    assert audit_new == audit_old
+
+
+def test_overlapping_classes_of_large_moduli_are_refused_at_once():
+    parts = [IndexSet.residue_class(m, 0) for m in (1009, 1013, 1019)]
+    start = time.perf_counter()
+    with pytest.raises(NotAPartition, match="parts overlap"):
+        FilterOracle().select_from_partition(parts)
+    assert time.perf_counter() - start < 0.5
 
 
 # -- tower construction against the stepping and full-scan references --------

@@ -803,6 +803,53 @@ def test_owner_selection_decides_each_owner_value_once_and_owners_are_indexed_on
     assert got == pairwise_partition(exts, FilterOracle())
 
 
+def fresh_value_partition(values, head, distinct, patterns):
+    """Every part built anew, whatever ``patterns`` holds."""
+    bits = [[x == v for x in values] for v in distinct]
+    return [IndexSet.eventually_periodic(b[:head], b[head:]) for b in bits]
+
+
+# Universes that ``build_ns_nodes`` decides by owner selection: periodic
+# owners with hashable values, all at one level.
+owner_selection_universes = tip_universes().filter(
+    lambda u: not pairwise_path(u[1]) and all(e.level == 1 for e in u[1])
+)
+
+
+@settings(deadline=None)
+@given(owner_selection_universes, st.integers(1, 12), st.integers(0, 11))
+def test_owner_selection_builds_each_part_pattern_once_per_call(universe, modulus, residue):
+    family, exts = universe
+    tower = [(modulus, residue % modulus)]
+    patterns = Counter()
+    for e in exts:
+        o = e.owner_rep
+        values = (*o.pre, *o.cycle)
+        for v in dict.fromkeys(values):
+            patterns[len(o.pre), tuple(x == v for x in values)] = 1
+    built = Counter()
+    canonicalize = IndexSet.eventually_periodic
+
+    def counting(pre, cycle):
+        pre, cycle = tuple(pre), tuple(cycle)
+        built[len(pre), pre + cycle] += 1
+        return canonicalize(pre, cycle)
+
+    audit = []
+    with mock.patch.object(IndexSet, "eventually_periodic", staticmethod(counting)):
+        layer = build_ns_nodes(family, 1, exts, FilterOracle(tower, audit=audit))
+        assert built == patterns
+        build_ns_nodes(family, 1, exts, FilterOracle(tower))
+        assert built == patterns + patterns
+    reference = []
+    with mock.patch("ultragraph.ultrapower._value_partition", fresh_value_partition):
+        expected = build_ns_nodes(family, 1, exts, FilterOracle(tower, audit=reference))
+    assert audit == reference
+    assert [[m.label for m in node.members] for node in layer.nodes] == [
+        [m.label for m in node.members] for node in expected.nodes
+    ]
+
+
 def reference_audit_pointwise(nodes, upto, notes):
     """The per-index owner comparison ``_audit_pointwise`` replaced, kept as its reference."""
     for node in nodes:
