@@ -185,6 +185,7 @@ def solve_standard(net: StandardNetwork, index: int | None = None) -> StandardSo
 def _invalid_branch(bids: list[str], r: list, e: list, index) -> SolverFailure | None:
     """The failure for the first branch, in ``bids`` order, with unusable data."""
     for bid, rb, eb in zip(bids, r, e):
+        rb, eb = (_as_float(x) if isinstance(x, int) else x for x in (rb, eb))
         if not (isinstance(rb, (int, float)) and math.isfinite(rb)) or rb <= 0:
             return SolverFailure(
                 f"branch {bid} has nonpositive or nonfinite resistance {rb!r}",
@@ -193,6 +194,15 @@ def _invalid_branch(bids: list[str], r: list, e: list, index) -> SolverFailure |
         if not (isinstance(eb, (int, float)) and math.isfinite(eb)):
             return SolverFailure(f"branch {bid} has nonfinite source value {eb!r}", index=index)
     return None
+
+
+def _as_float(value) -> float:
+    """float(value); a number too large for a float is the infinity of its
+    sign, which the solver refuses as nonfinite data."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def _certified(matrices: np.ndarray) -> np.ndarray:
@@ -500,7 +510,7 @@ def _solve_at_indices(net: NsNetwork, indices: range) -> _Solved:
     declared = list(net.data)
     failed: dict = {}
     columns = [
-        _read_cells(seq, indices, failed, float) for bid in declared for seq in net.data[bid]
+        _read_cells(seq, indices, failed, _as_float) for bid in declared for seq in net.data[bid]
     ]
     graphs = _read_cells(net.family.assignment, indices, failed, net.family.prototypes.__getitem__)
     bids = sorted(declared)

@@ -35,7 +35,7 @@ boundary is the same one sampled sets carry everywhere else.
 The audit is a list of lines. An oracle given an ``audit`` list appends
 one ``"CONTEXT: SET -> in|out"`` line to it for every decision, and
 ``decide`` is its only writer: kind, rank and owner selection (one line
-per part of the partition), the pairwise shorting that remains for
+each, on the selected value's set), the pairwise shorting that remains for
 generated, sampled or unhashable owners, and every other question reach
 the audit by deciding, so the trail is the record of the ultrafilter
 decisions a run made, one line each.

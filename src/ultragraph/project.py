@@ -202,9 +202,12 @@ class _Parser:
         if tok is None or tok.kind != "num":
             self.fail("expected a number")
         self.k += 1
-        if re.search(r"[.eE]", tok.text):
-            return float(tok.text)
-        return int(tok.text)
+        try:
+            return float(tok.text) if re.search(r"[.eE]", tok.text) else int(tok.text)
+        except ValueError:  # past the interpreter's limit on digits per conversion
+            raise ProjectSyntaxError(
+                f"integer literal of {len(tok.text)} characters is too long", tok.line, tok.col
+            ) from None
 
     def take_int(self) -> int:
         value = self.take_number()

@@ -19,10 +19,11 @@ of N rather than on a sampled window.
 
 Nonstandard nodes are the shorting classes of a universe of extremities:
 the node containing *e is the class of the node sequence that owns e_n.
-When every owner is periodic, ``build_ns_nodes`` makes one partition
-decision per extremity, selecting its owner from the partition of N by
-the owner's values, and groups extremities by the selected owner; by
-Łoś's theorem that is exactly pairwise shorting. A universe holding a
+When every owner is periodic, ``build_ns_nodes`` reads each owner at the
+oracle's selected index, one decision on the set where it takes that
+value, and groups extremities by the value read; by Łoś's theorem that
+is exactly pairwise shorting (periodic ranks are read the same way). A
+universe holding a
 generated or sampled owner, or an owner value that cannot be hashed, is
 decided pair by pair and checked for transitivity, since a generated
 owner's decisions rest on pins over a window. The builder also checks the
@@ -38,7 +39,7 @@ from itertools import combinations
 from operator import eq
 from typing import NamedTuple
 
-from ._periodic import Unrolled, aligned, joint_window
+from ._periodic import Unrolled, aligned, joint_window, on_residue
 from .errors import InvariantBreach, NotAnExtremity, RankTooHigh, Undecidable
 from .graphs import (
     OMEGA,
@@ -316,9 +317,9 @@ class ExtremityClass(NamedTuple):
 def classify(ext: NsExtremity, oracle: FilterOracle, check_upto: int = 64) -> ExtremityClass:
     """Tip or exceptional-node class, with standard or hypernatural rank.
 
-    The tip/node split is one oracle decision. An exceptional class whose
-    rank sequence takes finitely many values gets its rank by selecting
-    from the finite partition of N those values induce; an unbounded
+    The tip/node split is one oracle decision. A periodic exceptional
+    class gets the rank its sequence takes at the oracle's selected index,
+    recorded as one decision on the set where it takes it; an unbounded
     generated rank sequence must carry a certificate and then names a
     nonstandard hypernatural rank.
     """
@@ -346,10 +347,8 @@ def classify(ext: NsExtremity, oracle: FilterOracle, check_upto: int = 64) -> Ex
 
 
 def _select_periodic_rank(ext: NsExtremity, oracle: FilterOracle) -> int:
-    values = list(ext.rep.pre) + list(ext.rep.cycle)
-    head = len(ext.rep.pre)
     keys: list[object] = []
-    for e in values:
+    for e in (*ext.rep.pre, *ext.rep.cycle):
         if e.kind == "tip":
             keys.append("tip")
         elif isinstance(e.rank, int):
@@ -358,31 +357,27 @@ def _select_periodic_rank(ext: NsExtremity, oracle: FilterOracle) -> int:
             raise Undecidable(
                 f"{ext.label}: exceptional element {e.ident} has nonfinite rank"
             )
-    distinct = sorted({k for k in keys if k != "tip"})
-    order = [*distinct, "tip"] if "tip" in keys else distinct
-    parts = _value_partition(keys, head, order, {})
-    chosen = oracle.select_from_partition(parts, context=f"rank of {ext.label}")
-    if chosen >= len(distinct):
+    head = len(ext.rep.pre)
+    rank = _select_value(keys[:head], keys[head:], oracle, f"rank of {ext.label}", {})
+    if rank == "tip":
         raise InvariantBreach(
             f"{ext.label}: the oracle placed an exceptional class on tip positions"
         )
-    return distinct[chosen]
+    return rank
 
 
-def _value_partition(values, head: int, distinct, patterns: dict) -> list[IndexSet]:
-    """The parts {n : x_n = v}, one per v in ``distinct`` and in its order,
-    of the periodic sequence x whose preperiod is ``values[:head]`` and
-    whose cycle is ``values[head:]``. ``patterns`` maps each ``(head,
-    bits)`` already built to its set, so a caller that keeps it across
-    partitions builds every repeated part once."""
-    parts = []
-    for v in distinct:
-        bits = tuple(x == v for x in values)
-        part = patterns.get((head, bits))
-        if part is None:
-            part = patterns[head, bits] = IndexSet.eventually_periodic(bits[:head], bits[head:])
-        parts.append(part)
-    return parts
+def _select_value(pre, cycle, oracle: FilterOracle, context: str, patterns: dict):
+    """The value the periodic sequence x = (pre, cycle) takes at the
+    oracle's selected index, recorded as one decision on {n : x_n = value}:
+    by Łoś, the large part of the partition of N by the values of x.
+    ``patterns`` maps each pattern already built to its set."""
+    value = on_residue(pre, cycle, oracle.selected_residue(len(cycle)))
+    bits = tuple(x == value for x in pre), tuple(x == value for x in cycle)
+    part = patterns.get(bits)
+    if part is None:
+        part = patterns[bits] = IndexSet.eventually_periodic(*bits)
+    oracle.decide(part, context=context)
+    return value
 
 
 # -- shorting and node building --------------------------------------------------------
@@ -448,10 +443,10 @@ def build_ns_nodes(
 
     The node containing *e is the class of the node sequence that owns e_n.
     When every owner is periodic with hashable values, each extremity's
-    owner is selected once, from the partition of N by its owner values
-    (audited as ``owner of LABEL``), and extremities whose selected owners
-    are equal share a node: by Łoś two periodic owners agree on a large set
-    exactly when they agree at the selected index. Any other universe, one
+    owner is read once at the oracle's selected index (audited as ``owner
+    of LABEL``), and extremities whose selected owners are equal share a
+    node: by Łoś two periodic owners agree on a large set exactly when
+    they agree at the selected index. Any other universe, one
     holding a generated or sampled owner or an unhashable owner value, is
     decided pair by pair through ``ns_shorted``, in pair order, merged, and
     checked for transitivity, since a generated owner's decisions rest on
@@ -462,11 +457,10 @@ def build_ns_nodes(
     classes = [classify(e, oracle) for e in exts]
     for e in exts[1:]:
         _require_same_level(exts[0], e)
-    owner_values = _periodic_owner_values(exts)
-    if owner_values is None:
-        groups = _short_pairwise(exts, oracle)
+    if _periodic_hashable_owners(exts):
+        groups = _group_by_selected_owner(exts, oracle)
     else:
-        groups = _group_by_selected_owner(exts, owner_values, oracle)
+        groups = _short_pairwise(exts, oracle)
     ordered = sorted(groups, key=lambda idx: min(exts[i].label for i in idx))
     notes: list[str] = []
     nodes: list[NsNode] = []
@@ -486,37 +480,29 @@ def build_ns_nodes(
     return NsLayer(level, nodes, notes)
 
 
-def _periodic_owner_values(exts: list[NsExtremity]) -> list[list] | None:
-    """Per extremity, the distinct values of its periodic owner in order of
-    first occurrence; None when some owner is not periodic or has a value
-    that cannot be hashed."""
-    values = []
+def _periodic_hashable_owners(exts: list[NsExtremity]) -> bool:
+    """Whether every owner is periodic with values that can be hashed."""
     for e in exts:
         owner = e.owner_rep
         if not isinstance(owner, PeriodicSeq):
-            return None
+            return False
         try:
-            values.append(list(dict.fromkeys((*owner.pre, *owner.cycle))))
+            hash((*owner.pre, *owner.cycle))
         except TypeError:
-            return None
-    return values
+            return False
+    return True
 
 
-def _group_by_selected_owner(
-    exts: list[NsExtremity], owner_values: list[list], oracle: FilterOracle
-) -> list[list[int]]:
+def _group_by_selected_owner(exts: list[NsExtremity], oracle: FilterOracle) -> list[list[int]]:
     """Positions of the extremities grouped by the owner value the oracle
-    selects for each. Owners that repeat a pattern of positions share its
-    parts: each distinct part is built once per call."""
+    selects for each. Owners that select the same pattern of positions
+    share its set: each distinct set is built once per call."""
     groups: dict[object, list[int]] = {}
     patterns: dict = {}
-    for i, (e, distinct) in enumerate(zip(exts, owner_values)):
+    for i, e in enumerate(exts):
         owner = e.owner_rep
-        parts = _value_partition(
-            (*owner.pre, *owner.cycle), len(owner.pre), distinct, patterns
-        )
-        chosen = oracle.select_from_partition(parts, context=f"owner of {e.label}")
-        groups.setdefault(distinct[chosen], []).append(i)
+        value = _select_value(owner.pre, owner.cycle, oracle, f"owner of {e.label}", patterns)
+        groups.setdefault(value, []).append(i)
     return list(groups.values())
 
 

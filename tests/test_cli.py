@@ -388,3 +388,49 @@ def test_main_writes_through_the_chunked_writer(monkeypatch, capsys):
     golden = (GOLDEN / "build_tower.txt").read_text()
     assert capsys.readouterr().out == golden
     assert written == [golden.count("\n")]
+
+
+HUGE = "9" * 400  # an integer too large for a float
+
+
+@pytest.mark.parametrize(
+    "old,new,index",
+    [
+        ("r b1 = cycle=[1.0]", f"r b1 = cycle=[{HUGE}]", 0),
+        ("r b2 = gen=affine(1, 1) nmax=512", f"r b2 = gen=affine({HUGE}, 1) nmax=10", 1),
+    ],
+    ids=["cycle", "affine"],
+)
+@pytest.mark.parametrize("command", ["solve", "report"])
+def test_a_branch_value_too_large_for_a_float_is_a_solver_failure(tmp_path, old, new, index, command):
+    project = tmp_path / "huge.ug"
+    project.write_text((ROOT / "projects" / "divider.ug").read_text().replace(old, new))
+    proc = run_cli(command, str(project))
+    assert proc.returncode == 5, proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert f"at index n={index}" in proc.stderr and HUGE not in proc.stderr
+
+
+LONG = "9" * 5000  # more digits than one integer conversion reads
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits") or sys.get_int_max_str_digits() >= len(LONG),
+    reason="the interpreter converts integers of any length",
+)
+@pytest.mark.parametrize(
+    "args,where",
+    [
+        (("--oracle", f"pin in mod=2 : {LONG}"), "line 1, col 16"),
+        (("--oracle", f"pin in mod={LONG} : 1"), "line 1, col 12"),
+        ((), "line 20, col 17"),
+    ],
+    ids=["oracle-residue", "oracle-modulus", "project"],
+)
+def test_an_integer_literal_past_the_conversion_limit_is_a_syntax_error(tmp_path, args, where):
+    project = tmp_path / "long.ug"
+    text = (ROOT / "projects" / "divider.ug").read_text()
+    project.write_text(text if args else text.replace("r b1 = cycle=[1.0]", f"r b1 = cycle=[{LONG}]"))
+    proc = run_cli("validate", str(project), *args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: {where}: integer literal of {len(LONG)} characters is too long\n"

@@ -241,6 +241,23 @@ def test_nonpositive_resistance_names_the_index():
         verify_laws(op)
 
 
+@pytest.mark.parametrize(
+    "b1,message",
+    [
+        (Branch(10**400), "nonfinite resistance inf"),
+        (Branch(-(10**400)), "resistance -inf"),
+        (Branch(1.0, 10**400), "nonfinite source value inf"),
+        (Branch(10**5000), "nonfinite resistance inf"),
+    ],
+    ids=["resistance", "negative", "source", "past-the-digit-limit"],
+)
+def test_an_integer_too_large_for_a_float_is_a_solver_failure(b1, message):
+    g = StandardGraph("pair", 0, nodes0=["a", "b"], branches={"b1": ("a", "b"), "b2": ("b", "a")})
+    net = StandardNetwork(g, {"b1": b1, "b2": Branch(1.0)})
+    with pytest.raises(SolverFailure, match=rf"branch b1 has .*{message} \(at index n=3\)"):
+        solve_standard(net, index=3)
+
+
 # -- nonstandard operating points ----------------------------------------------------
 
 

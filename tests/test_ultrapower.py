@@ -10,7 +10,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ultragraph import (
@@ -37,9 +37,15 @@ from ultragraph import (
     truncate,
 )
 from ultragraph._periodic import joint_window
-from ultragraph.errors import InconsistentPin, InvariantBreach, RankTooHigh, Undecidable
+from ultragraph.errors import (
+    IncompatibleTower,
+    InconsistentPin,
+    InvariantBreach,
+    RankTooHigh,
+    Undecidable,
+)
 from ultragraph.sequences import PeriodicSeq, agreement_set, generated, horizon, value_at
-from ultragraph.ultrapower import _audit_pointwise
+from ultragraph.ultrapower import _audit_pointwise, _select_value
 
 from conftest import (
     alternating_3graphs,
@@ -456,9 +462,8 @@ def check_audit(exts, audit_new, audit_old, raised):
     """The build's audit against the pairwise reference's. On the pairwise
     path they are identical. Otherwise the build makes no shorting decision
     and its other lines are the reference's other lines; where it did not
-    raise, it holds one owner selection per extremity, in order: one line
-    per owner value, in order of first occurrence, on the set where the
-    owner takes it, and exactly one of them in."""
+    raise, it holds one owner selection per extremity, in order: one line,
+    on the set where the owner takes one of its values, and in."""
     if pairwise_path(exts):
         assert audit_new == audit_old
         return
@@ -469,15 +474,14 @@ def check_audit(exts, audit_new, audit_old, raised):
     if raised:
         assert owner == []
         return
-    expected = []
-    for e in exts:
+    assert [c for c, _, _ in owner] == [f"owner of {e.label}" for e in exts]
+    for (_, subject, verdict), e in zip(owner, exts):
         o = e.owner_rep
-        for v in dict.fromkeys((*o.pre, *o.cycle)):
-            part = IndexSet.eventually_periodic([x == v for x in o.pre], [x == v for x in o.cycle])
-            expected.append((f"owner of {e.label}", part.describe()))
-    assert [(c, s) for c, s, _ in owner] == expected
-    for e in exts:
-        assert [v for c, _, v in owner if c == f"owner of {e.label}"].count("in") == 1
+        parts = {
+            IndexSet.eventually_periodic([x == v for x in o.pre], [x == v for x in o.cycle]).describe()
+            for v in owner_values(e)
+        }
+        assert subject in parts and verdict == "in"
 
 
 def tip_family(tips, groupings, assignment):
@@ -796,17 +800,32 @@ def test_owner_selection_decides_each_owner_value_once_and_owners_are_indexed_on
     monkeypatch.undo()
     assert indexed and max(indexed.values()) == 1
     owner = [c for c in decided if c.startswith("owner of ")]
-    assert len(owner) == sum(len(owner_values(e)) for e in exts)
+    assert len(owner) == len(exts)
     assert len(owner) < len(exts) * (len(exts) - 1) // 2
     assert not any(c.startswith("shorting ") for c in decided)
     got = sorted(tuple(m.label for m in node.members) for node in layer.nodes)
     assert got == pairwise_partition(exts, FilterOracle())
 
 
-def fresh_value_partition(values, head, distinct, patterns):
-    """Every part built anew, whatever ``patterns`` holds."""
-    bits = [[x == v for x in values] for v in distinct]
-    return [IndexSet.eventually_periodic(b[:head], b[head:]) for b in bits]
+def partition_selection(pre, cycle, oracle, context):
+    """The selection ``_select_value`` replaced, kept as its reference: the
+    partition of N by the values of the periodic sequence (pre, cycle), one
+    part per value in order of first occurrence, handed to
+    ``select_from_partition``. Returns the selected value and the audit
+    line of the accepted part, read from ``oracle.audit``."""
+    order = list(dict.fromkeys((*pre, *cycle)))
+    parts = [
+        IndexSet.eventually_periodic([x == v for x in pre], [x == v for x in cycle]) for v in order
+    ]
+    start = len(oracle.audit)
+    chosen = oracle.select_from_partition(parts, context=context)
+    [line] = [line for line in oracle.audit[start:] if line.endswith(" -> in")]
+    return order[chosen], line
+
+
+def fresh_select_value(pre, cycle, oracle, context, patterns):
+    """Every set built anew, whatever ``patterns`` holds."""
+    return _select_value(pre, cycle, oracle, context, {})
 
 
 # Universes that ``build_ns_nodes`` decides by owner selection: periodic
@@ -824,9 +843,8 @@ def test_owner_selection_builds_each_part_pattern_once_per_call(universe, modulu
     patterns = Counter()
     for e in exts:
         o = e.owner_rep
-        values = (*o.pre, *o.cycle)
-        for v in dict.fromkeys(values):
-            patterns[len(o.pre), tuple(x == v for x in values)] = 1
+        v, _ = partition_selection(o.pre, o.cycle, FilterOracle(tower, audit=[]), "owner")
+        patterns[len(o.pre), tuple(x == v for x in (*o.pre, *o.cycle))] = 1
     built = Counter()
     canonicalize = IndexSet.eventually_periodic
 
@@ -842,12 +860,101 @@ def test_owner_selection_builds_each_part_pattern_once_per_call(universe, modulu
         build_ns_nodes(family, 1, exts, FilterOracle(tower))
         assert built == patterns + patterns
     reference = []
-    with mock.patch("ultragraph.ultrapower._value_partition", fresh_value_partition):
+    with mock.patch("ultragraph.ultrapower._select_value", fresh_select_value):
         expected = build_ns_nodes(family, 1, exts, FilterOracle(tower, audit=reference))
     assert audit == reference
     assert [[m.label for m in node.members] for node in layer.nodes] == [
         [m.label for m in node.members] for node in expected.nodes
     ]
+
+
+@st.composite
+def periodic_values(draw, values):
+    """(pre, cycle) of a periodic sequence over the drawn values."""
+    return draw(st.lists(values, max_size=3)), draw(st.lists(values, min_size=1, max_size=4))
+
+
+@st.composite
+def selection_oracles(draw):
+    """An oracle factory, taking the audit list: a tower of up to two
+    moduli, then up to two pins of eventually periodic sets, each kept
+    when it is consistent with those before."""
+    tower = [
+        (m, draw(st.integers(0, m - 1)))
+        for m in draw(st.lists(st.integers(1, 12), max_size=2))
+    ]
+    try:
+        FilterOracle(tower)
+    except IncompatibleTower:
+        assume(False)
+    pins = draw(st.lists(st.tuples(periodic_values(st.booleans()), st.booleans()), max_size=2))
+
+    def make(audit):
+        orc = FilterOracle(tower, audit=audit)
+        for (pre, cycle), inside in pins:
+            try:
+                orc = orc.pin(
+                    IndexSet.eventually_periodic(pre, cycle),
+                    Membership.IN if inside else Membership.OUT,
+                )
+            except InconsistentPin:
+                pass
+        return orc
+
+    return make
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.lists(periodic_values(st.sampled_from(["x0", "x1", "x2", "x3"])), min_size=1, max_size=5),
+    selection_oracles(),
+)
+def test_owner_selection_at_the_selected_index_matches_partition_selection(owners, make_oracle):
+    family = tip_family(["t0"], [[0]], periodic((), (0,)))
+    exts = [owned_extremity(family, f"o{k}", periodic(*owner)) for k, owner in enumerate(owners)]
+    audit = []
+    layer = build_ns_nodes(family, 1, exts, make_oracle(audit))
+    reference = make_oracle([])
+    groups, lines = {}, []
+    for e in exts:
+        o = e.owner_rep
+        value, line = partition_selection(o.pre, o.cycle, reference, f"owner of {e.label}")
+        assert _select_value(o.pre, o.cycle, make_oracle(None), "owner", {}) == value
+        groups.setdefault(value, []).append(e.label)
+        lines.append(line)
+    assert [line for line in audit if line.startswith("owner of ")] == lines
+    assert sorted(tuple(m.label for m in node.members) for node in layer.nodes) == sorted(
+        tuple(group) for group in groups.values()
+    )
+
+
+rank_elements = st.one_of(
+    st.integers(0, 3).map(lambda r: Extremity("node", f"w{r}", r)),
+    st.just(Extremity("tip", "t2", 2)),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(periodic_values(rank_elements), selection_oracles())
+def test_rank_selection_at_the_selected_index_matches_partition_selection(elements, make_oracle):
+    family = tip_family(["t0"], [[0]], periodic((), (0,)))
+    rep = periodic(*elements)
+    tips = IndexSet.eventually_periodic(
+        [e.kind == "tip" for e in rep.pre], [e.kind == "tip" for e in rep.cycle]
+    )
+    ext = NsExtremity(family, 3, rep, periodic((), ("x0",)), tips, periodic((), (0,)), "q")
+    audit = []
+    got = classify(ext, make_oracle(audit))
+    ranks = [line for line in audit if line.startswith("rank of ")]
+    reference = make_oracle([])
+    if reference.decide(tips) is Membership.IN:
+        assert got.kind == "tip" and ranks == []
+        return
+    keys = ["tip" if e.kind == "tip" else e.rank for e in (*rep.pre, *rep.cycle)]
+    head = len(rep.pre)
+    value, line = partition_selection(keys[:head], keys[head:], reference, "rank of q")
+    assert (got.kind, got.rank) == ("node", value)
+    assert ranks == [line]
 
 
 def reference_audit_pointwise(nodes, upto, notes):
