@@ -396,7 +396,8 @@ class ValidationReport:
 def validate(graph: StandardGraph) -> ValidationReport:
     """Check the node/tip/branch axioms; violations are data, not errors.
 
-    Scheme-backed layers are spot-checked up to ``_PROBE_DEPTH``. Tip
+    Scheme-backed layers are spot-checked up to ``_PROBE_DEPTH``; of a
+    natural-rank graph, only the stored layers within its rank. Tip
     path-consistency is out of scope by design and noted as unchecked.
     """
     report = ValidationReport(graph.name)
@@ -408,10 +409,19 @@ def validate(graph: StandardGraph) -> ValidationReport:
             if end not in graph.nodes0:
                 bad(Violation("branch-endpoint", f"branch {bid} endpoint {end} is not a 0-node"))
     schemed = not isinstance(graph.rank, int)
-    levels = list(range(1, (_PROBE_DEPTH if schemed else graph.rank) + 1))
-    if graph.rank == OMEGA and not graph.graded_omega:
-        levels.append(OMEGA)
-    if levels and levels[-1] == graph.rank and not graph.layer_nodes(graph.rank):
+    if schemed:
+        levels = list(range(1, _PROBE_DEPTH + 1))
+        if graph.rank == OMEGA and not graph.graded_omega:
+            levels.append(OMEGA)
+        top = levels[-1] == graph.rank
+    else:
+        # A level that stores no nodes and owns no stored tips has nothing
+        # to check, so a large rank costs nothing.
+        stored = {r for r in graph._node_layers if isinstance(r, int)}
+        stored.update(r + 1 for r in graph._tip_layers if isinstance(r, int))
+        levels = sorted(r for r in stored if 1 <= r <= graph.rank)
+        top = graph.rank >= 1
+    if top and not graph.layer_nodes(graph.rank):
         bad(Violation("layer-empty-top", f"rank-{graph.rank} graph has no {_words(graph.rank)[2]}s"))
     if schemed:
         report.notes.append(

@@ -23,11 +23,15 @@ standard solutions, packaged as hyperreals:
 
 Indices are solved in fixed-size blocks: per prototype graph, one stacked
 assembly, condition gate and solve covers a block of indices, with every
-float equal to what a single solve gives. A solved range comes back as
-columns, one list of values over the range per node and per branch, plus
-the failures of the indices that have no solution; the periodic route
-packages the columns as they are, and the generated route slices its
-cached blocks. ``solve_standard`` alone builds a ``StandardSolution``,
+float equal to what a single solve gives. The branch data of a range are
+read into one float64 table: a periodic datum once per cycle, each of its
+values converted once and repeated over the range by numpy; generated
+data and the assignment cell by cell, a periodic datum too when one of
+its values fails to convert, so every failure keeps its index and its
+exception. A solved range comes back as columns, one list of values over
+the range per node and per branch, plus the failures of the indices that
+have no solution; the periodic route packages the columns as they are,
+and the generated route slices its cached blocks. ``solve_standard`` alone builds a ``StandardSolution``,
 from its single row. A failure still belongs to its index: it is raised,
 naming that index, only when that index is asked for, never because
 another index of its block failed.
@@ -63,20 +67,22 @@ Where a column stops short, its first missing index is read again in the
 order a per-index check reads it (the graph, the assignment, then
 currents, voltages, resistances and EMFs in declaration order), so the
 same exception escapes as from that check. Indices are grouped by
-prototype, and each residual column is formed from the same operands in
-the same order as a per-index check, so every float equals the per-index
-one. Only the worst residual of each law subject is kept, with its first
-index as witness. A NaN residual, which an infinite value also gives once
-normalized (inf/inf), is worse than any number: its law is VIOLATED at the
-first index where it occurs.
+prototype. The columns are float64 arrays, and each residual column is
+formed from the same operands in the same order as a per-index check, so
+every float equals the per-index one: KCL flows accumulate in
+``graph.branches`` order, Tellegen's power is a running sum from 0, and
+the scale is the ``np.fmax`` of 1.0 and the magnitudes, which skips a NaN
+as ``max`` does once 1.0 comes first. Only the worst residual of each law
+subject is kept, with its first index as witness. A NaN residual, which an
+infinite value also gives once normalized (inf/inf), is worse than any
+number: its law is VIOLATED at the first index where it occurs. numpy's
+floating-point warnings are silenced there, as Python floats raise none.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
-from itertools import repeat
-from operator import add, mul, neg, sub, truediv
+from functools import cached_property, partial
 from typing import NamedTuple
 
 from ._periodic import joint_window
@@ -431,7 +437,9 @@ def operating_point(net: NsNetwork, oracle: FilterOracle) -> OperatingPoint:
 
 
 def _read_cells(seq, indices: range, failed: dict, convert) -> list:
-    """``convert(value_at(seq, n))`` for each n of ``indices``.
+    """``convert(value_at(seq, n))`` for each n of ``indices``: the reader
+    of generated data, of the prototype assignment, and of a periodic datum
+    some value of which fails to convert (``_data_column``).
 
     The range is read through ``span``: a periodic descriptor from its
     unrolled cycle, a generated one from its window. Only from where a
@@ -466,6 +474,41 @@ def _read_cells(seq, indices: range, failed: dict, convert) -> list:
     return cells
 
 
+def _floats(values: list) -> np.ndarray:
+    """``_as_float`` of each value, as a float64 array."""
+    import numpy as np
+
+    return np.array([_as_float(x) for x in values], dtype=float)
+
+
+def _periodic_column(seq: PeriodicSeq, indices: range, convert) -> np.ndarray:
+    """The values of ``seq`` over ``indices`` as a float64 array. Only the
+    values up to the end of the first whole cycle in the range are read,
+    and turned into an array by ``convert`` in one call; numpy repeats
+    that cycle over the rest of the range."""
+    import numpy as np
+
+    lead = max(len(seq.pre) - indices.start, 0)  # indices of the range in the preperiod
+    stop = min(indices.stop, indices.start + lead + len(seq.cycle))
+    values = convert(span(seq, indices.start, stop))
+    if len(indices) > len(values):
+        laps = -(-(len(indices) - lead) // len(seq.cycle))
+        values = np.concatenate((values[:lead], np.tile(values[lead:], laps)))
+    return values[: len(indices)]
+
+
+def _data_column(seq, indices: range, failed: dict):
+    """The floats of one datum over ``indices``: a periodic datum is read
+    once per cycle, unless one of its values fails to convert; any other
+    datum, and that one, cell by cell (``_read_cells``)."""
+    if isinstance(seq, PeriodicSeq):
+        try:
+            return _periodic_column(seq, indices, _floats)
+        except Exception:  # noqa: BLE001 - the cell reader keeps each failure at its index
+            pass
+    return _read_cells(seq, indices, failed, _as_float)
+
+
 class _Solved:
     """The standard solutions over ``indices`` as columns: node or branch
     id -> its values over the range. ``failed`` maps each index that has no
@@ -497,10 +540,12 @@ class _Solved:
 def _solve_at_indices(net: NsNetwork, indices: range) -> _Solved:
     """The n-th networks' solutions for every n of ``indices``, as columns.
 
-    Each datum is read once for the whole range as a column, in declaration
-    order, and then the prototype assignment; an index fails with the
-    exception of its first failing read, as reading that index alone (each
-    branch's resistance and EMF, then its prototype) would raise it.
+    Each datum is read once for the whole range as a column of one float64
+    table, in declaration order, and then the prototype assignment: a
+    periodic datum once per cycle, generated data and the assignment cell
+    by cell (``_data_column``). An index fails with the exception of its
+    first failing read, as reading that index alone (each branch's
+    resistance and EMF, then its prototype) would raise it.
     Indices are solved in one batch per prototype. Potentials have a column
     for every node of a prototype solved in the range; a node that an
     index's prototype lacks holds filler there.
@@ -509,9 +554,10 @@ def _solve_at_indices(net: NsNetwork, indices: range) -> _Solved:
 
     declared = list(net.data)
     failed: dict = {}
-    columns = [
-        _read_cells(seq, indices, failed, _as_float) for bid in declared for seq in net.data[bid]
-    ]
+    seqs = [seq for bid in declared for seq in net.data[bid]]
+    table = np.zeros((len(indices), len(seqs)))
+    for k, seq in enumerate(seqs):
+        table[:, k] = _data_column(seq, indices, failed)
     graphs = _read_cells(net.family.assignment, indices, failed, net.family.prototypes.__getitem__)
     bids = sorted(declared)
     order = [declared.index(bid) for bid in bids]
@@ -526,7 +572,6 @@ def _solve_at_indices(net: NsNetwork, indices: range) -> _Solved:
     currents = np.zeros((len(indices), len(bids)))
     voltages = np.zeros((len(indices), len(bids)))
     if groups:
-        table = np.array(columns, dtype=float).reshape(len(columns), len(indices)).T
         column = {w: k for k, w in enumerate(nodes)}
         for graph, ns, rows in groups.values():
             block = table[rows]
@@ -716,54 +761,58 @@ def _spanning_tree(graph: StandardGraph):
 
 def _law_residuals(graph: StandardGraph, bids: list, width: int, i, v, r, e):
     """Yield (law, subject, residual column, divisor column) for one
-    prototype, the columns running over that prototype's indices.
+    prototype, as float64 arrays over that prototype's indices; ``i``,
+    ``v``, ``r`` and ``e`` hold one row per branch in ``bids`` order.
 
     Each residual is formed from the same operands in the same order as a
     per-index check would, so every float matches one: flows accumulate
-    in ``graph.branches`` order, the scale is ``max([1.0] + |i| + |v| +
-    |e|)`` in declaration order, and the power is a ``sum`` from 0.
+    in ``graph.branches`` order, the scale is the ``np.fmax`` of 1.0 and
+    every |i|, |v| and |e| (a NaN never wins, as in ``max`` from 1.0), and
+    the power is a running sum from 0 (as ``sum`` is up to Python 3.11;
+    from 3.12 on it compensates rounding), the same on every version.
     """
-    i, v, r, e = (dict(zip(bids, cols)) for cols in (i, v, r, e))
-    magnitudes = [map(abs, col) for part in (i, v, e) for col in part.values()]
-    scale = list(map(max, zip([1.0] * width, *magnitudes)))
-    divisor = list(map(max, repeat(1.0), scale))
-    flow = {w: [0.0] * width for w in graph.nodes0}
+    import numpy as np
+
+    scale = np.ones(width)
+    for row in (*i, *v, *e):
+        scale = np.fmax(scale, np.abs(row), out=scale)
+    i, v, r, e = (dict(zip(bids, rows)) for rows in (i, v, r, e))
+    flow = {w: np.zeros(width) for w in graph.nodes0}
     for bid, (a, b) in graph.branches.items():
-        flow[a] = list(map(add, flow[a], i[bid]))
-        flow[b] = list(map(sub, flow[b], i[bid]))
+        flow[a] = flow[a] + i[bid]
+        flow[b] = flow[b] - i[bid]
     for w in sorted(graph.nodes0):
-        yield "KCL", f"node {w}", flow[w], divisor
+        yield "KCL", f"node {w}", flow[w], scale
     del flow
     tree, chords = _spanning_tree(graph)
     # Each component root sits at 0.0; every tree branch then fixes the
     # potential of its far end, phi[y] = phi[x] - drop, where the drop is
     # v(bid) when the branch runs x -> y and -v(bid) otherwise.
     reached = {y for _, y in tree.values()}
-    phi = {w: [0.0] * width for w in graph.nodes0 if w not in reached}
+    phi = {w: np.zeros(width) for w in graph.nodes0 if w not in reached}
     for bid, (x, y) in tree.items():
         forward = graph.branches[bid][0] == x
-        phi[y] = list(map(sub, phi[x], v[bid] if forward else map(neg, v[bid])))
+        phi[y] = phi[x] - (v[bid] if forward else -v[bid])
     for bid in chords:
         a, b = graph.branches[bid]
-        yield "KVL", f"loop of {bid}", map(sub, v[bid], map(sub, phi[a], phi[b])), divisor
+        yield "KVL", f"loop of {bid}", v[bid] - (phi[a] - phi[b]), scale
     del phi
     for bid in sorted(bids):
-        ohm = map(sub, map(mul, r[bid], i[bid]), e[bid])
-        yield "Ohm", f"branch {bid}", map(sub, v[bid], ohm), divisor
-    products = [map(mul, v[bid], i[bid]) for bid in bids]
-    power = list(map(sum, zip(*products))) if products else [0] * width
-    yield "Tellegen", "total power", power, list(map(max, repeat(1.0), map(mul, scale, scale)))
+        yield "Ohm", f"branch {bid}", v[bid] - (r[bid] * i[bid] - e[bid]), scale
+    power = np.zeros(width)
+    for bid in bids:
+        power = power + v[bid] * i[bid]
+    yield "Tellegen", "total power", power, scale * scale
 
 
-def _worst(values: list) -> tuple[float, int]:
-    """(worst value, its first position) of nonnegative residuals; a NaN
-    is worse than any number."""
-    total = sum(values)
-    if total != total:  # some value is NaN: nonnegative terms never give inf - inf
-        at = next(k for k, x in enumerate(values) if x != x)
-        return values[at], at
-    top = max(values)
-    return top, values.index(top)
+def _worst(values) -> tuple[float, int]:
+    """(worst value, its first position) of a nonempty array of nonnegative
+    residuals; a NaN is worse than any number."""
+    import numpy as np
+
+    nan = np.isnan(values)
+    at = int(np.argmax(nan if nan.any() else values))
+    return float(values[at]), at
 
 
 def _rank(entry: tuple[float, int]) -> tuple:
@@ -775,6 +824,8 @@ def _rank(entry: tuple[float, int]) -> tuple:
 
 
 def verify_laws(op: OperatingPoint, tol: float = 1e-9, check_upto: int = 64) -> LawReport:
+    import numpy as np
+
     net = op.network
     bids = list(net.data)
     sources = (
@@ -790,32 +841,38 @@ def verify_laws(op: OperatingPoint, tol: float = 1e-9, check_upto: int = 64) -> 
     else:
         indices = range(min(check_upto, int(op.horizon)))
     protos = span(net.family.assignment, 0, len(indices))
-    columns = [[span(seq, 0, len(indices)) for seq in part] for part in sources]
-    short = min(map(len, [protos, *(col for cols in columns for col in cols)]))
+    seqs = [seq for part in sources for seq in part]
+    spans = {  # periodic columns never stop short
+        k: span(seq, 0, len(indices)) for k, seq in enumerate(seqs) if not isinstance(seq, PeriodicSeq)
+    }
+    short = min(map(len, [protos, *spans.values()]))
     if short < len(indices):
         # Re-read the first index some column lacks in the order a per-index
         # check reads it (``graph_at`` reads the assignment), so the read
         # that fails first is the one raised.
         net.family.graph_at(short)
-        for part in sources:
-            for seq in part:
-                value_at(seq, short)
+        for seq in seqs:
+            value_at(seq, short)
         raise InvariantBreach(f"a law column stopped short at n={short} without a failing read")
     positions: dict = {}
     for k, proto in enumerate(protos):
         positions.setdefault(proto, []).append(k)
     worst: dict[tuple[str, str], tuple[float, int]] = {}
-    for proto, at in positions.items():
-        if len(at) == len(indices):
-            group = columns
-        else:
-            group = [[[col[k] for k in at] for col in cols] for cols in columns]
-        graph = net.family.prototypes[proto]
-        for law, subject, residuals, divisor in _law_residuals(graph, bids, len(at), *group):
-            value, k = _worst(list(map(truediv, map(abs, residuals), divisor)))
-            entry = (value, indices[at[k]])
-            key = (law, subject)
-            worst[key] = max(worst.get(key, entry), entry, key=_rank)
+    floats = partial(np.array, dtype=float)
+    # numpy would warn where the per-index check's Python floats give inf/nan.
+    with np.errstate(all="ignore"):
+        table = np.empty((len(seqs), len(indices)))
+        for k, seq in enumerate(seqs):
+            table[k] = spans[k] if k in spans else _periodic_column(seq, indices, floats)
+        table = table.reshape(len(sources), len(bids), len(indices))
+        for proto, at in positions.items():
+            group = table if len(at) == len(indices) else table[:, :, at]
+            graph = net.family.prototypes[proto]
+            for law, subject, residuals, divisor in _law_residuals(graph, bids, len(at), *group):
+                value, k = _worst(np.abs(residuals) / divisor)
+                entry = (value, indices[at[k]])
+                key = (law, subject)
+                worst[key] = max(worst.get(key, entry), entry, key=_rank)
     checks: list[LawCheck] = []
     notes: list[str] = []
     for (law, subject), (value, witness) in sorted(worst.items()):

@@ -210,9 +210,10 @@ class _Parser:
             ) from None
 
     def take_int(self) -> int:
+        tok = self.peek()
         value = self.take_number()
-        if not isinstance(value, int):
-            self.fail("expected an integer")
+        if not isinstance(value, int):  # reported at the number, which is already taken
+            raise ProjectSyntaxError("expected an integer", tok.line, tok.col)
         return value
 
 

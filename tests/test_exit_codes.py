@@ -12,8 +12,10 @@ import contextlib
 import io
 import re
 import tempfile
+import time
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -75,3 +77,26 @@ def test_every_command_on_a_mutated_project_ends_in_a_documented_exit_code(text)
             assert code in DOCUMENTED, (command, code, text)
             if code not in (0, 3):  # 3 may be a list of violations on stdout
                 assert err.getvalue().startswith("error:"), (command, text)
+
+
+@pytest.mark.parametrize("rank", [10**8, 10**399], ids=["1e8", "400-digit"])
+@pytest.mark.parametrize("graphs, code", [("A", 2), ("AB", 3)], ids=["one-graph", "both-graphs"])
+def test_validate_on_a_large_natural_rank_ends_quickly(rank, graphs, code):
+    # One prototype alone at that rank splits the family's rank (exit 2);
+    # both at it leave their top layers empty (exit 3, violations).
+    text = PROJECTS["alternating.ug"]
+    for name in graphs:
+        text = text.replace(f"graph {name} rank=3", f"graph {name} rank={rank}")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ranked.ug"
+        path.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            found = cli.main(["validate", str(path)])
+        assert time.perf_counter() - start < 0.5
+    assert found == code and "Traceback" not in err.getvalue()
+    if code == 3:
+        assert f"[layer-empty-top] rank-{rank} graph has no rank-{rank} nodes" in out.getvalue()
+    else:
+        assert err.getvalue().startswith("error:")

@@ -2,8 +2,12 @@
 
 import copy
 import pickle
+import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ultragraph import (
     OMEGA,
@@ -18,7 +22,8 @@ from ultragraph import (
     validate,
 )
 from ultragraph.errors import NotAnExtremity, RankTooHigh
-from ultragraph.graphs import parse_rank
+from ultragraph import graphs
+from ultragraph.graphs import ValidationReport, parse_rank
 
 from conftest import alternating_3graphs, ladder_1graph, loop_2graph, tower_omega_graph
 
@@ -439,3 +444,62 @@ def test_graded_omega_extremities_pair_tips_with_embraced_nodes():
     assert kinds == {"tip", "node"}
     tips = [e for e in exts if e.kind == "tip"]
     assert all(e.rank is OMEGA_ARROW for e in tips)
+
+
+# -- natural ranks ----------------------------------------------------------------------
+
+
+def random_natural_graph(rng):
+    """A natural-rank graph with tip and node layers stored at random levels,
+    some past its rank or below 1, owning declared and undeclared tips."""
+    rank = rng.randint(0, 6)
+    tips = {
+        r: [f"t{r}_{k}" for k in range(rng.randint(0, 3))]
+        for r in rng.sample(range(8), rng.randint(0, 5))
+    }
+    nodes = []
+    for r in rng.sample(range(9), rng.randint(0, 5)):
+        for k in range(rng.randint(1, 3)):
+            owned = [t for t in tips.get(r - 1, ()) if rng.random() < 0.6]
+            if rng.random() < 0.2:
+                owned.append(f"undeclared{r}")
+            nodes.append(StandardNode.make(f"x{r}_{k}", r, owned))
+    return StandardGraph(
+        "g", rank, nodes0=["a", "b"], branches={"b1": ("a", "b")}, tips=tips, nodes=nodes
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_validate_skips_only_levels_without_violations(seed):
+    g = random_natural_graph(random.Random(seed))
+    checked = []
+    check_layer = graphs._check_layer
+
+    def recording(graph, level, report):
+        checked.append(level)
+        check_layer(graph, level, report)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graphs, "_check_layer", recording)
+        report = validate(g)
+    assert checked == sorted(set(checked)) and all(1 <= level <= g.rank for level in checked)
+    for level in sorted(set(range(1, g.rank + 1)) - set(checked)):
+        skipped = ValidationReport(g.name)
+        check_layer(g, level, skipped)
+        assert skipped.violations == [], level
+    assert ("layer-empty-top" in codes(report)) == (g.rank >= 1 and not g.layer_nodes(g.rank))
+
+
+@pytest.mark.parametrize("rank", [10**8, 10**399], ids=["1e8", "400-digit"])
+def test_a_large_natural_rank_is_validated_from_its_stored_layers(rank):
+    g = StandardGraph(
+        "big", rank, nodes0=["a", "b"], branches={"b1": ("a", "b")},
+        tips={0: ["p"]}, nodes=[StandardNode.make("x", 1, ("p",))],
+    )
+    start = time.perf_counter()
+    report = validate(g)
+    assert time.perf_counter() - start < 0.5
+    assert [v.render() for v in report.violations] == [
+        f"[layer-empty-top] rank-{rank} graph has no rank-{rank} nodes"
+    ]

@@ -79,6 +79,19 @@ def test_an_unexpected_character_is_reported_at_its_line_and_column():
     assert str(err.value) == "line 2, col 21: unexpected character '$'"
 
 
+
+@pytest.mark.parametrize(
+    "statements, col",
+    [("pin in mod=2.5 : 1", 12), ("pin in mod=2 : 1e0", 16), ("residue mod=7.0 : 1", 13)],
+)
+def test_a_noninteger_is_reported_at_its_own_token(statements, col):
+    base = parse_project(MINIMAL).oracles["main"]
+    with pytest.raises(ProjectSyntaxError) as err:
+        amend_oracle_spec(base, statements)
+    assert (err.value.line, err.value.col) == (1, col)
+    assert str(err.value) == f"line 1, col {col}: expected an integer"
+
+
 # The character loop ``_tokenize`` replaced, kept as its reference.
 _REFERENCE_TOKEN_RE = re.compile(
     r"(?P<num>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
