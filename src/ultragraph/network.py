@@ -21,20 +21,22 @@ standard solutions, packaged as hyperreals:
   combination r*i - e so that Ohm's law holds as a class identity by
   construction, not merely within tolerance.
 
-Indices are solved in fixed-size blocks: per prototype graph, one stacked
-assembly, condition gate and solve covers a block of indices, with every
-float equal to what a single solve gives. The branch data of a range are
-read into one float64 table: a periodic datum once per cycle, each of its
-values converted once and repeated over the range by numpy; generated
-data and the assignment cell by cell, a periodic datum too when one of
-its values fails to convert, so every failure keeps its index and its
-exception. A solved range comes back as columns, one list of values over
+A range of indices is solved at once: the periodic route's whole joint
+window, and on the generated route blocks of ``_SOLVED_BLOCK`` indices,
+so a horizon of a few thousand is one block. Per prototype graph, one
+stacked assembly, condition gate and solve covers at most ``_BLOCK``
+indices, with every float equal to what a single solve gives. The branch
+data of a range are read into one float64 table: a periodic datum once
+per cycle, each of its values converted once and repeated over the range
+by numpy; generated data and the assignment cell by cell, a periodic
+datum too when one of its values fails to convert, so every failure keeps
+its index and its exception. A solved range comes back as columns, one list of values over
 the range per node and per branch, plus the failures of the indices that
 have no solution; the periodic route packages the columns as they are,
 and the generated route slices its cached blocks. ``solve_standard`` alone builds a ``StandardSolution``,
 from its single row. A failure still belongs to its index: it is raised,
 naming that index, only when that index is asked for, never because
-another index of its block failed.
+another index of its range failed.
 
 The condition gate rejects a nodal matrix whose 2-norm condition number
 exceeds ``_COND_LIMIT``. A well-conditioned nodal matrix passes without an
@@ -77,6 +79,8 @@ subject is kept, with its first index as witness. A NaN residual, which an
 infinite value also gives once normalized (inf/inf), is worse than any
 number: its law is VIOLATED at the first index where it occurs. numpy's
 floating-point warnings are silenced there, as Python floats raise none.
+The generated route checks the first ``check_upto`` indices up to and
+including its horizon, the last index it solves.
 """
 
 from __future__ import annotations
@@ -105,6 +109,9 @@ from .ultrapower import GraphFamily
 _COND_LIMIT = 1e12
 # Indices per stacked nodal solve: bounds the (block, m, m) stack in memory.
 _BLOCK = 256
+# Indices per block the generated route solves at once: one block holds a
+# horizon of a few thousand, so its data are read once per block.
+_SOLVED_BLOCK = 1 << 12
 _HORIZON = 1_000_000  # last index the generated route solves
 
 
@@ -610,7 +617,8 @@ def _solution_rule(solved_at, n_max: int, part: str, name: str):
     """The rule giving at n the value of ``name`` in the ``part`` columns
     of ``solved_at(n)``, the solved block holding n, or raising n's
     failure; with a ``fill`` (see ``sequences``) that slices the blocks'
-    columns up to the first failed index."""
+    columns up to the first failed index. A window up to a horizon of a
+    few thousand is one slice of one block."""
 
     def rule(n: int):
         block = solved_at(n)
@@ -636,6 +644,10 @@ def _solution_rule(solved_at, n_max: int, part: str, name: str):
 
 
 def _generated_operating_point(net, oracle, shared_nodes) -> OperatingPoint:
+    """Currents and potentials as generated sequences up to the shortest
+    horizon of the data and the assignment (at most ``_HORIZON``), solved
+    on demand in blocks of ``_SOLVED_BLOCK`` indices, each block once by
+    one ``_solve_at_indices`` call; voltages are ``r*i - e``."""
     n_max = min([_HORIZON] + [s.n_max for s in net.descriptors() if isinstance(s, GeneratedSeq)])
     blocks: dict[int, _Solved] = {}
 
@@ -643,9 +655,10 @@ def _generated_operating_point(net, oracle, shared_nodes) -> OperatingPoint:
         """The solved block holding index n: each block is solved once."""
         if n > n_max:  # past the horizon no block holds n: solve it alone
             return _solve_at_indices(net, range(n, n + 1))
-        start = n - n % _BLOCK
+        start = n - n % _SOLVED_BLOCK
         if start not in blocks:
-            blocks[start] = _solve_at_indices(net, range(start, min(start + _BLOCK, n_max + 1)))
+            stop = min(start + _SOLVED_BLOCK, n_max + 1)
+            blocks[start] = _solve_at_indices(net, range(start, stop))
         return blocks[start]
 
     ck = net.content_key()
@@ -839,7 +852,7 @@ def verify_laws(op: OperatingPoint, tol: float = 1e-9, check_upto: int = 64) -> 
         head, period = joint_window(net.descriptors() + results)
         indices = range(head + period)
     else:
-        indices = range(min(check_upto, int(op.horizon)))
+        indices = range(min(check_upto, int(op.horizon) + 1))
     protos = span(net.family.assignment, 0, len(indices))
     seqs = [seq for part in sources for seq in part]
     spans = {  # periodic columns never stop short

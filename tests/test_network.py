@@ -2,8 +2,11 @@
 
 import math
 import random
+import subprocess
+import sys
 import warnings
 from collections import Counter
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -27,10 +30,16 @@ from ultragraph import (
     verify_laws,
 )
 from ultragraph import network
-from ultragraph.cli import _advisory_class
+from ultragraph.cli import _advisory_class, main
 from ultragraph.errors import BeyondHorizon, EmptyNetwork, NumericalFailure, SolverFailure
 from ultragraph._periodic import joint_window
-from ultragraph.network import _BLOCK, _solve_at_indices, _solve_batch, _spanning_tree
+from ultragraph.network import (
+    _BLOCK,
+    _SOLVED_BLOCK,
+    _solve_at_indices,
+    _solve_batch,
+    _spanning_tree,
+)
 from ultragraph.sequences import (
     PeriodicSeq,
     generated,
@@ -1345,11 +1354,13 @@ def test_advisory_labels_solve_each_block_once_and_call_no_rule_per_index(monkey
 
     monkeypatch.setattr(network, "_solve_at_indices", counted_solve)
     monkeypatch.setattr(network, "_solution_rule", counted_rule)
-    op = operating_point(chain_network(named_generator("affine", (1, 1), 700)), FilterOracle())
+    horizon = _SOLVED_BLOCK + 700  # more than one block
+    op = operating_point(chain_network(named_generator("affine", (1, 1), horizon)), FilterOracle())
     labels = [*op.currents.values(), *op.voltages.values(), *op.potentials.values()]
     assert [_advisory_class(h).describe() for h in labels]
     assert rule_calls == []
-    assert solved == [range(0, _BLOCK), range(_BLOCK, 2 * _BLOCK), range(2 * _BLOCK, 701)]
+    assert len(solved) > 1
+    assert sorted(n for indices in solved for n in indices) == list(range(horizon + 1))
 
 
 def test_only_the_periodic_route_turns_voltages_into_columns(monkeypatch):
@@ -1362,7 +1373,8 @@ def test_only_the_periodic_route_turns_voltages_into_columns(monkeypatch):
         return found
 
     monkeypatch.setattr(network, "_solve_at_indices", keeping)
-    op = operating_point(chain_network(named_generator("affine", (1, 1), 700)), FilterOracle())
+    horizon = _SOLVED_BLOCK + 700  # more than one block
+    op = operating_point(chain_network(named_generator("affine", (1, 1), horizon)), FilterOracle())
     labels = [*op.currents.values(), *op.voltages.values(), *op.potentials.values()]
     assert [_advisory_class(h).describe() for h in labels]
     assert verify_laws(op, tol=1e-9).ok
@@ -1393,3 +1405,60 @@ def test_a_generated_assignment_is_solved_within_its_horizon():
     with pytest.raises(BeyondHorizon, match="n=101 beyond horizon 100"):
         value_at(op.currents["b1"].rep, 101)
     assert verify_laws(op).ok
+
+
+# -- one solve per generated block ----------------------------------------------------
+
+
+def test_the_generated_law_check_reaches_the_last_solved_index():
+    op = operating_point(divider_network(), FilterOracle())
+    assert op.horizon == 512
+    v = op.voltages["b1"].rep
+    op.voltages["b1"] = Hyperreal(
+        generated(lambda n: value_at(v, n) + (1.0 if n == 512 else 0.0), 512), op.oracle
+    )
+    report = verify_laws(op, check_upto=10**6)
+    ohm = {c.subject: c for c in report.checks if c.law == "Ohm"}["branch b1"]
+    assert (ohm.ok, ohm.witness) == (False, 512)
+    assert verify_laws(op, check_upto=512).ok  # n = 0 .. 511
+
+
+def test_one_block_reads_each_periodic_datum_once(tmp_path, monkeypatch, capsys):
+    root = Path(__file__).resolve().parent.parent
+    path = tmp_path / "generated-solve.ug"
+    subprocess.run(
+        [sys.executable, str(root / "ugbench" / "gen.py"), "generated-solve", "--seed", "1", "--out", str(path)],
+        check=True,
+        capture_output=True,
+    )
+    solving, solves, columns = [], [], []
+    solve_at_indices, periodic_column = network._solve_at_indices, network._periodic_column
+
+    def counted_solve(net, indices):
+        solves.append(net)
+        solving.append(net)
+        try:
+            return solve_at_indices(net, indices)
+        finally:
+            solving.pop()
+
+    def counted_column(seq, indices, convert):
+        if solving:  # the law check reads its own columns
+            columns.append((id(solving[-1]), id(seq), indices))
+        return periodic_column(seq, indices, convert)
+
+    monkeypatch.setattr(network, "_solve_at_indices", counted_solve)
+    monkeypatch.setattr(network, "_periodic_column", counted_column)
+    assert main(["solve", str(path)]) == 0
+    assert [net.name for net in solves] == ["drawn", "fault"]  # one block each
+    periodic_data = {
+        (id(net), id(seq))
+        for net in solves
+        for pair in net.data.values()
+        for seq in pair
+        if isinstance(seq, PeriodicSeq)
+    }
+    assert len(columns) == len(periodic_data) == 46
+    assert {(name, key) for name, key, _ in columns} == periodic_data
+    assert all(indices == range(2001) for _, _, indices in columns)
+    capsys.readouterr()
