@@ -44,6 +44,16 @@ line flag). '#' starts a comment. Grammar:
   REF  := (tip|node):ID
   RANK := N | omega | omega-arrow
 
+Text becomes tokens in one pass of one pattern over the whole text. Lines
+end at the line breaks of ``str.splitlines`` ('\\r\\n' is one), and a comment
+runs from '#' to the end of its line. Characters that ``str.isspace``
+accepts separate tokens and are otherwise skipped; any other character
+that starts no name, number or punctuation is an error, reported before
+any parse error. A line ends its statement when it holds a token other
+than ';', so blank lines, comment lines and lines of ';' alone end none.
+Tokens are plain strings and carry no position: the line and column of
+an error are found by scanning the text again, up to the failing token.
+
 Parsing produces a :class:`Project` of plain spec values plus fully built
 graphs; resolution into oracles, families, networks and query extremities
 happens on demand. ``serialize`` renders a canonical form (sorted blocks,
@@ -52,6 +62,7 @@ sorted statement bodies), and parsing that form yields an equal project.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -90,130 +101,166 @@ _DEFAULT_GEN_HORIZON = 100_000
 
 # -- tokens ---------------------------------------------------------------------------
 
+# The line breaks of ``str.splitlines``, each of them also ``str.isspace``.
+_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_BREAK = rf"(?:\r\n|[{_BREAKS}])"
+_COMMENT = rf"#[^{_BREAKS}]*"
 
-class _Token(NamedTuple):
-    kind: str  # "num" | "name" | "punct" | "nl"
-    text: str
-    line: int
-    col: int
-
-
-# One scanner for a whole line: every character starts a token, a run of
-# whitespace (``\s`` is ``str.isspace``) or an unexpected character.
+# One pattern for the whole text. Group 1 is a token: a name, a number, a
+# punctuation character (';' among them) or, last, any other character that
+# is neither ``str.isspace`` (``\s``) nor '#', which no token may start. The
+# end of a line, after any comment, matches outside the group, so ``findall``
+# gives it as '', and it takes with it every following line that holds only
+# spaces and a comment. Spaces match nothing and are skipped.
 _TOKEN_RE = re.compile(
-    r"(?P<num>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_\-]*)"
-    r"|(?P<punct>[{}\[\]=:,();])"
-    r"|(?P<space>\s+)"
-    r"|(?P<bad>.)"
+    r"([A-Za-z_][A-Za-z0-9_\-]*"
+    r"|-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
+    r"|[{}\[\]=:,();]"
+    r"|[^\s#])"
+    rf"|(?:{_COMMENT})?{_BREAK}(?:[^\S{_BREAKS}]*(?:{_COMMENT})?{_BREAK})*"
 )
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_ONE_CHAR_TOKENS = _NAME_START | frozenset("{}[]=:,();")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        produced = False
-        for m in _TOKEN_RE.finditer(line):
-            kind = m.lastgroup
-            if kind == "space":
-                continue
-            text_ = m.group()
-            if kind == "bad":
-                raise ProjectSyntaxError(
-                    f"unexpected character {text_!r}", lineno, m.start() + 1
-                )
-            if text_ == ";":
-                tokens.append(_Token("nl", ";", lineno, m.start() + 1))
-            else:
-                tokens.append(_Token(kind, text_, lineno, m.start() + 1))
-                produced = True
-        if produced:
-            tokens.append(_Token("nl", "\n", lineno, len(line) + 1))
+def _unexpected(tok: str) -> bool:
+    """Whether a token is a character that starts no name, number or
+    punctuation (a number's digits are those of ``str.isdecimal``)."""
+    return len(tok) == 1 and tok not in _ONE_CHAR_TOKENS and not tok.isdecimal()
+
+
+def _tokenize(text: str) -> list[str]:
+    """The tokens of the text as strings: each name, number and punctuation
+    character as written, and '' for the end of a line that holds a token
+    other than ';'. A statement ends at ';' or ''.
+
+    Raises ``ProjectSyntaxError`` at the first character that starts no
+    token. Positions are not kept: ``_position`` finds them again."""
+    tokens = _TOKEN_RE.findall(text + "\n")
+    if ";" in text or any(map(_unexpected, set(tokens))):
+        # A line that holds only ';' ends in no '', and an unexpected
+        # character is reported where it stands: the scan knows lines.
+        return [tok for tok, _line, _col in _scan(text)]
+    # Blank and comment lines went into the line end before them, so only a
+    # leading '' ends a line without a token.
+    if tokens and not tokens[0]:
+        del tokens[0]
     return tokens
 
 
+def _scan(text: str):
+    """Each token of ``_tokenize(text)`` with its line and column (the
+    column of a line's '' is that of its comment or line break)."""
+    line, start, tokens_on_line = 1, 0, False
+    for m in _TOKEN_RE.finditer(text + "\n"):
+        tok = m.group(1)
+        if tok is None:  # the end of a line, and of the blank lines after it
+            if tokens_on_line:
+                yield "", line, m.start() - start + 1
+            line += len(m.group().splitlines())
+            start, tokens_on_line = m.end(), False
+            continue
+        col = m.start() - start + 1
+        if _unexpected(tok):
+            raise ProjectSyntaxError(f"unexpected character {tok!r}", line, col)
+        yield tok, line, col
+        tokens_on_line = tokens_on_line or tok != ";"
+
+
+def _position(text: str, k: int) -> tuple[int, int]:
+    """(line, column) of token k of the text; of its last token for a k past
+    the end, and (1, 1) when it has none."""
+    line, col = 1, 1
+    for i, (_tok, line, col) in enumerate(_scan(text)):
+        if i == k:
+            break
+    return line, col
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    """Reads the tokens by index; ``None`` stands past the last one."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = [*_tokenize(text), None]
         self.k = 0
 
     def _here(self) -> tuple[int, int]:
-        if self.k < len(self.tokens):
-            tok = self.tokens[self.k]
-        elif self.tokens:
-            tok = self.tokens[-1]
-        else:
-            return 1, 1
-        return tok.line, tok.col
+        return _position(self.text, self.k)
 
     def fail(self, message: str):
         line, col = self._here()
         raise ProjectSyntaxError(message, line, col)
 
     def at_end(self) -> bool:
-        return self.k >= len(self.tokens)
+        return self.tokens[self.k] is None
 
-    def peek(self) -> _Token | None:
-        return self.tokens[self.k] if self.k < len(self.tokens) else None
+    def peek(self) -> str | None:
+        return self.tokens[self.k]
 
     def skip_nl(self) -> None:
-        while not self.at_end() and self.tokens[self.k].kind == "nl":
-            self.k += 1
+        tokens, k = self.tokens, self.k
+        while tokens[k] == "" or tokens[k] == ";":
+            k += 1
+        self.k = k
 
     def end_statement(self) -> None:
-        tok = self.peek()
-        if tok is None:
+        tok = self.tokens[self.k]
+        if tok is None or tok == "}":
             return
-        if tok.kind == "nl":
+        if tok == "" or tok == ";":
             self.skip_nl()
             return
-        if tok.kind == "punct" and tok.text == "}":
-            return
-        self.fail(f"unexpected {tok.text!r} at end of statement")
+        self.fail(f"unexpected {tok!r} at end of statement")
 
-    def at_name(self, word: str | None = None) -> bool:
-        tok = self.peek()
-        return (
-            tok is not None
-            and tok.kind == "name"
-            and (word is None or tok.text == word)
-        )
+    def at_name(self, word: str) -> bool:
+        return self.tokens[self.k] == word
 
     def at_punct(self, ch: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "punct" and tok.text == ch
+        return self.tokens[self.k] == ch
 
     def take_name(self, word: str | None = None) -> str:
-        tok = self.peek()
-        if tok is None or tok.kind != "name" or (word is not None and tok.text != word):
-            self.fail(f"expected {word or 'a name'}")
+        tok = self.tokens[self.k]
+        if word is None:
+            if tok is None or tok[:1] not in _NAME_START:
+                self.fail("expected a name")
+        elif tok != word:
+            self.fail(f"expected {word}")
         self.k += 1
-        return tok.text
+        return tok
+
+    def take_names(self) -> list[str]:
+        """The names from here to the first token that is not a name."""
+        tokens, start = self.tokens, self.k
+        k = start
+        while tokens[k] is not None and tokens[k][:1] in _NAME_START:
+            k += 1
+        self.k = k
+        return tokens[start:k]
 
     def take_punct(self, ch: str) -> None:
-        tok = self.peek()
-        if tok is None or tok.kind != "punct" or tok.text != ch:
+        if self.tokens[self.k] != ch:
             self.fail(f"expected {ch!r}")
         self.k += 1
 
     def take_number(self):
-        tok = self.peek()
-        if tok is None or tok.kind != "num":
+        tok = self.tokens[self.k]
+        if tok is None or not (tok[:1] == "-" or tok[:1].isdecimal()):
             self.fail("expected a number")
         self.k += 1
         try:
-            return float(tok.text) if re.search(r"[.eE]", tok.text) else int(tok.text)
+            return float(tok) if "." in tok or "e" in tok or "E" in tok else int(tok)
         except ValueError:  # past the interpreter's limit on digits per conversion
             raise ProjectSyntaxError(
-                f"integer literal of {len(tok.text)} characters is too long", tok.line, tok.col
+                f"integer literal of {len(tok)} characters is too long",
+                *_position(self.text, self.k - 1),
             ) from None
 
     def take_int(self) -> int:
-        tok = self.peek()
+        k = self.k
         value = self.take_number()
         if not isinstance(value, int):  # reported at the number, which is already taken
-            raise ProjectSyntaxError("expected an integer", tok.line, tok.col)
+            raise ProjectSyntaxError("expected an integer", *_position(self.text, k))
         return value
 
 
@@ -226,6 +273,15 @@ def _render_pre_cycle(pre: tuple, cycle: tuple, fmt) -> str:
     if pre:
         return "pre=[%s] %s" % (", ".join(map(fmt, pre)), cyc)
     return cyc
+
+
+def _fmt_literal(value) -> str:
+    """``_fmt`` of a parsed number, except that an infinite float (read from
+    a literal past the float range, such as 1e400) is written as a literal
+    that reads back as it."""
+    if isinstance(value, float) and math.isinf(value):
+        return "-1e999" if value < 0 else "1e999"
+    return _fmt(value)
 
 
 class SetSpec(NamedTuple):
@@ -282,9 +338,9 @@ class SeqSpec(NamedTuple):
 
     def render(self) -> str:
         if self.kind == "ep":
-            return _render_pre_cycle(self.pre, self.cycle, _fmt)
+            return _render_pre_cycle(self.pre, self.cycle, _fmt_literal)
         name, *args = self.gen
-        head = name if not args else "%s(%s)" % (name, ", ".join(_fmt(a) for a in args))
+        head = name if not args else "%s(%s)" % (name, ", ".join(map(_fmt_literal, args)))
         return f"gen={head} nmax={self.nmax}"
 
 
@@ -445,7 +501,7 @@ def _resolve_ref(ref, graph: StandardGraph, level, qname: str) -> Extremity:
 
 
 def parse_project(text: str) -> Project:
-    p = _Parser(_tokenize(text))
+    p = _Parser(text)
     project = Project()
     p.skip_nl()
     while not p.at_end():
@@ -513,7 +569,7 @@ def _parse_oracle_stmt(p: _Parser, residues: list, pins: list) -> None:
 
 def amend_oracle_spec(base: OracleSpec, statements: str) -> OracleSpec:
     """Apply ';'-separated oracle statements on top of an existing spec."""
-    p = _Parser(_tokenize(statements))
+    p = _Parser(statements)
     residues = list(base.residues)
     pins = list(base.pins)
     p.skip_nl()
@@ -569,10 +625,11 @@ def _parse_list(p: _Parser, take_item, brackets: str = "[]") -> list:
     opening, closing = brackets
     p.take_punct(opening)
     items: list = []
-    while not p.at_punct(closing):
+    tokens = p.tokens
+    while tokens[p.k] != closing:
         items.append(take_item(p))
-        if p.at_punct(","):
-            p.take_punct(",")
+        if tokens[p.k] == ",":
+            p.k += 1
     p.take_punct(closing)
     return items
 
@@ -648,8 +705,7 @@ def _parse_graph_block(p: _Parser, project: Project) -> None:
     while not p.at_punct("}"):
         keyword = p.take_name()
         if keyword == "nodes0":
-            while p.at_name():
-                nodes0.append(p.take_name())
+            nodes0 += p.take_names()
         elif keyword == "branch":
             bid = p.take_name()
             u = p.take_name()
@@ -662,14 +718,12 @@ def _parse_graph_block(p: _Parser, project: Project) -> None:
             rank_at = p.take_int()
             p.take_punct("=")
             pool = tips.setdefault(rank_at, set())
-            while p.at_name():
-                pool.add(p.take_name())
+            pool.update(p.take_names())
         elif keyword == "node":
             nodes.append(_parse_node_stmt(p, None))
         elif keyword == "omega-tips":
             omega_tips = omega_tips or []
-            while p.at_name():
-                omega_tips.append(p.take_name())
+            omega_tips += p.take_names()
         elif keyword == "omega-node":
             omega_nodes.append(_parse_node_stmt(p, OMEGA))
         else:
@@ -697,9 +751,9 @@ def _parse_graph_block(p: _Parser, project: Project) -> None:
 
 def _take_rank(p: _Parser):
     tok = p.peek()
-    if tok is not None and tok.kind == "name" and tok.text in ("omega", "omega-arrow"):
+    if tok in ("omega", "omega-arrow"):
         p.k += 1
-        return parse_rank(tok.text)
+        return parse_rank(tok)
     return p.take_int()
 
 
@@ -729,8 +783,7 @@ def _parse_family_block(p: _Parser, project: Project) -> None:
     while not p.at_punct("}"):
         keyword = p.take_name()
         if keyword == "prototypes":
-            while p.at_name():
-                prototypes.append(p.take_name())
+            prototypes += p.take_names()
         elif keyword == "assignment":
             assignment = _parse_seq(p)
         else:

@@ -293,12 +293,23 @@ def _check_monotone(vals):
     up = all(map(le, vals, nxt))
     down = all(map(ge, vals, nxt))
     if not (up or down):
-        rises = next(compress(count(), map(lt, vals, nxt)))
-        falls = next(compress(count(), map(gt, vals, nxt)))
+        rises = next(compress(count(), map(lt, vals, nxt)), None)
+        falls = next(compress(count(), map(gt, vals, nxt)), None)
+        if rises is None or falls is None:
+            # A step that neither rises, falls nor stays (a NaN) breaks both.
+            n = next(compress(count(1), map(_unordered, vals, nxt)))
+            raise TraitViolated(
+                f"monotone declared but the values at n={n - 1} and n={n} are unordered",
+                witness=n,
+            )
         n = max(min(rises, falls), 1)
         raise TraitViolated(
             f"monotone declared but values change direction near n={n}", witness=n
         )
+
+
+def _unordered(a, b) -> bool:
+    return not (a <= b or a >= b)
 
 
 def _check_unbounded(vals):

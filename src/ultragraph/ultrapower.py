@@ -218,28 +218,55 @@ def ns_extremity(family: GraphFamily, level, rep, label: str | None = None) -> N
     return NsExtremity(family, level, rep, owner_rep, kind_tip_set, rank_rep, label)
 
 
-def constant_extremity(family: GraphFamily, level, e: Extremity) -> NsExtremity:
-    """The constant sequence e, e, ... as a nonstandard extremity.
+def constant_extremities(family: GraphFamily, level, extremities) -> list[NsExtremity]:
+    """The constant sequences e, e, ... of the given extremities as
+    nonstandard extremities, in order.
 
-    Its owner at n depends only on the prototype G_n. Under a periodic
-    assignment the owner sequence is therefore the assignment mapped
-    through a table of owners, one per prototype that occurs, asked in
-    the order ``ns_extremity`` would first ask them; the descriptors equal
-    those ``ns_extremity`` derives. Other assignments go through it.
+    Under a periodic assignment, the owner of a constant e at n depends only
+    on the prototype G_n: its owner sequence is the assignment mapped
+    through e's row of an owner table, one owner per prototype that occurs,
+    asked in the order ``ns_extremity`` would first ask them (so a stray
+    extremity raises what it raises there). The canonical form of that
+    sequence depends only on which owners in the row are equal, its owner
+    pattern, so each distinct pattern is canonicalized once per call and
+    its form read through each row. The representative and rank are
+    constants, already minimal, and the kind set is one of two shared sets.
+    The descriptors equal those ``ns_extremity`` derives; other assignments
+    go through it.
     """
-    label = e.describe()
-    rep = PeriodicSeq.make((), (e,))
     assignment = family.assignment
-    if not isinstance(e, Extremity) or not isinstance(assignment, PeriodicSeq):
-        return ns_extremity(family, level, rep, label=label)
-    owners = dict.fromkeys((*assignment.pre, *assignment.cycle))
-    for k in owners:
-        owners[k] = family.prototypes[k].owner_of(e, level)
-    owner_rep = PeriodicSeq.make(
-        map(owners.__getitem__, assignment.pre), map(owners.__getitem__, assignment.cycle)
-    )
-    kind_tip_set = IndexSet.naturals() if e.kind == "tip" else IndexSet.empty()
-    return NsExtremity(family, level, rep, owner_rep, kind_tip_set, constant(e.rank), label)
+    if not isinstance(assignment, PeriodicSeq):
+        return [ns_extremity(family, level, constant(e), label=e.describe()) for e in extremities]
+    column = {k: j for j, k in enumerate(dict.fromkeys((*assignment.pre, *assignment.cycle)))}
+    graphs = [family.prototypes[k] for k in column]
+    pre, cycle = tuple(map(column.get, assignment.pre)), tuple(map(column.get, assignment.cycle))
+    tips, nodes = IndexSet.naturals(), IndexSet.empty()
+    forms: dict[tuple, PeriodicSeq] = {}  # owner pattern -> canonical form, in columns
+    out = []
+    for e in extremities:
+        label = e.describe()
+        if not isinstance(e, Extremity):
+            raise NotAnExtremity(f"{e!r} is not an extremity")
+        row = tuple(g.owner_of(e, level) for g in graphs)
+        pattern = tuple(map(row.index, row))  # each owner's first column
+        form = forms.get(pattern)
+        if form is None:
+            form = forms[pattern] = PeriodicSeq.make(
+                map(pattern.__getitem__, pre), map(pattern.__getitem__, cycle)
+            )
+        owner_rep = PeriodicSeq(
+            tuple(map(row.__getitem__, form.pre)), tuple(map(row.__getitem__, form.cycle))
+        )
+        kind_tip_set = tips if e.kind == "tip" else nodes
+        rep, rank_rep = PeriodicSeq((), (e,)), PeriodicSeq((), (e.rank,))
+        out.append(NsExtremity(family, level, rep, owner_rep, kind_tip_set, rank_rep, label))
+    return out
+
+
+def constant_extremity(family: GraphFamily, level, e: Extremity) -> NsExtremity:
+    """The constant sequence e, e, ... as a nonstandard extremity: the
+    one-extremity case of ``constant_extremities``."""
+    return constant_extremities(family, level, [e])[0]
 
 
 def omega_exceptional_query(family: GraphFamily, n_max: int = 100_000) -> NsExtremity:
@@ -669,8 +696,7 @@ def build_ns_graph(
             )
         else:
             pool.extend(
-                constant_extremity(family, level, e)
-                for e in family.shared_extremities(level)
+                constant_extremities(family, level, family.shared_extremities(level))
             )
         pool.extend(queries.get(level, ()))
         if not pool:

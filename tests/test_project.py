@@ -5,17 +5,26 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ultragraph import FilterOracle, Membership, IndexSet, OMEGA
 from ultragraph.errors import (
     DuplicateId,
+    ProjectError,
     ProjectSyntaxError,
     Undecidable,
     UnresolvedReference,
 )
-from ultragraph.project import _TOKEN_RE, _tokenize, amend_oracle_spec, parse_project, serialize
+from ultragraph.project import (
+    OracleSpec,
+    _TOKEN_RE,
+    _position,
+    _tokenize,
+    amend_oracle_spec,
+    parse_project,
+    serialize,
+)
 from ultragraph.sequences import PeriodicSeq, value_at
 
 MINIMAL = """
@@ -135,6 +144,23 @@ def tokens_or_error(tokenize, text):
         return str(exc), exc.line, exc.col
 
 
+def token_kind(tok):
+    if tok in ("", ";"):
+        return "nl"
+    if tok[0].isalpha() or tok[0] == "_":
+        return "name"
+    return "punct" if tok in "{}[]=:,()" else "num"
+
+
+def scanned_tokens(text):
+    """``_tokenize``'s strings as the reference's tokens, each at the
+    position ``_position`` finds for it."""
+    return [
+        (token_kind(tok), tok or "\n", *_position(text, k))
+        for k, tok in enumerate(_tokenize(text))
+    ]
+
+
 project_text = st.lists(
     st.one_of(
         st.sampled_from(["oracle", "x_1", "tip-a", "_", "E5", "-3", "2.5", "1e-3", "7E+2", "4.", "-"]),
@@ -146,14 +172,38 @@ project_text = st.lists(
 ).map("".join)
 
 
+def assert_scans_as_the_character_loop(text):
+    expected = tokens_or_error(reference_tokenize, text)
+    assert tokens_or_error(scanned_tokens, text) == expected
+    if isinstance(expected, list):
+        # Past the end, positions are the last token's.
+        assert _position(text, len(expected)) == (expected[-1][2:] if expected else (1, 1))
+
+
 @given(project_text)
 def test_the_scanner_tokenizes_as_the_character_loop(text):
-    assert tokens_or_error(_tokenize, text) == tokens_or_error(reference_tokenize, text)
+    assert_scans_as_the_character_loop(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["a # c\n\n  \n# d\n", "a\n;\n\n", "a ;\n ; ;\n# x;y", "\n\n  \t\n", "a\r", "a\r\n\r\n", "x = 1", "# only"],
+)
+def test_the_scanner_ends_where_the_character_loop_ends(text):
+    assert_scans_as_the_character_loop(text)
 
 
 def test_the_scanner_skips_exactly_what_isspace_skips():
+    # A line break ends a line (''), '#' starts a comment that needs one, and
+    # any other character is a token of its own unless ``str.isspace`` holds.
     for ch in map(chr, range(sys.maxunicode + 1)):
-        assert (_TOKEN_RE.match(ch).lastgroup == "space") == ch.isspace(), repr(ch)
+        if len(f"a{ch}b".splitlines()) == 2:
+            expected = [""]
+        elif ch.isspace() or ch == "#":
+            expected = []
+        else:
+            expected = [ch]
+        assert _TOKEN_RE.findall(ch) == expected, repr(ch)
 
 
 def test_unknown_block_kind_is_a_syntax_error():
@@ -190,6 +240,79 @@ def test_serialize_is_a_fixed_point_on_every_shipped_project(path):
     assert serialize(again) == text
     assert again.graphs == original.graphs
     assert again == original
+
+
+# -- parse fuzz -----------------------------------------------------------------------
+
+FUZZ_SOURCES = sorted(ROOT.glob("projects/*.ug")) + sorted(ROOT.glob("tests/data/*.ug"))
+# Each source cut into words, runs of spaces and single other characters.
+FUZZ_PIECES = [
+    tuple(re.findall(r"[A-Za-z0-9_.\-]+|\s+|.", path.read_text())) for path in FUZZ_SOURCES
+]
+SOUP = (
+    "oracle graph family network query on residue pin in out finite cofinite mod pre "
+    "cycle gen nmax identity const affine rank scheme tower width omega omega-arrow "
+    "graded nodes0 branch tips node omega-tips omega-node exceptional prototypes "
+    "assignment r e level extremity tip x b1 omega-tip omega-exceptional"
+).split() + [
+    *"{}[]=:,();#$-.",
+    "0", "1", "2", "-3", "2.5", "1e-3", "7E+2", "\u0663", "1e400", "-1e400",
+    "123456789012345678901234567890", "-123456789012345678901234567890",
+    " ", "  ", "\t", "\n", "\r\n", "\r", "\x0c", "\u2028", "# note\n",
+]
+soup_token = st.sampled_from(SOUP)
+
+
+@st.composite
+def mutated_sources(draw):
+    """A shipped project with one to three pieces replaced, deleted,
+    duplicated, or preceded by a soup token."""
+    pieces = list(draw(st.sampled_from(FUZZ_PIECES)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(pieces) - 1))
+        how = draw(st.sampled_from(["replace", "delete", "duplicate", "insert"]))
+        if how == "replace":
+            pieces[i] = draw(soup_token)
+        elif how == "delete":
+            del pieces[i]
+        elif how == "duplicate":
+            pieces.insert(i, pieces[i])
+        else:
+            pieces.insert(i, draw(soup_token))
+    return "".join(pieces)
+
+
+fuzz_texts = st.one_of(mutated_sources(), st.lists(soup_token, max_size=40).map("".join))
+
+
+def assert_located(exc: ProjectError) -> None:
+    assert exc.line >= 1 and exc.col >= 1, exc
+
+
+@settings(max_examples=300, deadline=None)
+@given(fuzz_texts)
+def test_any_text_parses_to_a_fixed_point_or_a_located_error(text):
+    try:
+        project = parse_project(text)
+    except ProjectError as exc:
+        assert_located(exc)
+    else:
+        canon = serialize(project)
+        again = parse_project(canon)
+        assert serialize(again) == canon
+        assert again == project
+    try:
+        amend_oracle_spec(OracleSpec("main"), text)
+    except ProjectError as exc:
+        assert_located(exc)
+
+
+@pytest.mark.parametrize("value", ["1e400", "-1e400"])
+def test_a_number_past_the_float_range_serializes_to_a_fixed_point(value):
+    proj = parse_project(MINIMAL.replace("cycle=[2.0]", f"cycle=[{value}]"))
+    text = serialize(proj)
+    again = parse_project(text)
+    assert serialize(again) == text and again == proj
 
 
 def test_serialized_form_is_canonically_sorted():

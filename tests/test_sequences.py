@@ -155,6 +155,18 @@ def test_trait_check_catches_direction_change():
         trait_check(s)
 
 
+@pytest.mark.parametrize(
+    "vals, witness",
+    [([1.0, math.nan, 2.0], 1), ([3.0, 2.0, math.nan], 2), ([0.0, 0.0, 1.0, math.nan, 1.0], 3)],
+)
+def test_a_nan_in_a_monotone_window_is_a_violation(vals, witness):
+    s = generated(vals.__getitem__, len(vals) - 1, traits={MONOTONE})
+    with pytest.raises(TraitViolated) as err:
+        trait_check(s)
+    assert err.value.witness == witness
+    assert f"values at n={witness - 1} and n={witness} are unordered" in str(err.value)
+
+
 def test_trait_check_limit_deviations_must_shrink():
     good = generated(lambda n: 1 / (n + 1), 200, traits=(MONOTONE,), limit=0.0)
     assert trait_check(good).ok
@@ -400,9 +412,18 @@ def reference_check_monotone(vals):
     up = all(vals[i] <= vals[i + 1] for i in range(len(vals) - 1))
     down = all(vals[i] >= vals[i + 1] for i in range(len(vals) - 1))
     if not (up or down):
-        rises = next(i for i in range(len(vals) - 1) if vals[i] < vals[i + 1])
-        falls = next(i for i in range(len(vals) - 1) if vals[i] > vals[i + 1])
-        n = max(min(rises, falls), 1)
+        steps = range(len(vals) - 1)
+        rises = [i for i in steps if vals[i] < vals[i + 1]]
+        falls = [i for i in steps if vals[i] > vals[i + 1]]
+        if not rises or not falls:
+            n = next(
+                i + 1 for i in steps if not (vals[i] <= vals[i + 1] or vals[i] >= vals[i + 1])
+            )
+            raise TraitViolated(
+                f"monotone declared but the values at n={n - 1} and n={n} are unordered",
+                witness=n,
+            )
+        n = max(min(rises[0], falls[0]), 1)
         raise TraitViolated(
             f"monotone declared but values change direction near n={n}", witness=n
         )

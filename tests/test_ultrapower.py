@@ -3,6 +3,8 @@
 import gc
 import itertools
 import re
+import subprocess
+import sys
 import time
 from collections import Counter
 from pathlib import Path
@@ -45,7 +47,7 @@ from ultragraph.errors import (
     Undecidable,
 )
 from ultragraph.sequences import PeriodicSeq, agreement_set, generated, horizon, value_at
-from ultragraph.ultrapower import _audit_pointwise, _select_value
+from ultragraph.ultrapower import _audit_pointwise, _select_value, constant_extremities
 
 from conftest import (
     alternating_3graphs,
@@ -650,12 +652,54 @@ def test_constant_extremities_equal_the_derived_ones(family):
     for level in levels:
         shared = family.shared_extremities(level)
         assert shared
+
+        def derived(batch):
+            return [
+                descriptors(ns_extremity(family, level, periodic((), (e,)), e.describe()))
+                for e in batch
+            ]
+
         stray = [Extremity("tip", "nowhere", level - 1), Extremity("node", "x1", level)]
         for e in [*shared, *stray]:
             got = outcome(lambda: descriptors(constant_extremity(family, level, e)))
-            assert got == outcome(
-                lambda: descriptors(ns_extremity(family, level, periodic((), (e,)), e.describe()))
-            )
+            assert got == outcome(lambda: derived([e])[0])
+        # One call per level, as ``build_ns_graph`` makes it; a stray
+        # extremity in the middle of the batch raises what the one-by-one
+        # loop raises.
+        half = len(shared) // 2
+        for batch in [shared, *([*shared[:half], e, *shared[half:]] for e in stray)]:
+            got = outcome(lambda: list(map(descriptors, constant_extremities(family, level, batch))))
+            assert got == outcome(lambda: derived(batch))
+
+
+def test_one_canonical_form_per_owner_pattern_and_level(tmp_path, monkeypatch):
+    root = Path(__file__).resolve().parent.parent
+    path = tmp_path / "wide-build.ug"
+    subprocess.run(
+        [sys.executable, str(root / "ugbench" / "gen.py"), "wide-build", "--seed", "1", "--out", str(path)],
+        check=True,
+        capture_output=True,
+    )
+    project = parse_project(path.read_text())
+    family = project.family("wide")
+    assignment = family.assignment
+    occurring = [family.prototypes[k] for k in dict.fromkeys((*assignment.pre, *assignment.cycle))]
+    patterns = set()
+    for e in family.shared_extremities(1):
+        row = [g.owner_of(e, 1) for g in occurring]
+        patterns.add(tuple(row.index(owner) for owner in row))
+    assert 1 < len(patterns) < len(family.shared_extremities(1))
+    made = []
+    make = PeriodicSeq.make
+
+    def counted(pre, cycle):
+        made.append(1)
+        return make(pre, cycle)
+
+    monkeypatch.setattr(PeriodicSeq, "make", staticmethod(counted))
+    graph = build_ns_graph(family, project.oracle(), mu_max=1)
+    assert len(made) == len(patterns)
+    assert sum(len(node.members) for node in graph.layer(1).nodes) == 240
 
 
 def edge_universe(case):
