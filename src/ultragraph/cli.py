@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from functools import cache
 from pathlib import Path
 
 from .errors import (
@@ -149,10 +150,17 @@ def build_arg_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call, built by the first one: a parse,
+    even one it refuses, leaves it as it was."""
+    return build_arg_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_arg_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except _Rejected as exc:
         parser, message = exc.args
         parser.print_usage(sys.stderr)

@@ -282,11 +282,19 @@ class StandardGraph:
         return sorted(out, key=Extremity.sort_key)
 
     def owner_of(self, e: Extremity, level) -> str:
-        """The ident of the level-node containing the extremity."""
-        self._check_level(level)
-        if level == OMEGA and self.graded_omega:
-            return self._graded_omega_owner(e)
-        tips, exceptional = self._owner_index(level)
+        """The ident of the level-node containing the extremity.
+
+        A level is checked once, when its owner index is built. Only an
+        ``int`` or a ``Transfinite`` level looks the index up, so a level
+        such as ``1.0``, which hashes like ``1``, is still checked and
+        refused."""
+        index = self._owner_cache.get(level) if type(level) in (int, Transfinite) else None
+        if index is None:
+            self._check_level(level)
+            if level == OMEGA and self.graded_omega:
+                return self._graded_omega_owner(e)
+            index = self._owner_cache[level] = self._build_owner_index(level)
+        tips, exceptional = index
         if e.kind == "tip":
             owner = tips.get(e.ident)
             if owner is None:
@@ -316,16 +324,10 @@ class StandardGraph:
             f"{e.describe()} is not an omega extremity of graph {self.name}"
         )
 
-    def _owner_index(self, level) -> tuple[dict[str, str], dict[str, str]]:
+    def _build_owner_index(self, level) -> tuple[dict[str, str], dict[str, str]]:
         """(declared tip -> owner, exceptional element -> owner) at a level
         with a stored or scheme layer; built once per level, since graphs do
         not change after construction."""
-        index = self._owner_cache.get(level)
-        if index is None:
-            index = self._owner_cache[level] = self._build_owner_index(level)
-        return index
-
-    def _build_owner_index(self, level) -> tuple[dict[str, str], dict[str, str]]:
         declared = self.layer_tips(tip_rank(level))
         tips: dict[str, str] = {}
         exceptional: dict[str, str] = {}

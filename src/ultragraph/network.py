@@ -40,20 +40,37 @@ another index of its range failed.
 
 The condition gate rejects a nodal matrix whose 2-norm condition number
 exceeds ``_COND_LIMIT``. A well-conditioned nodal matrix passes without an
-SVD, by a certificate. A finite, exactly symmetric matrix A with no
-positive off-diagonal entry (a Z-matrix) is a nonsingular M-matrix once
-some x > 0 has Ax > 0 (Berman & Plemmons, *Nonnegative Matrices in the
-Mathematical Sciences*). Then A^-1 >= 0 entrywise, so |A^-1|_inf <=
-|x|_inf / min(Ax), and for symmetric A the 2-norm condition is at most the
-inf-norm one. The certificate takes x = solve(A, 1), a call apart from the
-main solve, and asks for x finite and positive, fl(Ax) >= 1/2 in every
-entry, and m eps |A|_inf |x|_inf <= 1/4: the rounding of fl(Ax) is then
-below 1/4 (Higham, *Accuracy and Stability of Numerical Algorithms*), so
-min(Ax) >= 1/4. With 4 |A|_inf |x|_inf <= _COND_LIMIT / 100 the condition
-is at most 1e10, 100 times below the limit: a margin far wider than the
-rounding of the SVD estimate, which would pass the gate as well. Every
-other matrix, and the whole stack when the certificate's stacked solve
-raises ``LinAlgError``, is judged by ``np.linalg.cond`` as before, so
+SVD, by a certificate that reads only its conductances. Let L be the
+graph's nodal matrix with unit conductances, built once per batch: its
+entries are small integers, exact in floats. Let g = 1/r be the
+conductances as assembled, d the number of branches and m that of
+unknowns, and rho = g_max/g_min over the branches that touch an unknown.
+The exact nodal matrix A sums g times each branch's part of L, and every
+part is positive semidefinite, so g_min L <= A <= g_max L and cond(A) <=
+rho cond(L). Assembly adds at most 4d terms of size at most g_max into
+each entry, from 0 (a self-loop adds four to its diagonal entry, any other
+branch at most one), so the assembled matrix is A + E with |E_ij| <=
+gamma_4d 4d g_max and |E|_2 <= m gamma_4d 4d g_max (Higham, *Accuracy and
+Stability of Numerical Algorithms*, on summation). Self-loops and parallel
+branches are counted, and a huge self-loop conductance only raises rho.
+When |E|_2 <= g_min lambda_min(L)/2, Weyl's inequality gives cond(A + E)
+<= 2 rho cond(L) + 1. The extreme eigenvalues of L are bounded without an
+eigensolver. lambda_max(L) <= |L|_inf. L has no positive off-diagonal
+entry, so it is a nonsingular M-matrix once some x > 0 has Lx > 0 (Berman
+& Plemmons, *Nonnegative Matrices in the Mathematical Sciences*); then
+L^-1 >= 0, so Lx >= c gives L^-1 1 <= x/c, and as L is symmetric,
+lambda_min(L) = 1/|L^-1|_2 >= 1/|L^-1|_inf >= c/|x|_inf. The batch takes x
+= solve(L, 1), one m-by-m solve with the LAPACK routine the stacked solve
+runs anyway (an eigensolver would load more library code and raise the
+peak RSS by about 0.7 MB), and c = min fl(Lx) - gamma_m+1 |L|_inf |x|_inf,
+which bounds the rounding of fl(Lx). A matrix is certified when rho is
+finite and at most the largest ratio that meets that bound on E and keeps
+2 rho cond(L) + 1 <= _COND_LIMIT / 100, and 4d g_max is at most half the
+largest float, so no sum overflows. Its condition is then at most 1e10,
+100 times below the limit: a margin far wider than the rounding of these
+few scalar bounds or of the SVD estimate, which would pass the gate as
+well. Every other matrix, a singular one included, goes to
+``np.linalg.cond`` as before, and no certified matrix goes with it, so
 every decision and every ``NumericalFailure`` is the one the SVD alone
 gives.
 
@@ -81,6 +98,15 @@ number: its law is VIOLATED at the first index where it occurs. numpy's
 floating-point warnings are silenced there, as Python floats raise none.
 The generated route checks the first ``check_upto`` indices up to and
 including its horizon, the last index it solves.
+
+Each Ohm check also carries its verdict as classes: whether the voltage
+equals ``r*i - e`` modulo the oracle. On the periodic route it is decided
+from the law columns: the agreement set is the naturals when v == r*i - e
+holds at every index of the joint window, and otherwise the eventually
+periodic set of those bits, which is the set ``agreement_set`` gives for
+the two descriptors, as index sets are canonical. The generated route
+combines the hyperreals and decides by key equality, reading no values.
+Both decide as ``hyperreal equality``, in the order of the law subjects.
 """
 
 from __future__ import annotations
@@ -93,7 +119,8 @@ from ._periodic import joint_window
 from .errors import EmptyNetwork, InvariantBreach, NumericalFailure, SolverFailure, Undecidable
 from .graphs import StandardGraph
 from .hyperreal import Hyperreal, hr_eq
-from .oracle import FilterOracle
+from .indexsets import IndexSet
+from .oracle import FilterOracle, Membership
 from .sequences import (
     GeneratedSeq,
     PeriodicSeq,
@@ -218,34 +245,42 @@ def _as_float(value) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-def _certified(matrices: np.ndarray) -> np.ndarray:
-    """Per matrix of the stack, whether the certificate of the module
-    docstring proves its condition number at most _COND_LIMIT / 100. All
-    False when the stacked solve for x raises."""
+def _ratio_limits(graph: StandardGraph, bids: list, pos: dict) -> tuple[float, float]:
+    """(largest certified conductance ratio, largest certified conductance)
+    for nodal matrices of ``graph`` with unknowns ``pos``: the bounds of the
+    module docstring's certificate, from the unit-conductance matrix L."""
     import numpy as np
 
-    count, m, _ = matrices.shape
-    ok = np.isfinite(matrices).all(axis=(1, 2))
-    ok &= (matrices == matrices.transpose(0, 2, 1)).all(axis=(1, 2))
-    ok &= (matrices[:, ~np.eye(m, dtype=bool)] <= 0).all(axis=1)
-    picked = np.flatnonzero(ok)
-    if not len(picked):
-        return ok
-    a = matrices if len(picked) == count else matrices[picked]
-    try:
-        x = np.linalg.solve(a, np.ones((len(picked), m, 1)))[..., 0]
-    except np.linalg.LinAlgError:  # some matrix is exactly singular: let the SVD judge
-        return np.zeros(count, dtype=bool)
+    m, terms = len(pos), 4 * len(bids)
+    unit = np.zeros((m, m))
+    for u, v in graph.branches.values():
+        for w, other in ((u, v), (v, u)):
+            if w in pos:
+                unit[pos[w], pos[w]] += 1.0
+                if other in pos:
+                    unit[pos[w], pos[other]] -= 1.0
+    eps = np.finfo(float).eps
+
+    def gamma(n: int) -> float:
+        return n * eps / 2 / (1 - n * eps / 2)
+
+    high = np.abs(unit).sum(axis=1).max()
+    x = np.linalg.solve(unit, np.ones(m))
     with np.errstate(all="ignore"):
-        size = np.abs(a).sum(axis=2).max(axis=1) * x.max(axis=1)
-        ok[picked] = (
-            np.isfinite(x).all(axis=1)
-            & (x > 0).all(axis=1)
-            & ((a @ x[..., None])[..., 0] >= 0.5).all(axis=1)
-            & (4 * size <= _COND_LIMIT / 100)
-            & (m * np.finfo(float).eps * size <= 0.25)
-        )
-    return ok
+        low = ((unit * x).sum(axis=1).min() - gamma(m + 1) * high * x.max()) / x.max()
+    if not ((x > 0).all() and low > 0):
+        return 0.0, 0.0
+    ratio = min((_COND_LIMIT / 100 - 1) / (2 * high / low), low / (2 * m * gamma(terms) * terms))
+    return ratio, np.finfo(float).max / (2 * terms)
+
+
+def _certified(g: np.ndarray, limits: tuple[float, float]) -> np.ndarray:
+    """Per row of conductances ``g`` (one column per branch that touches an
+    unknown), whether the certificate of the module docstring places that
+    index's nodal matrix below _COND_LIMIT / 100."""
+    ratio, largest = limits
+    g_max = g.max(axis=1)
+    return (g_max / g.min(axis=1) <= ratio) & (g_max <= largest)
 
 
 def _condition_numbers(matrices: np.ndarray) -> list:
@@ -265,16 +300,17 @@ def _condition_numbers(matrices: np.ndarray) -> list:
         return found
 
 
-def _well_conditioned(matrices: np.ndarray, indices: list, failed: dict) -> np.ndarray:
+def _well_conditioned(
+    matrices: np.ndarray, passed: np.ndarray, indices: list, failed: dict
+) -> np.ndarray:
     """Positions in the stack of the matrices that pass the condition gate.
 
-    Row j belongs to index ``indices[j]``. A certified matrix passes as is;
-    every other one is judged by ``np.linalg.cond``, and its failure goes
-    into ``failed`` under its index.
+    Row j belongs to index ``indices[j]``. A matrix ``passed`` marks as
+    certified passes as is; every other one is judged by ``np.linalg.cond``,
+    and its failure goes into ``failed`` under its index.
     """
     import numpy as np
 
-    passed = _certified(matrices)
     rest = np.flatnonzero(~passed).tolist()
     if rest:
         for row, condition in zip(rest, _condition_numbers(matrices[rest])):
@@ -325,16 +361,19 @@ def _solve_batch(graph: StandardGraph, r, e, indices: list) -> tuple:
     m = len(unknowns)
     tail = [column[graph.branches[bid][0]] for bid in bids]
     head = [column[graph.branches[bid][1]] for bid in bids]
+    touching = [k for k, bid in enumerate(bids) if not pos.keys().isdisjoint(graph.branches[bid])]
+    limits = _ratio_limits(graph, bids, pos) if m and len(valid) else None
     # numpy would warn where Python floats silently overflow to inf/nan.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for start in range(0, len(valid) if m else 0, _BLOCK):
             block = valid[start : start + _BLOCK]
-            rb, eb = r[block], e[block]
+            eb = e[block]
+            conductances = 1.0 / r[block]
             matrix = np.zeros((len(block), m, m))
             rhs = np.zeros((len(block), m))
             for col, bid in enumerate(bids):
                 u, v = graph.branches[bid]
-                g = 1.0 / rb[:, col]
+                g = conductances[:, col]
                 for w, other, sign in ((u, v, -1.0), (v, u, 1.0)):
                     if w not in pos:
                         continue
@@ -343,7 +382,8 @@ def _solve_batch(graph: StandardGraph, r, e, indices: list) -> tuple:
                     if other in pos:
                         matrix[:, k, pos[other]] -= g
                     rhs[:, k] += sign * eb[:, col] * g
-            solved = _well_conditioned(matrix, [indices[j] for j in block.tolist()], failed)
+            passed = _certified(conductances[:, touching], limits)
+            solved = _well_conditioned(matrix, passed, [indices[j] for j in block.tolist()], failed)
             if len(solved):
                 x = np.linalg.solve(matrix[solved], rhs[solved][..., None])[..., 0]
                 phi[np.ix_(block[solved], [column[w] for w in unknowns])] = x
@@ -892,11 +932,34 @@ def verify_laws(op: OperatingPoint, tol: float = 1e-9, check_upto: int = 64) -> 
         check = LawCheck(law, subject, value, value <= tol, witness)
         if law == "Ohm":
             bid = subject.split()[-1]
-            check.class_verdict = _ohm_class_verdict(op, bid)
+            if op.route == "periodic":
+                columns = table[:, bids.index(bid)]
+                check.class_verdict = _ohm_column_verdict(op.oracle, columns, head)
+            else:
+                check.class_verdict = _ohm_class_verdict(op, bid)
         checks.append(check)
     if not indices:
         notes.append("no indices were available to check")
     return LawReport(all(c.ok for c in checks), tol, checks, notes)
+
+
+def _ohm_column_verdict(oracle: FilterOracle, columns, head: int) -> str:
+    """The class verdict of Ohm's law on the periodic route, from one
+    branch's law columns (i, v, r and e over the joint window, ``head``
+    indices and one period): the agreement set of v and r*i - e, the set
+    ``agreement_set`` gives for the two descriptors."""
+    import numpy as np
+
+    i, v, r, e = columns
+    with np.errstate(all="ignore"):  # overflow gives inf, as with Python floats
+        agrees = v == r * i - e
+    if agrees.all():
+        agreement = IndexSet.naturals()
+    else:
+        bits = agrees.tolist()
+        agreement = IndexSet.eventually_periodic(bits[:head], bits[head:])
+    same = oracle.decide(agreement, context="hyperreal equality") is Membership.IN
+    return "equal" if same else "UNEQUAL"
 
 
 def _ohm_class_verdict(op: OperatingPoint, bid: str) -> str:

@@ -266,24 +266,41 @@ def trait_check(seq: SeqDescriptor) -> TraitReport:
     finitely many values they take. For generated descriptors every check
     runs exhaustively up to the horizon and raises ``TraitViolated`` with
     the earliest witness on failure.
+
+    When every value of the window and the declared limit are ``float``
+    (``_render``'s rule), the monotone, unbounded and limit checks run on
+    one float64 array, with the list checks' comparisons and arithmetic,
+    so every message, witness and note is theirs. Any other value (an int,
+    a ``Fraction``, an extremity) keeps the list checks, which compare
+    exactly, and so does injectivity: a dict of the values, in which a NaN
+    matches only itself. numpy is imported only for a float window.
     """
     if isinstance(seq, PeriodicSeq):
         vals = sorted({_fmt(v) for v in seq.pre + seq.cycle})
         return TraitReport(True, [f"finitely many values {{{', '.join(vals)}}}"])
     end = seq.n_max
     vals = values_window(seq, end)
+    window, (monotone, unbounded, limit) = vals, _LIST_CHECKS
+    if (
+        (MONOTONE in seq.traits or UNBOUNDED in seq.traits or seq.limit is not None)
+        and type(seq.limit) in (float, type(None))
+        and set(map(type, vals)) == {float}
+    ):
+        import numpy as np
+
+        window, (monotone, unbounded, limit) = np.array(vals, dtype=float), _FLOAT_CHECKS
     notes = []
     if MONOTONE in seq.traits:
-        _check_monotone(vals)
+        monotone(window)
         notes.append(f"monotone verified for n <= {end}")
     if UNBOUNDED in seq.traits:
-        _check_unbounded(vals)
+        unbounded(window)
         notes.append(f"unbounded spot-checked for n <= {end} (trusted beyond)")
     if INJECTIVE_BEYOND in seq.traits:
         _check_injective(vals)
         notes.append(f"injective beyond some index verified for n <= {end}")
     if seq.limit is not None:
-        _check_limit(vals, seq.limit)
+        limit(window, seq.limit)
         notes.append(f"approach to limit {seq.limit} verified for n <= {end} (trusted beyond)")
     return TraitReport(True, notes)
 
@@ -369,6 +386,81 @@ def _check_limit(vals, limit):
             f"{devs[-1]:.6g} after n={mid}",
             witness=len(devs) - 1,
         )
+
+
+def _monotone_floats(x):
+    """``_check_monotone`` of a float64 array: neighbours compared with
+    ``<=`` and ``>=``, never subtracted (inf - inf is NaN)."""
+    import numpy as np
+
+    a, b = x[:-1], x[1:]
+    le, ge = a <= b, a >= b
+    if le.all() or ge.all():
+        return
+    rises, falls = a < b, a > b
+    if not (rises.any() and falls.any()):
+        n = int(np.argmax(~(le | ge))) + 1
+        raise TraitViolated(
+            f"monotone declared but the values at n={n - 1} and n={n} are unordered",
+            witness=n,
+        )
+    n = max(min(int(np.argmax(rises)), int(np.argmax(falls))), 1)
+    raise TraitViolated(
+        f"monotone declared but values change direction near n={n}", witness=n
+    )
+
+
+def _first_max(x) -> float:
+    """``max`` of a nonempty float64 array as Python's ``max`` finds it: a
+    leading NaN is kept, any later one is passed over."""
+    import numpy as np
+
+    return float(x[0]) if x[0] != x[0] else float(np.fmax.reduce(x))
+
+
+def _unbounded_floats(x):
+    """``_check_unbounded`` of a float64 array."""
+    import numpy as np
+
+    mid = len(x) // 2
+    magnitudes = np.abs(x)
+    if not _first_max(magnitudes) > _first_max(magnitudes[: mid + 1]):
+        raise TraitViolated(
+            f"unbounded declared but |values| set no new record after n={mid}",
+            witness=len(x) - 1,
+        )
+
+
+def _limit_floats(x, limit: float):
+    """``_check_limit`` of a float64 array and a float limit."""
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        devs = np.abs(x - limit)
+    grows = devs[1:] > devs[:-1]
+    if grows.any():
+        n = int(np.argmax(grows)) + 1
+        raise TraitViolated(
+            f"limit {limit} declared but |value - limit| grows at n={n}",
+            witness=n,
+        )
+    first, last, mid = float(devs[0]), float(devs[-1]), len(devs) // 2
+    if last > 0.25 * first + 1e-12:
+        raise TraitViolated(
+            f"limit {limit} declared but |value - limit| only shrinks from "
+            f"{first:.6g} to {last:.6g} over the horizon",
+            witness=len(devs) - 1,
+        )
+    if last > 0.75 * float(devs[mid]) + 1e-12:
+        raise TraitViolated(
+            f"limit {limit} declared but |value - limit| levels off near "
+            f"{last:.6g} after n={mid}",
+            witness=len(devs) - 1,
+        )
+
+
+_LIST_CHECKS = (_check_monotone, _check_unbounded, _check_limit)
+_FLOAT_CHECKS = (_monotone_floats, _unbounded_floats, _limit_floats)
 
 
 # -- generator registry --------------------------------------------------------

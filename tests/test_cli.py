@@ -434,3 +434,49 @@ def test_an_integer_literal_past_the_conversion_limit_is_a_syntax_error(tmp_path
     proc = run_cli("validate", str(project), *args)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == f"error: {where}: integer literal of {len(LONG)} characters is too long\n"
+
+
+def test_the_kept_parser_answers_every_call_as_a_fresh_one(monkeypatch, capsys, tmp_path):
+    from ultragraph import cli
+
+    sidecar = tmp_path / "out.json"
+    calls = [
+        ["solve", "projects/divider.ug", "--tol", "1e-3"],
+        ["solve", "projects/divider.ug", "--tol", "-1", "--json", str(sidecar)],
+        ["build", "projects/tower.ug", "--mu-max", "1", "--json", str(sidecar)],
+        ["classify", "projects/alternating.ug", "--oracle", "pin in mod=2 : 1"],
+        ["frobnicate", "projects/loop.ug", "--json", str(sidecar)],
+        ["build", "projects/tower.ug"],
+        ["report", "projects/loop.ug", "--horizon", "0", "--json", str(sidecar)],
+        ["validate", "projects/loop.ug", "--horizon", "abc"],
+        ["classify"],
+        [],
+        ["solve", "--help"],
+        ["validate", "projects/loop.ug", "--json", str(sidecar)],
+    ]
+
+    def run(argv):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = f"exit {exc.code}"
+        out, err = capsys.readouterr()
+        written = sidecar.read_text() if sidecar.exists() else None
+        sidecar.unlink(missing_ok=True)
+        return code, out, err, written
+
+    monkeypatch.chdir(ROOT)
+    built = []
+    build = cli.build_arg_parser
+    monkeypatch.setattr(cli, "build_arg_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    kept = [run(argv) for argv in calls]
+    assert built == [1]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run(argv))
+    cli._parser.cache_clear()
+    assert kept == fresh
+    assert [outcome[0] for outcome in kept] == [0, 2, 0, 0, 2, 0, 2, 2, 2, 2, "exit 0", 0]
+    assert json.loads(kept[4][3])["lines"] == [kept[4][2].splitlines()[-1]]

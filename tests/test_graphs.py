@@ -503,3 +503,32 @@ def test_a_large_natural_rank_is_validated_from_its_stored_layers(rank):
     assert [v.render() for v in report.violations] == [
         f"[layer-empty-top] rank-{rank} graph has no rank-{rank} nodes"
     ]
+
+
+def test_owner_of_checks_each_level_once_and_refuses_what_it_refused(monkeypatch):
+    checked = []
+    check = StandardGraph._check_level
+
+    def counting(self, level):
+        checked.append(level)
+        return check(self, level)
+
+    monkeypatch.setattr(StandardGraph, "_check_level", counting)
+    g = loop_2graph()
+    for _ in range(3):
+        assert g.owner_of(Extremity("tip", "p0", 0), 1) == "x1"
+        assert g.owner_of(Extremity("node", "x1", 1), 2) == "x2"
+    assert checked == [1, 2]
+    # 1.0 and True hash like 1, and only True is a level (an int)
+    for level in (1.0, 0, 3, -1, OMEGA, OMEGA_ARROW, "1", [1], None):
+        with pytest.raises(RankTooHigh):
+            g.owner_of(Extremity("tip", "p0", 0), level)
+    assert g.owner_of(Extremity("tip", "p0", 0), True) == "x1"
+    # a graded omega layer is answered by its scheme, checked at every call
+    t = tower_omega_graph()
+    del checked[:]
+    for _ in range(2):
+        assert t.owner_of(Extremity("tip", "T_3", OMEGA_ARROW), OMEGA) == "W_3"
+    assert checked == [OMEGA, OMEGA]
+    with pytest.raises(RankTooHigh):
+        t.owner_of(Extremity("tip", "T_3", OMEGA_ARROW), OMEGA_ARROW)

@@ -704,8 +704,10 @@ def perturbed(h, rng, width, nudges):
 def test_column_law_checks_match_the_per_index_loop(seed, n_protos, nudges):
     rng = random.Random(seed)
     net = random_periodic_network(rng, n_protos)
+    audit = []
+    modulus = rng.randint(1, 12)
     try:
-        op = operating_point(net, FilterOracle())
+        op = operating_point(net, FilterOracle([(modulus, rng.randrange(modulus))], audit=audit))
     except NumericalFailure:
         return  # a random prototype can be singular; nothing to check then
     assert op.route == "periodic"
@@ -715,12 +717,20 @@ def test_column_law_checks_match_the_per_index_loop(seed, n_protos, nudges):
         for bid in list(part):
             if rng.random() < 0.5:
                 part[bid] = perturbed(part[bid], rng, width, nudges)
+    del audit[:]
     report = verify_laws(op)
     reference = reference_law_worst(op)
     assert checks_by_subject(report) == {
         key: (value.hex(), n, value <= 1e-9) for key, (value, n) in reference.items()
     }
     assert report.ok == all(value <= 1e-9 for value, _ in reference.values())
+    # the Ohm verdicts read from the columns are the hyperreal ones, audit included
+    decided = audit[:]
+    del audit[:]
+    verdicts = [network._ohm_class_verdict(op, bid) for bid in sorted(net.data)]
+    assert [c.class_verdict for c in report.checks if c.law == "Ohm"] == verdicts
+    assert decided == audit
+    event(f"{verdicts.count('UNEQUAL')} of {len(verdicts)} unequal")
 
 
 def test_column_law_checks_match_on_the_generated_route():
@@ -1238,22 +1248,26 @@ def failures(found):
 
 def gated_solve(graph, r, e, indices):
     """``_solve_batch`` with every gate decision checked against ``svd_gate``,
-    and the same solve with no matrix certified: both must agree bit for bit."""
+    and the same solve with no matrix certified: both must agree bit for bit.
+    Also returns each gated stack with the matrices the certificate passed,
+    every one of which the SVD places at most 1e10."""
     gate, stacks = network._well_conditioned, []
 
-    def compared(matrices, at, failed):
+    def compared(matrices, passed, at, failed):
+        certified = passed.copy()
         found = {}
-        passed = gate(matrices, at, found)
+        got = gate(matrices, passed, at, found)
         expected_passed, expected_failed = svd_gate(matrices, at)
-        assert passed.tolist() == expected_passed
+        assert got.tolist() == expected_passed
         assert failures(found) == failures(expected_failed)
+        assert all(np.linalg.cond(matrix) <= 1e10 for matrix in matrices[certified])
         failed.update(found)
-        stacks.append(matrices.copy())
-        return passed
+        stacks.append((matrices.copy(), certified))
+        return got
 
     with mock.patch.object(network, "_well_conditioned", compared):
         got = _solve_batch(graph, r, e, indices)
-    with mock.patch.object(network, "_certified", lambda m: np.zeros(len(m), dtype=bool)):
+    with mock.patch.object(network, "_certified", lambda g, limits: np.zeros(len(g), dtype=bool)):
         svd_only = _solve_batch(graph, r, e, indices)
     for array, reference in zip(got[:3], svd_only[:3]):
         assert array.tobytes() == reference.tobytes()
@@ -1287,24 +1301,52 @@ def test_certified_gate_decides_as_the_svd_gate(seed, n_nodes, n_branches, size,
     r = [[RESISTANCES[rng.choice(kinds)](rng) for _ in branches] for _ in range(size)]
     e = [[rng.uniform(-5.0, 5.0) for _ in branches] for _ in range(size)]
     _, stacks = gated_solve(graph, r, e, list(range(7, 7 + size)))
-    for stack in stacks:
-        certified = network._certified(stack)
+    for _, certified in stacks:
         event(f"certified {certified.sum()} of {len(certified)}")
 
 
-def test_an_exactly_singular_stack_is_left_to_the_svd_gate():
+def counted(monkeypatch, module, name):
+    """Record the first argument of each call to ``module.name``."""
+    calls, original = [], getattr(module, name)
+
+    def counting(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_an_exactly_singular_matrix_falls_back_to_the_svd_gate_alone(monkeypatch):
     # b2's conductance 1e20 absorbs b1's 1 on the diagonal: [[1e20, -1e20], [-1e20, 1e20]]
     g = StandardGraph("chain", 0, nodes0=["a", "b", "c"], branches={"b1": ("a", "b"), "b2": ("b", "c")})
     r = [[1.0, 2.0], [1.0, 1e-20], [3.0, 0.5]]
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(np.array([[1e20, -1e20], [-1e20, 1e20]]), np.ones(2))
-    (phi, _, _, failed), (stack,) = gated_solve(g, r, [[1.0, 0.0]] * 3, [0, 1, 2])
+    (phi, _, _, failed), ((_, certified),) = gated_solve(g, r, [[1.0, 0.0]] * 3, [0, 1, 2])
     assert list(failed) == [1]
     assert isinstance(failed[1], NumericalFailure) and failed[1].index == 1
     assert phi[[0, 2]].any()
-    # the singular matrix sends its whole stack to the SVD; alone, the others pass
-    assert not network._certified(stack).any()
-    assert network._certified(stack[[0, 2]]).all()
+    # the singular matrix goes to the SVD alone; the others are certified
+    assert certified.tolist() == [True, False, True]
+    judged = counted(monkeypatch, network, "_condition_numbers")
+    _solve_batch(g, r, [[1.0, 0.0]] * 3, [0, 1, 2])
+    assert [len(stack) for stack in judged] == [1]
+
+
+def test_a_fully_certified_block_makes_one_solve_and_no_svd(monkeypatch):
+    graph = grid_network().family.prototypes[0]
+    m = len(graph.nodes0) - 1
+    rng = random.Random(5)
+    r = [[rng.uniform(0.5, 4.0) for _ in graph.branches] for _ in range(_BLOCK)]
+    e = [[rng.uniform(-3.0, 3.0) for _ in graph.branches] for _ in range(_BLOCK)]
+    solves = counted(monkeypatch, np.linalg, "solve")
+    svds = counted(monkeypatch, np.linalg, "cond")
+    phi, _, _, failed = _solve_batch(graph, r, e, list(range(_BLOCK)))
+    assert not failed and phi.any()
+    # the unit-conductance matrix once per batch, then the block in one call
+    assert [stack.shape for stack in solves] == [(m, m), (_BLOCK, m, m)]
+    assert svds == []
 
 
 # -- generated windows filled from solved blocks -----------------------------------------

@@ -1,7 +1,10 @@
 """Sequence descriptors: values, canonical forms, agreement, traits."""
 
 import math
+import subprocess
+import sys
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,13 +25,18 @@ from ultragraph import (
 )
 from ultragraph.cli import _advisory_class
 from ultragraph._periodic import minimize
+from ultragraph import sequences
 from ultragraph.errors import BeyondHorizon, TraitViolated
 from ultragraph.sequences import (
     MONOTONE,
+    TRAITS,
     UNBOUNDED,
     _check_limit,
     _check_monotone,
     _check_unbounded,
+    _limit_floats,
+    _monotone_floats,
+    _unbounded_floats,
     _fmt,
     agreement_set as agree,
     form_key,
@@ -530,3 +538,82 @@ def test_rendered_cycles_match_fmt_per_value(values):
     assert PeriodicSeq(tuple(values), (0.5,)).describe().startswith(
         "pre=[%s] " % ",".join(_fmt(v) for v in values)
     )
+
+
+# -- float64 trait checks against the list checks -----------------------------------
+
+
+# NaN objects, infinities, signed zeros, subnormals, huge values and ties
+special_floats = st.sampled_from(
+    [NAN_A, NAN_B, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e308, -1e308, 1.0, 1.0, 2.5, -3.0]
+)
+float_values = st.one_of(special_floats, st.floats())
+float_lists = st.lists(float_values, min_size=1, max_size=12)
+float_windows = st.one_of(
+    float_lists,
+    float_lists.map(sorted),
+    float_lists.map(lambda v: sorted(v, reverse=True)),
+    # nonincreasing deviations from 0.0, so the decay tests are reached
+    float_lists.map(lambda v: sorted(v, key=abs, reverse=True)),
+)
+float_limits = st.one_of(float_values, st.sampled_from([0, 1, -2]))
+
+
+@given(vals=float_windows, limit=float_values)
+def test_float64_checks_match_the_list_checks(vals, limit):
+    x = np.array(vals)
+    assert check_outcome(_monotone_floats, x) == check_outcome(_check_monotone, vals)
+    assert check_outcome(_unbounded_floats, x) == check_outcome(_check_unbounded, vals)
+    assert check_outcome(_limit_floats, x, limit) == check_outcome(_check_limit, vals, limit)
+
+
+def trait_outcome(vals, traits, limit):
+    """The report's notes, or the type, text and witness of the violation,
+    of ``trait_check`` on a fresh rule giving ``vals``."""
+    seq = generated(vals.__getitem__, len(vals) - 1, traits=traits, limit=limit)
+    try:
+        return trait_check(seq).notes
+    except TraitViolated as exc:
+        return type(exc), str(exc), exc.witness
+
+
+@given(
+    vals=float_windows.filter(lambda v: len(v) >= 2),
+    traits=st.sets(st.sampled_from(sorted(TRAITS))),
+    limit=st.one_of(st.none(), float_limits),
+)
+def test_trait_checks_on_float64_arrays_match_the_list_checks(vals, traits, limit):
+    got = trait_outcome(vals, traits, limit)
+    # the list checks, handed the array's values back as a list
+    list_checks = tuple(
+        lambda x, *rest, check=check: check(x.tolist(), *rest) for check in sequences._LIST_CHECKS
+    )
+    with mock.patch.object(sequences, "_FLOAT_CHECKS", list_checks):
+        assert got == trait_outcome(vals, traits, limit)
+
+
+def test_a_window_that_is_not_all_floats_never_imports_numpy():
+    script = """
+import sys
+from fractions import Fraction
+from ultragraph.errors import TraitViolated
+from ultragraph.sequences import generated, trait_check
+
+windows = (
+    ([3, 2, 1, 0], 0.0),
+    ([3.0, 2.0, 1.0, 0.0], 0),
+    ([3.0, 2, 1.0, 0.0], 0.0),
+    ([Fraction(1, n + 1) for n in range(8)], Fraction(0)),
+    ([1, True, 0.5, 0.0], None),
+)
+for vals, limit in windows:
+    try:
+        trait_check(generated(vals.__getitem__, len(vals) - 1, traits={"monotone", "unbounded"}, limit=limit))
+    except TraitViolated:
+        pass
+assert "numpy" not in sys.modules, "a window that is not all floats imported numpy"
+trait_check(generated([2.0, 1.0, 0.0].__getitem__, 2, traits={"monotone"}, limit=0.0))
+assert "numpy" in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
