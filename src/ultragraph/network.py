@@ -70,7 +70,7 @@ largest float, so no sum overflows. Its condition is then at most 1e10,
 100 times below the limit: a margin far wider than the rounding of these
 few scalar bounds or of the SVD estimate, which would pass the gate as
 well. Every other matrix, a singular one included, goes to
-``np.linalg.cond`` as before, and no certified matrix goes with it, so
+``np.linalg.cond``, and no certified matrix goes with it, so
 every decision and every ``NumericalFailure`` is the one the SVD alone
 gives.
 

@@ -32,13 +32,16 @@ A sampled set is never pinned. It decides when it agrees with a pinned
 set, or with that set's complement, on its own sampled window; that trust
 boundary is the same one sampled sets carry everywhere else.
 
+``select_from_partition`` intersects each pair of exact parts and tests
+their union for cover before it decides each part.
+
 The audit is a list of lines. An oracle given an ``audit`` list appends
 one ``"CONTEXT: SET -> in|out"`` line to it for every decision, and
-``decide`` is its only writer: kind, rank and owner selection (one line
-each, on the selected value's set), the pairwise shorting that remains for
-generated, sampled or unhashable owners, and every other question reach
-the audit by deciding, so the trail is the record of the ultrafilter
-decisions a run made, one line each.
+``decide`` is its only writer: kind, rank, owner and identity selection
+(one line each, on the selected value's set), the pair by pair shorting
+and identity decisions that remain for other data, and every other
+question reach the audit by deciding, so the trail is the record of the
+ultrafilter decisions a run made, one line each.
 
 Concurrency: oracles are cheap immutable values. ``pin`` returns a new
 oracle; configure first, then share freely between readers.
@@ -47,9 +50,9 @@ oracle; configure first, then share freely between readers.
 from __future__ import annotations
 
 from enum import Enum
+from functools import reduce
 from itertools import chain, combinations
 from math import gcd, lcm
-from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -59,8 +62,7 @@ from .errors import (
     NotAPartition,
     Undecidable,
 )
-from ._periodic import Unrolled, aligned
-from .indexsets import SAMPLED, IndexSet
+from .indexsets import COFINITE, SAMPLED, IndexSet
 
 
 class Membership(Enum):
@@ -193,30 +195,19 @@ class FilterOracle:
         """Index of the unique part the ultrafilter accepts.
 
         Parts must be pairwise disjoint and must jointly cover all but
-        finitely many indices. The exact parts are checked in one pass, in
-        list order: their cycles are counted residue by residue over the
-        running lcm of the cycle lengths seen so far, which is the largest
-        window ever laid out, and the pass stops at the first part that
-        counts a residue twice. Then membership is counted at each listed
-        exception. The parts are disjoint when no count exceeds one and,
-        all parts being exact, cover when every residue is counted. Only
-        when a check fails are the parts compared pair by pair, so a
-        failure names the first overlapping pair in list order, and an
-        overlap is reported before a gap, as a pairwise check would.
-        Sampled parts are left out of both checks.
+        finitely many indices. Each pair of exact parts is intersected, in
+        list order, and the first pair that meets is named; then, when every
+        part is exact, their union must be cofinite. So an overlap is
+        reported before a gap. Sampled parts are left out of both checks.
+        Each part is then decided, and exactly one must be accepted.
         """
         if not parts:
             raise NotAPartition("no parts given")
         exact = [p for p in parts if p.exact]
-        counts = (0,)
-        for part in exact:
-            _, counts = aligned([Unrolled((), counts), Unrolled((), part.cycle)], add)
-            if 2 in counts:
-                _raise_first_overlap(exact)
-        exceptions = set().union(*(p.members for p in exact))
-        if any(sum(n in p for p in exact) > 1 for n in exceptions):
-            _raise_first_overlap(exact)
-        if len(exact) == len(parts) and 0 in counts:
+        for a, b in combinations(exact, 2):
+            if not a.intersection(b).is_empty():
+                raise NotAPartition(f"parts overlap: {a.describe()} and {b.describe()}")
+        if len(exact) == len(parts) and reduce(IndexSet.union, parts).kind != COFINITE:
             raise NotAPartition("union of parts misses infinitely many indices")
         verdicts = [self.decide(p, context=context) for p in parts]
         winners = [i for i, v in enumerate(verdicts) if v is Membership.IN]
@@ -238,11 +229,3 @@ class FilterOracle:
     def __repr__(self):
         return f"FilterOracle({self.describe()})"
 
-
-def _raise_first_overlap(parts: list[IndexSet]) -> None:
-    """Raise ``NotAPartition`` naming the first pair of parts, in list
-    order, whose intersection is nonempty; only called once a count has
-    shown that such a pair exists."""
-    for a, b in combinations(parts, 2):
-        if not a.intersection(b).is_empty():
-            raise NotAPartition(f"parts overlap: {a.describe()} and {b.describe()}")

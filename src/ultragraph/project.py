@@ -349,13 +349,13 @@ class ExtSpec(NamedTuple):
     pre: tuple = ()  # of ("tip"/"node", ident)
     cycle: tuple = ()
     gen: str = ""  # a str where SeqSpec's is a tuple, so the two never compare equal
-    nmax: int = 0
+    nmax: int | None = None  # None when the text names no horizon
 
     def render(self) -> str:
         if self.kind == "ep":
             return _render_pre_cycle(self.pre, self.cycle, ":".join)
         out = f"gen={self.gen}"
-        if self.nmax:
+        if self.nmax is not None:
             out += f" nmax={self.nmax}"
         return out
 
@@ -469,7 +469,7 @@ class Project:
         family = self.family(spec.family)
         ext = spec.extremity
         if ext.kind == "gen":
-            n_max = ext.nmax or _DEFAULT_GEN_HORIZON
+            n_max = _DEFAULT_GEN_HORIZON if ext.nmax is None else ext.nmax
             if ext.gen == "omega-exceptional":
                 return omega_exceptional_query(family, n_max)
             if ext.gen == "omega-tip":
@@ -663,7 +663,7 @@ def _parse_ext(p: _Parser) -> ExtSpec:
         name = p.take_name()
         if name not in ("omega-exceptional", "omega-tip"):
             p.fail(f"unknown extremity generator {name!r}")
-        nmax = 0
+        nmax = None
         if p.at_name("nmax"):
             p.take_name("nmax")
             p.take_punct("=")

@@ -564,11 +564,26 @@ def _short_pairwise(exts: list[NsExtremity], oracle: FilterOracle) -> list[list[
 
 
 def _audit_exceptionals(nodes: list[NsNode], oracle: FilterOracle, notes: list[str]) -> None:
+    """The node axioms on exceptional classes. By Łoś two periodic members
+    are one class when their values at the selected index are equal; each
+    is read once, when a pair first needs it, as ``identity of LABEL``. A
+    pair with a generated member is decided on its agreement set."""
+    selected: dict[NsExtremity, object] = {}
+    patterns: dict = {}
+
+    def same(a: NsExtremity, b: NsExtremity) -> bool:
+        if not (isinstance(a.rep, PeriodicSeq) and isinstance(b.rep, PeriodicSeq)):
+            return _same_element(a, b, oracle, notes)
+        for m in (a, b):
+            if m not in selected:
+                selected[m] = _select_value(*m.rep, oracle, f"identity of {m.label}", patterns)
+        return selected[a] == selected[b]
+
     tagged: list[tuple[str, NsExtremity]] = []
     for node in nodes:
         inside = [m for m, c in zip(node.members, node.classes) if c.kind == "node"]
         for a, b in combinations(inside, 2):
-            if not _same_element(a, b, oracle, notes):
+            if not same(a, b):
                 raise InvariantBreach(
                     f"node {node.ident} embraces two distinct exceptional classes "
                     f"({a.label}, {b.label}); a node embraces at most one"
@@ -576,7 +591,7 @@ def _audit_exceptionals(nodes: list[NsNode], oracle: FilterOracle, notes: list[s
         if inside:
             tagged.append((node.ident, inside[0]))
     for (ida, a), (idb, b) in combinations(tagged, 2):
-        if _same_element(a, b, oracle, notes):
+        if same(a, b):
             raise InvariantBreach(
                 f"nodes {ida} and {idb} embrace the same exceptional class "
                 f"({a.label}); exceptional elements are never shared"

@@ -221,6 +221,40 @@ def test_stored_layers_that_a_scheme_graph_ignores_exit_3(tmp_path):
     assert "  [rank-range] tip layer at invalid rank omega-arrow" in lines
 
 
+@pytest.mark.parametrize("horizon,code", [(" nmax=0", 3), (" nmax=-5", 3), ("", 0)])
+def test_an_extremity_generator_horizon_below_1_exits_3(tmp_path, horizon, code):
+    # A missing nmax means the default horizon; an explicit 0 does not.
+    text = (ROOT / "projects" / "tower.ug").read_text()
+    project = tmp_path / "horizon.ug"
+    project.write_text(text.replace("gen=omega-exceptional nmax=4096", "gen=omega-exceptional" + horizon))
+    proc = run_cli("classify", str(project))
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stdout == ""
+        assert proc.stderr == "error: n_max must be at least 1\n"
+    else:
+        assert "rank: ⟨gen=n+1 nmax=100000⟩ :: hypernatural, nonstandard" in proc.stdout
+
+
+def test_build_reads_each_periodic_exceptional_member_once(tmp_path):
+    text = (ROOT / "projects" / "loop.ug").read_text()
+    project = tmp_path / "loop4.ug"
+    project.write_text(
+        text
+        + "".join(
+            f"\nquery {name} {{\n  family loopfam\n  level 2\n  extremity cycle=[node:x1]\n}}\n"
+            for name in ("e2", "e3", "e4")
+        )
+    )
+    proc = run_cli("build", str(project))
+    assert proc.returncode == 0, proc.stderr
+    identity = [line for line in proc.stdout.split("\n") if line.startswith("  identity of ")]
+    assert identity == [
+        f"  identity of {name}: cofinite={{}} -> in"
+        for name in ("e2", "e3", "e4", "embraced", "node:x1")
+    ]
+
+
 def test_validation_problems_are_data_not_just_an_exit_code():
     proc = run_cli("validate", str(FAULTS / "fault_graph.ug"))
     assert proc.returncode == 3

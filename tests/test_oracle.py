@@ -181,7 +181,7 @@ def test_partition_chooses_exactly_one_part(bits):
     assert verdicts.index(IN) == first
 
 
-# -- one-pass partition check against the pairwise check ---------------------
+# -- partition check against an independent pairwise reference ---------------
 
 
 def pairwise_select(oracle, parts, context="partition"):
@@ -264,7 +264,7 @@ def part_lists(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(part_lists(), st.integers(1, 12), st.integers(0, 11))
-def test_one_pass_partition_check_matches_the_pairwise_check(parts, modulus, residue):
+def test_partition_check_matches_the_pairwise_reference(parts, modulus, residue):
     audit_new, audit_old = [], []
     tower = [(modulus, residue % modulus)]
     new = outcome(lambda: FilterOracle(tower, audit=audit_new).select_from_partition(parts, "p"))

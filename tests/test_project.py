@@ -462,6 +462,18 @@ query rising {
     assert value_at(rising.rep, 3).ident == "x4_0"
 
 
+@pytest.mark.parametrize("horizon", ["", " nmax=0"])
+def test_an_extremity_generator_horizon_serializes_as_written(horizon):
+    # No nmax stays unwritten (the default horizon); an explicit 0 is kept,
+    # so that resolving the query refuses it.
+    text = (ROOT / "projects" / "tower.ug").read_text().replace(
+        "gen=omega-exceptional nmax=4096", "gen=omega-exceptional" + horizon
+    )
+    canon = serialize(parse_project(text))
+    assert f"extremity gen=omega-exceptional{horizon}\n" in canon
+    assert serialize(parse_project(canon)) == canon
+
+
 def test_integer_literals_stay_integers():
     proj = parse_project(MINIMAL)
     spec = proj.families["fam"].assignment

@@ -287,6 +287,90 @@ def test_second_exceptional_class_in_one_node_is_a_breach(tower_family, oracle):
         build_ns_nodes(tower_family, OMEGA, univ, oracle)
 
 
+def exceptional(family, label, rep, owner_rep):
+    """An exceptional-node member with the given representative and owner."""
+    return NsExtremity(family, 1, rep, owner_rep, IndexSet.empty(), periodic((), (1,)), label)
+
+
+def two_node_universe(family, rep_a, rep_b, owner_a, owner_b):
+    """Tips tA and tB, each owned like the exceptional member beside it, eA
+    or eB: two nodes that each embrace one exceptional class."""
+    tip = periodic((), (Extremity("tip", "t0", 0),))
+
+    def tip_of(label, owner):
+        return NsExtremity(family, 1, tip, owner, IndexSet.naturals(), periodic((), (0,)), label)
+
+    return [
+        tip_of("tA", owner_a),
+        exceptional(family, "eA", rep_a, owner_a),
+        tip_of("tB", owner_b),
+        exceptional(family, "eB", rep_b, owner_b),
+    ]
+
+
+def test_nodes_sharing_a_periodic_exceptional_class_is_a_breach(loop_family):
+    # eA and eB differ at odd indices and agree at even ones, which the
+    # default tower selects: by Łoś they are one class, in two nodes.
+    x1, x2, x3 = (Extremity("node", f"x{k}", 1) for k in (1, 2, 3))
+    exts = two_node_universe(
+        loop_family, periodic((), (x1, x2)), periodic((), (x1, x3)),
+        periodic((), ("A",)), periodic((), ("B",)),
+    )
+    audit = []
+    with pytest.raises(InvariantBreach, match=r"nodes \*1\.0 and \*1\.1 embrace the same exceptional class \(eA\)"):
+        build_ns_nodes(loop_family, 1, exts, FilterOracle(audit=audit))
+    assert [line for line in audit if line.startswith("identity of")] == [
+        "identity of eA: cycle=[1,0] -> in",
+        "identity of eB: cycle=[1,0] -> in",
+    ]
+    # Pinning the odds selects x2 for eA and x3 for eB: two classes.
+    layer = build_ns_nodes(loop_family, 1, exts, odds_pinned())
+    assert [[m.label for m in node.members] for node in layer.nodes] == [["eA", "tA"], ["eB", "tB"]]
+
+
+def test_nodes_sharing_a_generated_exceptional_class_is_a_breach(loop_family):
+    shared = generated(lambda n: Extremity("node", "x1", 1), 5, key=("shared-x1",), label="x1")
+    exts = two_node_universe(
+        loop_family, shared, shared,
+        short_window_owner("aaaaaa", "A"), short_window_owner("bbbbbb", "B"),
+    )
+    audit = []
+    pinned = window_pins(FilterOracle(audit=audit), set(range(6)))
+    with pytest.raises(InvariantBreach, match=r"nodes \*1\.0 and \*1\.1 embrace the same exceptional class \(eA\)"):
+        build_ns_nodes(loop_family, 1, exts, pinned)
+    assert [line for line in audit if line.startswith("identity of")] == [
+        "identity of eA and eB: cofinite={} -> in"
+    ]
+
+
+def test_an_undecidable_identity_audit_is_noted_and_treated_as_distinct(oracle, loop_family):
+    # eA and eB agree at even indices only: the sampled agreement set
+    # matches no pin, so the audit cannot tell whether they are one class.
+    x1, x2 = Extremity("node", "x1", 1), Extremity("node", "x2", 1)
+    exts = two_node_universe(
+        loop_family,
+        generated(lambda n: x1, 5, label="x1"),
+        generated(lambda n: x1 if n % 2 == 0 else x2, 5, label="x1|x2"),
+        short_window_owner("aaaaaa", "A"), short_window_owner("bbbbbb", "B"),
+    )
+    layer = build_ns_nodes(loop_family, 1, exts, window_pins(oracle, set(range(6))))
+    assert len(layer.nodes) == 2
+    assert layer.notes == [
+        "identity audit of eA and eB is undecidable; treating them as distinct"
+    ]
+
+
+def test_a_node_with_one_exceptional_member_makes_no_identity_read(loop_family):
+    g = loop_family.prototypes[0]
+    univ = [
+        constant_extremity(loop_family, 2, e)
+        for e in __import__("ultragraph").extremities(g, 2)
+    ]
+    audit = []
+    build_ns_nodes(loop_family, 2, univ, FilterOracle(audit=audit))
+    assert not any(line.startswith("identity of") for line in audit)
+
+
 def test_exceptional_member_is_shorted_to_a_tip(oracle, loop_family):
     g = loop_family.prototypes[0]
     univ = [
@@ -999,6 +1083,19 @@ def test_rank_selection_at_the_selected_index_matches_partition_selection(elemen
     value, line = partition_selection(keys[:head], keys[head:], reference, "rank of q")
     assert (got.kind, got.rank) == ("node", value)
     assert ranks == [line]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    periodic_values(st.sampled_from(["x0", "x1", "x2"])),
+    periodic_values(st.sampled_from(["x0", "x1", "x2"])),
+    selection_oracles(),
+)
+def test_identity_at_the_selected_index_matches_the_agreement_set(a, b, make_oracle):
+    oracle = make_oracle(None)
+    a, b = periodic(*a), periodic(*b)
+    same = _select_value(*a, oracle, "a", {}) == _select_value(*b, oracle, "b", {})
+    assert same == (oracle.decide(agreement_set(a, b)) is Membership.IN)
 
 
 def reference_audit_pointwise(nodes, upto, notes):
