@@ -34,7 +34,7 @@ from . import sequences as sq
 from ._periodic import on_residue
 from .errors import DivisionByZeroClass, NoCertificate, TraitViolated, Undecidable
 from .oracle import FilterOracle, Membership
-from .sequences import GeneratedSeq, PeriodicSeq, SeqDescriptor, _relation_set
+from .sequences import PeriodicSeq, SeqDescriptor, _relation_set
 
 
 class MagnitudeClass(Enum):
@@ -286,38 +286,16 @@ class Hypernatural:
 
 
 def _combine(a: SeqDescriptor, b: SeqDescriptor, op: str) -> SeqDescriptor:
+    """``pointwise`` of op; a generated result is keyed and labelled by op
+    when both operands have a key."""
     fn = _OPS[op]
     if isinstance(a, PeriodicSeq) and isinstance(b, PeriodicSeq):
         return sq.pointwise((a, b), fn)
-    n_max = int(min(sq.horizon(a), sq.horizon(b)))
-    key = None
-    label = None
     ka, kb = sq.form_key(a), sq.form_key(b)
-    if ka is not None and kb is not None:
-        key = ({"+": "add", "-": "sub", "*": "mul", "/": "div"}[op], ka, kb)
-        label = f"({_short(a)} {op} {_short(b)})"
-
-    def rule(n: int):
-        return fn(sq.value_at(a, n), sq.value_at(b, n))
-
-    def fill(start: int, stop: int) -> list:
-        # b is read only as far as a goes. Where either span stops short,
-        # rule(n) raises, a's exception first when both fail there.
-        col_a = sq.span(a, start, min(stop, n_max + 1))
-        col_b = sq.span(b, start, start + len(col_a))
-        try:
-            return list(map(fn, col_a, col_b))
-        except Exception:  # noqa: BLE001 - keep the values before the failing index
-            values = []
-            for x, y in zip(col_a, col_b):
-                try:
-                    values.append(fn(x, y))
-                except Exception:  # noqa: BLE001 - rule(n) raises it again
-                    break
-            return values
-
-    rule.fill = fill
-    return sq.generated(rule, n_max, key=key, label=label)
+    if ka is None or kb is None:
+        return sq.pointwise((a, b), fn)
+    key = ({"+": "add", "-": "sub", "*": "mul", "/": "div"}[op], ka, kb)
+    return sq.pointwise((a, b), fn, key, f"({_short(a)} {op} {_short(b)})")
 
 
 def _short(seq: SeqDescriptor) -> str:

@@ -219,14 +219,45 @@ def values_window(seq: SeqDescriptor, upto: int) -> list:
     return vals
 
 
-def pointwise(seqs: Iterable[PeriodicSeq], fn) -> PeriodicSeq:
-    """Apply fn to aligned values of periodic descriptors; result is periodic.
-
-    Each descriptor is unrolled once into a column over the joint window,
-    and fn is called at n = 0, 1, ... in that order.
-    """
-    head, values = aligned([Unrolled(s.pre, s.cycle) for s in seqs], fn)
+def pointwise(seqs: list, fn, key=None, label=None) -> SeqDescriptor:
+    """The descriptor n -> fn(x_n, y_n, ...) of the descriptors ``seqs``:
+    periodic when they all are (each unrolled once over the joint window,
+    fn called at n = 0, 1, ... in that order, no key or label), otherwise
+    generated up to the shortest horizon (``_generated_pointwise``)."""
+    try:
+        columns = [Unrolled(s.pre, s.cycle) for s in seqs]
+    except AttributeError:  # a generated descriptor has no preperiod
+        return _generated_pointwise(seqs, fn, key, label)
+    head, values = aligned(columns, fn)
     return PeriodicSeq.make(values[:head], values[head:])
+
+
+def _generated_pointwise(seqs: list, fn, key, label) -> GeneratedSeq:
+    """Its rule reads the descriptors at n in order, then calls fn; its fill
+    reads each one's span only as far as the one before went."""
+    n_max = int(min(map(horizon, seqs)))
+
+    def rule(n: int):
+        return fn(*[value_at(s, n) for s in seqs])
+
+    def fill(start: int, stop: int) -> list:
+        spans, end = [], min(stop, n_max + 1)
+        for s in seqs:
+            spans.append(span(s, start, end))
+            end = start + len(spans[-1])
+        try:
+            return list(map(fn, *spans))
+        except Exception:  # noqa: BLE001 - keep the values before the failing index
+            values = []
+            for args in zip(*spans):
+                try:
+                    values.append(fn(*args))
+                except Exception:  # noqa: BLE001 - rule(n) raises it again
+                    break
+            return values
+
+    rule.fill = fill
+    return generated(rule, n_max, key=key, label=label)
 
 
 def agreement_set(a: SeqDescriptor, b: SeqDescriptor) -> IndexSet:

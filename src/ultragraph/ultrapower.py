@@ -60,6 +60,7 @@ from .sequences import (
     constant,
     generated,
     horizon,
+    named_generator,
     pointwise,
     value_at,
     values_window,
@@ -89,13 +90,14 @@ class GraphFamily:
         self.prototypes = tuple(prototypes)
         if assignment is None:
             assignment = PeriodicSeq.make((), (0,))
+        count = len(prototypes)
         if isinstance(assignment, PeriodicSeq):
-            probe = set(assignment.pre) | set(assignment.cycle)
-        else:
-            probe = set(values_window(assignment, min(64, assignment.n_max)))
-        for k in probe:
-            if not isinstance(k, int) or not 0 <= k < len(prototypes):
-                raise ValueError(f"assignment value {k!r} is not a prototype index")
+            _prototype_indices(assignment.pre + assignment.cycle, count)
+        else:  # checked as it is read, also past the probe below
+            indices = named_generator("identity", (), assignment.n_max)
+            check = lambda k, n: _prototype_indices((k,), count, n)[0]  # noqa: E731
+            assignment = pointwise([assignment, indices], check, assignment.key, assignment.label)
+            values_window(assignment, min(64, assignment.n_max))
         self.assignment = assignment
         self.rank = prototypes[0].rank
 
@@ -147,6 +149,15 @@ class GraphFamily:
         )
 
 
+def _prototype_indices(values, count: int, start: int = 0):
+    """``values``, the assignment's at start, start + 1, ...; the first
+    that numbers none of ``count`` prototypes is a ``ValueError``."""
+    for n, k in enumerate(values, start):
+        if not (isinstance(k, int) and 0 <= k < count):
+            raise ValueError(f"assignment value {k!r} at n={n} is not a prototype index")
+    return values
+
+
 class NsExtremity:
     """A sequence of level extremities together with derived descriptors."""
 
@@ -175,46 +186,29 @@ class NsExtremity:
 def ns_extremity(family: GraphFamily, level, rep, label: str | None = None) -> NsExtremity:
     """Build a nonstandard extremity, deriving owner/kind/rank descriptors.
 
-    For an eventually periodic representative the descriptors are exact:
-    the representative and the prototype assignment are unrolled over
-    their joint window. A generated representative yields generated
-    descriptors over the same horizon; owner keys for those should come
-    from the dedicated constructors (for the graded omega layer) since a
-    bare rule carries no symbolic identity.
+    The owner is ``pointwise`` over the assignment and the representative,
+    read in that order: exact when both are periodic, else generated up to
+    the shorter horizon. Kind and rank live on the extremity values: exact
+    for a periodic representative, sampled over the owner's horizon for a
+    bare rule (the graded omega constructors below know theirs exactly).
     """
     if isinstance(rep, PeriodicSeq):
         for e in list(rep.pre) + list(rep.cycle):
             if not isinstance(e, Extremity):
                 raise NotAnExtremity(f"{e!r} is not an extremity")
-        # Kind and rank live on the extremity values themselves, so a
-        # periodic representative keeps them exact even when the prototype
-        # assignment is opaque; only ownership then needs sampling.
         head, tips = aligned([Unrolled(rep.pre, rep.cycle)], lambda e: e.kind == "tip")
         kind_tip_set = IndexSet.eventually_periodic(tips[:head], tips[head:])
         rank_rep = pointwise([rep], lambda e: e.rank)
-        if isinstance(family.assignment, PeriodicSeq):
-            owner_rep = pointwise(
-                [rep, family.assignment],
-                lambda e, k: family.prototypes[k].owner_of(e, level),
-            )
-            return NsExtremity(family, level, rep, owner_rep, kind_tip_set, rank_rep, label)
     elif not isinstance(rep, GeneratedSeq):
         raise NotAnExtremity(f"{rep!r} is not an extremity sequence")
-    span = min(
-        s.n_max for s in (rep, family.assignment) if isinstance(s, GeneratedSeq)
-    )
-
-    def owner_at(n: int) -> str:
-        return family.graph_at(n).owner_of(value_at(rep, n), level)
-
-    owner_rep = generated(
-        owner_at, span, label=f"owner({label or rep.describe()})"
+    owner_rep = pointwise(
+        [family.assignment, rep],
+        lambda k, e: family.prototypes[k].owner_of(e, level),
+        label=f"owner({label or rep.describe()})",
     )
     if isinstance(rep, GeneratedSeq):
-        # A bare rule reveals its tip/node split only by sampling; the dedicated
-        # constructors below supply exact sets because they know the construction.
-        kind_tip_set = IndexSet.sampled(lambda n: value_at(rep, n).kind == "tip", span)
-        rank_rep = generated(lambda n: value_at(rep, n).rank, span, label="rank")
+        kind_tip_set = IndexSet.sampled(lambda n: value_at(rep, n).kind == "tip", owner_rep.n_max)
+        rank_rep = generated(lambda n: value_at(rep, n).rank, owner_rep.n_max, label="rank")
     return NsExtremity(family, level, rep, owner_rep, kind_tip_set, rank_rep, label)
 
 
@@ -282,12 +276,7 @@ def omega_exceptional_query(family: GraphFamily, n_max: int = 100_000) -> NsExtr
         key=("graded-omega-exceptional", family.name),
         label="node:x{n+1}_0",
     )
-    owner_rep = generated(
-        lambda n: f"W_{n + 1}",
-        n_max,
-        key=("graded-omega-owner", family.name),
-        label="W_{n+1}",
-    )
+    owner_rep = _graded_owner(family, n_max)
     rank_rep = generated(
         lambda n: n + 1,
         n_max,
@@ -309,12 +298,7 @@ def omega_tip_query(family: GraphFamily, n_max: int = 100_000) -> NsExtremity:
         key=("graded-omega-tip", family.name),
         label="tip:T_{n+1}",
     )
-    owner_rep = generated(
-        lambda n: f"W_{n + 1}",
-        n_max,
-        key=("graded-omega-owner", family.name),
-        label="W_{n+1}",
-    )
+    owner_rep = _graded_owner(family, n_max)
     rank_rep = generated(lambda n: OMEGA_ARROW, n_max, label="omega-arrow")
     return NsExtremity(
         family, OMEGA, rep, owner_rep, IndexSet.naturals(), rank_rep, "tip:T_{n+1}"
@@ -326,6 +310,12 @@ def _require_graded(family: GraphFamily) -> None:
         raise RankTooHigh(
             f"family {family.name} has no generated omega layer to index into"
         )
+
+
+def _graded_owner(family: GraphFamily, n_max: int) -> GeneratedSeq:
+    """W_{n+1}, the omega-node that owns both graded omega queries at n."""
+    key = ("graded-omega-owner", family.name)
+    return generated(lambda n: f"W_{n + 1}", n_max, key=key, label="W_{n+1}")
 
 
 # -- classification ------------------------------------------------------------------

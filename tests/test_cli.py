@@ -137,14 +137,35 @@ def test_rejected_command_line_replaces_a_stale_json_sidecar(tmp_path, flags, li
         ("fault_graph.ug", 3),
         ("fault_undecidable.ug", 4),
         ("fault_solver.ug", 5),
+        ("fault_assignment.ug", 3),
     ],
 )
 def test_fault_projects_map_to_exit_codes(fault, code):
-    command = {2: "validate", 3: "validate", 4: "build", 5: "solve"}[code]
+    # fault_assignment.ug's family checks its assignment up to n = 64 when
+    # it is built; the fault lies past that, where solving reads it
+    commands = {2: "validate", 3: "validate", 4: "build", 5: "solve"}
+    command = "solve" if fault == "fault_assignment.ug" else commands[code]
     proc = run_cli(command, str(FAULTS / fault))
     assert proc.returncode == code, (proc.stdout, proc.stderr)
     if code != 3:
         assert proc.stderr.startswith("error:")
+
+
+def test_a_fault_in_a_generated_assignment_names_its_value_and_index():
+    proc = run_cli("solve", str(FAULTS / "fault_assignment.ug"))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == "error: assignment value 66 at n=66 is not a prototype index\n"
+
+
+def test_a_query_under_a_generated_assignment_is_sampled():
+    path = str(FAULTS / "generated_assignment.ug")
+    assert run_cli("validate", path).returncode == 0
+    proc = run_cli("classify", path)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert proc.stderr == (
+        "error: tip-kind of tip: sampled(horizon=50) is sampled and matches no pin; "
+        "membership beyond the horizon is unknown\n"
+    )
 
 
 @pytest.mark.parametrize("command", ["validate", "solve", "report"])

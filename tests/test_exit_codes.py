@@ -100,3 +100,23 @@ def test_validate_on_a_large_natural_rank_ends_quickly(rank, graphs, code):
         assert f"[layer-empty-top] rank-{rank} graph has no rank-{rank} nodes" in out.getvalue()
     else:
         assert err.getvalue().startswith("error:")
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTS))
+def test_every_command_under_a_generated_assignment_ends_in_a_documented_exit_code(name):
+    # A generated assignment leaves a query's kind, rank and owner sampled,
+    # so the commands that decide them exit 4 unless a pin decides.
+    text, found = re.subn(
+        r"(?m)^(\s*assignment ).*$", r"\1gen=mod(1) nmax=50", PROJECTS[name]
+    )
+    assert found == 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(text)
+        for command in COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([command, str(path)])
+            assert code in DOCUMENTED, (command, code)
+            if code not in (0, 3):
+                assert err.getvalue().startswith("error:"), (command, err.getvalue())

@@ -397,6 +397,122 @@ def test_a_short_fill_leaves_the_raising_index_to_the_rule():
     assert span(seq, 3, 9) == [3.0, 4.0]
 
 
+# -- one pointwise for periodic and generated descriptors --------------------------------
+
+
+def combine_rule(a, b, fn):
+    """The rule ``hyperreal._combine`` wrote by hand for two descriptors
+    before it became ``pointwise``, kept as a reference."""
+
+    def rule(n):
+        return fn(value_at(a, n), value_at(b, n))
+
+    return rule
+
+
+def reference_rule(seqs, fn):
+    """fn of the descriptors' values at n, read in order: ``combine_rule``
+    for two descriptors."""
+    if len(seqs) == 2:
+        return combine_rule(*seqs, fn)
+    return lambda n: fn(*[value_at(s, n) for s in seqs])
+
+
+@st.composite
+def operand_specs(draw):
+    kind = draw(st.sampled_from(["periodic", "plain", "filled"]))
+    if kind == "periodic":
+        return kind, draw(small_pres), draw(small_cycles)
+    return kind, draw(st.integers(3, 14)), draw(st.one_of(st.none(), st.integers(0, 9)))
+
+
+def traced_operand(k, spec, evaluated):
+    """The descriptor ``spec`` draws: periodic, or a generated rule read
+    index by index ("plain") or with a ``fill`` ("filled") that raises
+    ``LookupError`` at its drawn index. Each value a rule computes is
+    logged in ``evaluated`` as (k, n)."""
+    kind, a, b = spec
+    if kind == "periodic":
+        return periodic(a, b)
+    n_max, raise_at = a, b
+
+    def value(n):
+        if n == raise_at:
+            raise LookupError(f"x{k}: no value at n={n}")
+        evaluated.append((k, n))
+        return n * (k + 2) % 7 - 3
+
+    def rule(n):
+        return value(n)
+
+    if kind == "filled":
+
+        def fill(start, stop):
+            values = []
+            for n in range(start, stop):
+                if n == raise_at:
+                    break
+                values.append(value(n))
+            return values
+
+        rule.fill = fill
+    return generated(rule, n_max)
+
+
+@given(
+    specs=st.lists(operand_specs(), min_size=1, max_size=3),
+    bad=st.one_of(st.none(), st.integers(-9, 9)),
+    uptos=st.lists(st.integers(0, 16), min_size=1, max_size=3),
+)
+def test_pointwise_reads_as_its_reference_rule_index_by_index(specs, bad, uptos):
+    def fn(*xs):
+        return sum(xs) * len(xs) if bad is None else 12 // (sum(xs) - bad)
+
+    evaluated = []
+    seqs = [traced_operand(k, spec, evaluated) for k, spec in enumerate(specs)]
+    want = reference_rule([traced_operand(k, spec, []) for k, spec in enumerate(specs)], fn)
+    n_max = min(map(horizon, seqs))
+    if n_max == math.inf:
+        # all periodic: fn runs over the joint window when the result is made
+        head, period = joint_window(seqs)
+        got = outcome(lambda: pointwise(seqs, fn))
+        expected = outcome(lambda: [want(n) for n in range(head + period)])
+        assert isinstance(got, PeriodicSeq) == isinstance(expected, list)
+        if isinstance(got, PeriodicSeq):
+            assert values_window(got, head + period - 1) == expected
+        else:
+            assert got == expected
+        return
+    combined = pointwise(seqs, fn)
+    assert isinstance(combined, GeneratedSeq) and combined.n_max == n_max
+    assert (combined.key, combined.label) == (None, None)
+
+    def reference_window(upto):
+        values = []
+        for n in range(upto + 1):
+            if n > n_max:
+                raise BeyondHorizon(f"generated sequence evaluated at n={n} beyond horizon {n_max}")
+            values.append(want(n))
+        return values
+
+    for upto in uptos:
+        # the same values, or the first failing operand's (or fn's) exception
+        assert outcome(lambda: values_window(combined, upto)) == outcome(lambda: reference_window(upto))
+    first_failure = next(
+        (n for n in range(n_max + 1) if isinstance(outcome(lambda: want(n)), tuple)), n_max + 1
+    )
+    # the fill, asked past the horizon, stops at the first failing index
+    assert combined.fn.fill(0, n_max + 10) == reference_window(first_failure - 1)
+    # no operand is read past the horizon, nor evaluated twice below the
+    # first failing index
+    assert all(n <= n_max for _, n in evaluated)
+    assert max(Counter(e for e in evaluated if e[1] < first_failure).values(), default=1) == 1
+    # an operand is read only as far as the operands before it went
+    for k, (kind, _, raise_at) in enumerate(specs):
+        if kind != "periodic" and raise_at is not None:
+            assert all(n < raise_at for j, n in evaluated if j > k)
+
+
 # -- trait checks and canonical forms against the per-value code they replaced ------------
 
 

@@ -46,7 +46,7 @@ from ultragraph.errors import (
     RankTooHigh,
     Undecidable,
 )
-from ultragraph.sequences import PeriodicSeq, agreement_set, generated, horizon, value_at
+from ultragraph.sequences import PeriodicSeq, agreement_set, generated, horizon, value_at, values_window
 from ultragraph.ultrapower import _audit_pointwise, _select_value, constant_extremities
 
 from conftest import (
@@ -1163,3 +1163,76 @@ def test_owner_audit_by_windows_matches_per_index_reads(owners, upto):
     _audit_pointwise(nodes, upto, got)
     reference_audit_pointwise(nodes, upto, want)
     assert got == want
+
+
+# -- owners through one pointwise; assignment values checked on every read -------------------
+
+
+def reference_owner_at(family, level, rep):
+    """The per-index owner rule ``ns_extremity`` wrote for a generated
+    assignment or representative before its owner became ``pointwise``,
+    kept as a reference."""
+
+    def owner_at(n):
+        return family.graph_at(n).owner_of(value_at(rep, n), level)
+
+    return owner_at
+
+
+@pytest.mark.parametrize("rep_kind", ["periodic", "generated", "raising"])
+@pytest.mark.parametrize("assignment_kind", ["periodic", "generated"])
+def test_owners_read_as_the_per_index_owner_rule(rep_kind, assignment_kind):
+    pattern = periodic((1,), (0, 1, 1))
+    assignment = pattern
+    if assignment_kind == "generated":
+        assignment = generated(lambda n: value_at(pattern, n), 40)
+    tips = ["t0", "t1", "t2"]
+    family = tip_family(tips, [[0, 0, 1], [0, 1, 1]], assignment)
+    exts = family.shared_extremities(1)
+    rep = periodic((exts[-1],), exts)
+    if rep_kind != "periodic":
+        cycle = rep
+
+        def rule(n):
+            if rep_kind == "raising" and n == 7:
+                raise LookupError("no extremity at n=7")
+            return value_at(cycle, n)
+
+        rep = generated(rule, 30)
+    ext = ns_extremity(family, 1, rep, label="q")
+    owner_at = reference_owner_at(family, 1, rep)
+    n_max = min(horizon(rep), horizon(family.assignment))
+    if n_max == float("inf"):
+        assert isinstance(ext.owner_rep, PeriodicSeq)
+        head, period = joint_window([rep, family.assignment])
+        n_max = head + period
+    else:
+        owner = ext.owner_rep
+        assert (owner.n_max, owner.key, owner.label) == (n_max, None, "owner(q)")
+    if rep_kind != "periodic":
+        assert ext.kind_tip_set.horizon == ext.rank_rep.n_max == n_max
+    got = outcome(lambda: values_window(ext.owner_rep, n_max))
+    assert got == outcome(lambda: [owner_at(n) for n in range(n_max + 1)])
+    assert isinstance(got, list) == (rep_kind != "raising")
+    assert rep_kind == "raising" or len(set(got)) == 2  # the owner of t1 varies
+
+
+def test_an_assignment_value_that_numbers_no_prototype_is_refused_where_it_is_read():
+    a, b = alternating_3graphs()
+    with pytest.raises(ValueError, match=r"^assignment value 2 at n=3 is not a prototype index$"):
+        GraphFamily("bad", (a, b), periodic((0, 1, 0), (2, 1)))
+    with pytest.raises(ValueError, match=r"^assignment value -1 at n=5 is not a prototype index$"):
+        GraphFamily("bad", (a, b), generated(lambda n: -1 if n == 5 else 0, 100))
+    # a generated assignment is checked up to n = 64 when the family is
+    # built, and every later value as it is read
+    family = GraphFamily("late", (a, b), generated(lambda n: {70: -1, 80: 2}.get(n, n % 2), 100))
+    for n, k in ((70, -1), (80, 2)):
+        with pytest.raises(ValueError, match=rf"^assignment value {k} at n={n} is not a"):
+            family.graph_at(n)
+    assert values_window(family.assignment, 69) == [n % 2 for n in range(70)]
+    with pytest.raises(ValueError, match="value -1 at n=70"):
+        values_window(family.assignment, 100)
+    ext = ns_extremity(family, 3, periodic((), family.shared_extremities(3)), label="q")
+    with pytest.raises(ValueError, match="value -1 at n=70"):
+        values_window(ext.owner_rep, 100)
+    assert family.assignment.describe() == "gen=? nmax=100"
