@@ -20,8 +20,10 @@ Magnitude classification and standard parts never extrapolate numerically:
 A number is immutable, so its certificate is checked once: ``trait_check``
 runs the first time ``classify``, ``standard_part`` or ``describe`` needs
 it, and ``certify`` returns a number carrying the check it made. A
-``TraitViolated`` is kept and raised again; any other exception met while
-reading the window is not kept, so the next call reads again.
+``Hypernatural`` keeps its representative as such a number, so
+``is_standard`` checks it once too. A ``TraitViolated`` is kept and raised
+again; any other exception met while reading the window is not kept, so
+the next call reads again.
 """
 
 from __future__ import annotations
@@ -194,14 +196,7 @@ class Hyperreal:
             traits.add(sq.UNBOUNDED)
         if injective:
             traits.add(sq.INJECTIVE_BEYOND)
-        rep = sq.generated(
-            self.rep.fn,
-            self.rep.n_max,
-            traits=traits,
-            limit=self.rep.limit if limit is None else limit,
-            key=self.rep.key,
-            label=self.rep.label,
-        )
+        rep = self.rep.declaring(frozenset(traits), self.rep.limit if limit is None else limit)
         certified = Hyperreal(rep, self.oracle)
         violation = certified._certificate()[2]
         if violation is not None:
@@ -226,7 +221,7 @@ class Hyperreal:
 class Hypernatural:
     """A sequence class of naturals: either standard or beyond every standard."""
 
-    __slots__ = ("rep", "oracle")
+    __slots__ = ("rep", "oracle", "_number")
 
     def __init__(self, rep: SeqDescriptor, oracle: FilterOracle, check_upto: int = 64):
         if isinstance(rep, PeriodicSeq):
@@ -238,6 +233,7 @@ class Hypernatural:
                 raise ValueError(f"hypernatural representative takes non-natural value {v!r}")
         self.rep = rep
         self.oracle = oracle
+        self._number = Hyperreal(rep, oracle)  # keeps the certificate, checked once
 
     def is_standard(self) -> bool:
         """Standard means equal to some constant class.
@@ -253,7 +249,9 @@ class Hypernatural:
         if sq.INJECTIVE_BEYOND in traits or (
             sq.UNBOUNDED in traits and sq.MONOTONE in traits
         ):
-            sq.trait_check(self.rep)
+            violation = self._number._certificate()[2]
+            if violation is not None:
+                raise violation
             return False
         raise Undecidable(
             "cannot tell whether the rank sequence is eventually constant; "
@@ -263,7 +261,7 @@ class Hypernatural:
     def value(self) -> int:
         if not self.is_standard():
             raise NoCertificate("a nonstandard hypernatural has no standard value")
-        return Hyperreal(self.rep, self.oracle).selected_value()
+        return self._number.selected_value()
 
     def eq(self, other: "Hypernatural") -> bool:
         agree = sq.agreement_set(self.rep, other.rep)
@@ -289,10 +287,8 @@ def _combine(a: SeqDescriptor, b: SeqDescriptor, op: str) -> SeqDescriptor:
     """``pointwise`` of op; a generated result is keyed and labelled by op
     when both operands have a key."""
     fn = _OPS[op]
-    if isinstance(a, PeriodicSeq) and isinstance(b, PeriodicSeq):
-        return sq.pointwise((a, b), fn)
     ka, kb = sq.form_key(a), sq.form_key(b)
-    if ka is None or kb is None:
+    if ka is None or kb is None or isinstance(a, PeriodicSeq) and isinstance(b, PeriodicSeq):
         return sq.pointwise((a, b), fn)
     key = ({"+": "add", "-": "sub", "*": "mul", "/": "div"}[op], ka, kb)
     return sq.pointwise((a, b), fn, key, f"({_short(a)} {op} {_short(b)})")

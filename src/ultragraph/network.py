@@ -79,25 +79,26 @@ a perturbed operating point is honestly re-checked: it confirms
 Kirchhoff's current law at every node, Kirchhoff's voltage law around
 every fundamental loop of a spanning tree, Ohm's law per branch, and
 Tellegen's theorem, with residuals normalized by the magnitude of the
-data. The laws are checked by columns. Each descriptor is read once over
-the checked indices as a ``span``: the joint window on the
-periodic route, the first ``check_upto`` indices on the generated route.
-Where a column stops short, its first missing index is read again in the
-order a per-index check reads it (the graph, the assignment, then
-currents, voltages, resistances and EMFs in declaration order), so the
-same exception escapes as from that check. Indices are grouped by
-prototype. The columns are float64 arrays, and each residual column is
-formed from the same operands in the same order as a per-index check, so
-every float equals the per-index one: KCL flows accumulate in
-``graph.branches`` order, Tellegen's power is a running sum from 0, and
-the scale is the ``np.fmax`` of 1.0 and the magnitudes, which skips a NaN
-as ``max`` does once 1.0 comes first. Only the worst residual of each law
-subject is kept, with its first index as witness. A NaN residual, which an
-infinite value also gives once normalized (inf/inf), is worse than any
-number: its law is VIOLATED at the first index where it occurs. numpy's
-floating-point warnings are silenced there, as Python floats raise none.
-The generated route checks the first ``check_upto`` indices up to and
-including its horizon, the last index it solves.
+data. The laws are checked by columns, each descriptor read once over the
+checked indices (the joint window on the periodic route, the first
+``check_upto`` indices on the generated route) by the solver's readers:
+the assignment and every generated column cell by cell, keeping each
+index's first failing read in the order a per-index check reads it (the
+assignment, then currents, voltages, resistances and EMFs in declaration
+order), and a periodic column once per cycle. The failure of the first
+failing index is raised, the exception that check raises. Indices are
+grouped by prototype graph. The columns are float64 arrays, and each
+residual column is formed from the same operands in the same order as a
+per-index check, so every float equals the per-index one: KCL flows
+accumulate in ``graph.branches`` order, Tellegen's power is a running sum
+from 0, and the scale is the ``np.fmax`` of 1.0 and the magnitudes, which
+skips a NaN as ``max`` does once 1.0 comes first. Only the worst residual
+of each law subject is kept, with its first index as witness. A NaN
+residual, which an infinite value also gives once normalized (inf/inf), is
+worse than any number: its law is VIOLATED at the first index where it
+occurs. numpy's floating-point warnings are silenced there, as Python
+floats raise none. The generated route checks the first ``check_upto``
+indices up to and including its horizon, the last index it solves.
 
 Each Ohm check also carries its verdict as classes: whether the voltage
 equals ``r*i - e`` modulo the oracle. On the periodic route it is decided
@@ -486,7 +487,8 @@ def operating_point(net: NsNetwork, oracle: FilterOracle) -> OperatingPoint:
 def _read_cells(seq, indices: range, failed: dict, convert) -> list:
     """``convert(value_at(seq, n))`` for each n of ``indices``: the reader
     of generated data, of the prototype assignment, and of a periodic datum
-    some value of which fails to convert (``_data_column``).
+    some value of which fails to convert (``_data_column``); the law check
+    reads its generated columns and the assignment through it too.
 
     The range is read through ``span``: a periodic descriptor from its
     unrolled cycle, a generated one from its window. Only from where a
@@ -893,34 +895,28 @@ def verify_laws(op: OperatingPoint, tol: float = 1e-9, check_upto: int = 64) -> 
         indices = range(head + period)
     else:
         indices = range(min(check_upto, int(op.horizon) + 1))
-    protos = span(net.family.assignment, 0, len(indices))
     seqs = [seq for part in sources for seq in part]
-    spans = {  # periodic columns never stop short
-        k: span(seq, 0, len(indices)) for k, seq in enumerate(seqs) if not isinstance(seq, PeriodicSeq)
-    }
-    short = min(map(len, [protos, *spans.values()]))
-    if short < len(indices):
-        # Re-read the first index some column lacks in the order a per-index
-        # check reads it (``graph_at`` reads the assignment), so the read
-        # that fails first is the one raised.
-        net.family.graph_at(short)
-        for seq in seqs:
-            value_at(seq, short)
-        raise InvariantBreach(f"a law column stopped short at n={short} without a failing read")
-    positions: dict = {}
-    for k, proto in enumerate(protos):
-        positions.setdefault(proto, []).append(k)
+    failed: dict = {}
+    graphs = _read_cells(net.family.assignment, indices, failed, net.family.prototypes.__getitem__)
+    table = np.empty((len(seqs), len(indices)))
+    for k, seq in enumerate(seqs):
+        if not isinstance(seq, PeriodicSeq):
+            table[k] = _read_cells(seq, indices, failed, _as_float)
+    if failed:
+        raise failed[min(failed)]
     worst: dict[tuple[str, str], tuple[float, int]] = {}
     floats = partial(np.array, dtype=float)
     # numpy would warn where the per-index check's Python floats give inf/nan.
     with np.errstate(all="ignore"):
-        table = np.empty((len(seqs), len(indices)))
         for k, seq in enumerate(seqs):
-            table[k] = spans[k] if k in spans else _periodic_column(seq, indices, floats)
+            if isinstance(seq, PeriodicSeq):
+                table[k] = _periodic_column(seq, indices, floats)
         table = table.reshape(len(sources), len(bids), len(indices))
-        for proto, at in positions.items():
+        for graph in net.family.prototypes:
+            at = [k for k, g in enumerate(graphs) if g is graph]
+            if not at:
+                continue
             group = table if len(at) == len(indices) else table[:, :, at]
-            graph = net.family.prototypes[proto]
             for law, subject, residuals, divisor in _law_residuals(graph, bids, len(at), *group):
                 value, k = _worst(np.abs(residuals) / divisor)
                 entry = (value, indices[at[k]])

@@ -83,7 +83,7 @@ from .graphs import (
 )
 from .indexsets import IndexSet
 from .oracle import FilterOracle, Membership
-from .sequences import PeriodicSeq, _fmt, named_generator, periodic, pointwise
+from .sequences import PeriodicSeq, _fmt, named_generator, periodic, pointwise, values_window
 from .ultrapower import (
     GraphFamily,
     NsExtremity,
@@ -482,6 +482,8 @@ class Project:
             [refs, family.assignment],
             lambda ref, k: _resolve_ref(ref, family.prototypes[k], spec.level, name),
         )
+        if not isinstance(rep, PeriodicSeq):  # probed as the family probes its assignment
+            values_window(rep, min(64, rep.n_max))
         return ns_extremity(family, spec.level, rep, label=name)
 
 

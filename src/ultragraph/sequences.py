@@ -28,12 +28,12 @@ caller that needs the exception reads the index where the span stopped
 with ``value_at``. ``value_at`` is the read of a single index.
 
 A generated rule is evaluated at most once per index: both range reads,
-and so ``trait_check``, read one window of values kept per rule (per
-``fn``, so copies of a descriptor share it) for as long as the rule
-lives. Rules must therefore be deterministic. An evaluation that raises
-leaves its index unrecorded, so asking again raises again. A rule that
-keeps no window (one that cannot be weakly referenced) is evaluated over
-the range read alone.
+and so ``trait_check``, read the descriptor's ``window``, the list of the
+values computed so far, which only grows. ``declaring`` gives the
+descriptor with other declarations and the same window, so a certified
+copy reads no value again. Rules must therefore be deterministic. An
+evaluation that raises leaves its index unrecorded, so asking again
+raises again.
 
 A rule may also carry a ``fill(start, stop)`` attribute that computes a
 block of its window at once. The contract: return ``fn(n)`` for n =
@@ -55,7 +55,6 @@ the joint window of the descriptors (``_periodic`` holds the layout).
 from __future__ import annotations
 
 import math
-import weakref
 from itertools import compress, count, repeat
 from operator import eq, ge, gt, le, lt, sub
 from typing import Any, Callable, Iterable, NamedTuple
@@ -87,9 +86,10 @@ class PeriodicSeq(NamedTuple):
 
 
 class GeneratedSeq:
-    """Immutable: its fields are set once, by the constructor."""
+    """Immutable: its fields are set once, by the constructor. Only the
+    ``window`` list grows, as values are computed (module docstring)."""
 
-    __slots__ = ("fn", "n_max", "traits", "limit", "key", "label", "__weakref__")
+    __slots__ = ("fn", "n_max", "traits", "limit", "key", "label", "window", "__weakref__")
 
     def __init__(
         self,
@@ -105,7 +105,7 @@ class GeneratedSeq:
             raise ValueError(f"unknown traits: {sorted(bad)}")
         if n_max < 1:
             raise ValueError("n_max must be at least 1")
-        for name, value in zip(self.__slots__, (fn, n_max, traits, limit, key, label)):
+        for name, value in zip(self.__slots__, (fn, n_max, traits, limit, key, label, [])):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -123,6 +123,13 @@ class GeneratedSeq:
 
     def __hash__(self):
         return hash(self.key) if self.key is not None else id(self)
+
+    def declaring(self, traits: frozenset, limit: Any) -> "GeneratedSeq":
+        """This rule with ``traits`` and ``limit`` declared; it shares this
+        descriptor's window."""
+        seq = GeneratedSeq(self.fn, self.n_max, traits, limit, self.key, self.label)
+        object.__setattr__(seq, "window", self.window)
+        return seq
 
     def describe(self) -> str:
         name = self.label or (render_key(self.key) if self.key else "?")
@@ -158,21 +165,11 @@ def horizon(seq: SeqDescriptor) -> float:
     return math.inf if isinstance(seq, PeriodicSeq) else seq.n_max
 
 
-# fn -> [fn(0), fn(1), ...]: every value of a generated rule computed so far.
-_WINDOWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _window(fn) -> list:
-    try:
-        return _WINDOWS.setdefault(fn, [])
-    except TypeError:  # fn cannot be weakly referenced or hashed: keep nothing
-        return []
-
-
-def _extend(fn, vals: list, stop: int) -> list:
-    """Grow ``vals``, the window of rule ``fn``, to ``stop`` values: through
-    ``fn.fill`` when the rule has one, then ``fn(n)`` index by index, which
-    raises where the rule does (module docstring)."""
+def _extend(seq: GeneratedSeq, stop: int) -> list:
+    """Grow the window of ``seq`` to ``stop`` values: through its rule's
+    ``fill`` when it has one, then ``fn(n)`` index by index, which raises
+    where the rule does (module docstring)."""
+    fn, vals = seq.fn, seq.window
     fill = getattr(fn, "fill", None)
     if fill is not None and len(vals) < stop:
         vals += fill(len(vals), stop)
@@ -189,20 +186,10 @@ def span(seq: SeqDescriptor, start: int, stop: int) -> list:
         return Unrolled(seq.pre, seq.cycle).span(start, stop)
     stop = min(stop, seq.n_max + 1)
     try:
-        vals = _WINDOWS.setdefault(seq.fn, [])
-    except TypeError:  # no window is kept for this rule (``_window``): read the range alone
-        vals = []
-        for n in range(start, stop):
-            try:
-                vals.append(seq.fn(n))
-            except Exception:  # noqa: BLE001 - vals holds every value before it
-                break
-        return vals
-    try:
-        _extend(seq.fn, vals, stop)
+        _extend(seq, stop)
     except Exception:  # noqa: BLE001 - the window holds every value before it
         pass
-    return vals[start:stop]
+    return seq.window[start:stop]
 
 
 def values_window(seq: SeqDescriptor, upto: int) -> list:
@@ -211,7 +198,7 @@ def values_window(seq: SeqDescriptor, upto: int) -> list:
     if isinstance(seq, PeriodicSeq):
         return Unrolled(seq.pre, seq.cycle).span(0, upto + 1)
     end = min(upto, seq.n_max) + 1
-    vals = _extend(seq.fn, _window(seq.fn), end)[:end]
+    vals = _extend(seq, end)[:end]
     if upto > seq.n_max:
         raise BeyondHorizon(
             f"generated sequence evaluated at n={seq.n_max + 1} beyond horizon {seq.n_max}"

@@ -168,6 +168,16 @@ def test_a_query_under_a_generated_assignment_is_sampled():
     )
 
 
+@pytest.mark.parametrize("command", ["validate", "build", "classify", "report"])
+def test_a_bad_query_reference_under_a_generated_assignment_exits_2(tmp_path, command):
+    text = (ROOT / "projects" / "alternating.ug").read_text()
+    project = tmp_path / "alternating.ug"
+    project.write_text(text.replace("assignment cycle=[0, 1]", "assignment gen=mod(1) nmax=50"))
+    proc = run_cli(command, str(project))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: query 'whichrank': 'w2' is not a node of graph A\n"
+
+
 @pytest.mark.parametrize("command", ["validate", "solve", "report"])
 def test_a_branch_endpoint_that_is_not_a_0_node_exits_3(command):
     proc = run_cli(command, str(FAULTS / "fault_endpoint.ug"))

@@ -6,6 +6,7 @@ identities instead of floating-point accidents.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -252,6 +253,15 @@ def test_a_failing_window_read_is_met_by_every_call(orc, trait_checks):
             call()
     # nothing is kept, so every call reads the window again
     assert len(trait_checks) == 6
+
+
+def test_classifying_the_tower_checks_its_rising_rank_once(trait_checks, capsys):
+    from ultragraph import cli
+
+    tower = Path(__file__).resolve().parent.parent / "projects" / "tower.ug"
+    assert cli.main(["classify", str(tower)]) == 0
+    assert "hypernatural, nonstandard" in capsys.readouterr().out
+    assert len(trait_checks) == 1
 
 
 def test_describe_renders_class_and_standard_part(orc):

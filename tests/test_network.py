@@ -1125,8 +1125,8 @@ def test_generated_data_are_read_through_their_windows(monkeypatch):
     op = operating_point(healthy, FilterOracle())
     assert [_advisory_class(h).describe() for h in [*op.currents.values(), *op.potentials.values()]]
     assert calls == []
-    # a rule that keeps no window (it cannot be weakly referenced) is still
-    # evaluated once per index
+    # a rule that cannot be weakly referenced is evaluated once per index
+    # too: the window lives on its descriptor
     class Unkept:
         __slots__ = ()
 

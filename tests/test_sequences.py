@@ -205,7 +205,7 @@ def test_values_window():
     assert values_window(s, 4) == [0, 1, 4, 9, 16]
     with pytest.raises(BeyondHorizon):
         values_window(s, 11)
-    # a builtin cannot be weakly referenced, so its values are not kept
+    # a builtin rule keeps its values in the descriptor's window like any other
     assert values_window(generated(abs, 3), 3) == [0, 1, 2, 3]
 
 
@@ -220,6 +220,22 @@ def test_a_generated_rule_is_evaluated_once_per_index():
     assert x.describe().endswith(":: infinitesimal, st=0.0")
     assert set(calls) == set(range(301))
     assert max(calls.values()) == 1
+
+
+def test_an_unhashable_rule_is_evaluated_once_per_index():
+    calls = Counter()
+
+    class Unhashable:
+        __hash__ = None
+
+        def __call__(self, n):
+            calls[n] += 1
+            return 2 * n
+
+    s = generated(Unhashable(), 20)
+    assert values_window(s, 9) == [2 * n for n in range(10)]
+    assert span(s, 0, 10) == [2 * n for n in range(10)]
+    assert sum(calls.values()) == 10
 
 
 def test_a_raising_rule_raises_again_and_keeps_nothing_for_that_index():
